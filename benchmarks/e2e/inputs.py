@@ -6,7 +6,7 @@ different traces with the same class mix and cost mix.  ``sweep-exact``
 and ``bench-all`` do not use the seed.
 
 What the seed may change is limited by one measurement: cell cost is
-heavy-tailed.  Exact cells range from milliseconds to 4.7 s (16-task
+heavy-tailed.  Exact cells range from milliseconds to 8 s (16-task
 POP), fast-tier cells from 0.5 ms to 0.3 s, and on a two-core
 virtual machine a seeded choice *of cells* moved p99 by 17% and a
 sweep's time by 15% between seeds -- wider than any bound worth
@@ -42,11 +42,17 @@ REPEAT_SHARE = 0.7
 #: cells per block of similar cells in the order new cells appear
 SERVE_BLOCK = 24
 
-#: ``sweep-exact`` runs every SWEEP_STRIDE-th cell of each workload
-#: class.  With the current model that is 81 cells, about 7 s of engine
-#: time on one core, none above 2 s: a cold pass takes about 4 s on two
-#: workers, so a 25 s run holds several passes to take the median of.
-SWEEP_STRIDE = 7
+#: ``sweep-exact`` runs every SWEEP_STRIDE-th cell of at most
+#: SWEEP_MAX_TASKS tasks of each workload class; a class that runs only
+#: on more tasks (the HPCC kernels, ping-pong, ring exchange) gives its
+#: middle cell.  The other 16-task cells are left out: they hold 62% of
+#: the engine time of the whole set, up to 8 s in one cell, and a pass
+#: that waits on one such cell times that cell, not the engine.  With
+#: the current model the sample is 37 cells of all 18 classes: a cold
+#: pass takes about half a second on two workers, so a 25 s run holds
+#: some thirty passes to take the median of.
+SWEEP_STRIDE = 16
+SWEEP_MAX_TASKS = 8
 
 
 def _descriptor(request) -> Tuple:
@@ -61,14 +67,16 @@ def _descriptor(request) -> Tuple:
             json.dumps(canonical_token(request.affinity), sort_keys=True))
 
 
-def sweep_cells(stride: int = SWEEP_STRIDE) -> List:
+def sweep_cells(stride: int = SWEEP_STRIDE,
+                max_tasks: int = SWEEP_MAX_TASKS) -> List:
     """The ``sweep-exact`` cells, in the order ``repro-bench all``
     submits them.
 
     A class-stratified systematic sample of the unique cells behind
     ``repro-bench all`` (``tables.sweep_requests() +
-    figures.figure_requests()``): every ``stride``-th cell of each
-    workload class in descriptor order.
+    figures.figure_requests()``): every ``stride``-th cell of at most
+    ``max_tasks`` tasks of each workload class in descriptor order, or
+    the middle cell of a class that has none that small.
     """
     from repro.bench import figures, tables
 
@@ -82,7 +90,9 @@ def sweep_cells(stride: int = SWEEP_STRIDE) -> List:
             (_descriptor(request), position, request))
     chosen = []
     for name in sorted(by_class):
-        chosen.extend(sorted(by_class[name])[::stride])
+        members = sorted(by_class[name])
+        small = [m for m in members if int(m[2].workload.ntasks) <= max_tasks]
+        chosen.extend(small[::stride] or [members[len(members) // 2]])
     return [request for _, _, request in sorted(chosen,
                                                 key=lambda c: c[1])]
 

@@ -110,7 +110,8 @@ def run_workload(name: str, args, seconds: float, setup_reps: int,
               + "\n".join(tail), file=sys.stderr)
         return {"correct": False, "attempted": 1, "failed": 1,
                 "gates": ["workload process failed"], "digest": "",
-                "window_s": 0.0, "metrics": {}, "counters": {}}
+                "window_s": 0.0, "host_slowdown": 0.0, "metrics": {},
+                "counters": {}}
     if result["correct"]:
         shutil.rmtree(work, ignore_errors=True)
     else:
@@ -177,6 +178,7 @@ def run_all(args, catalog: Dict[str, Any]) -> int:
             print(f"{name} correct={run[name]['correct']} "
                   f"attempted={run[name]['attempted']} "
                   f"failed={run[name]['failed']} "
+                  f"host_slowdown={run[name]['host_slowdown']:.3f} "
                   f"sha256={run[name]['digest']}", flush=True)
         runs.append(run)
     if args.trace:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import hostclock  # noqa: E402
 import inputs  # noqa: E402
 import spans  # noqa: E402
 import stats  # noqa: E402
@@ -64,11 +66,15 @@ def test_sweep_cells_are_a_stratified_sample_in_submission_order():
         every.setdefault(request.key(), (position, request))
     positions = [every[c.key()][0] for c in cells]
     assert positions == sorted(positions)
-    population = collections.Counter(type(r.workload).__name__
-                                     for _, r in every.values())
+    classes = {type(r.workload).__name__ for _, r in every.values()}
+    small = collections.Counter(
+        type(r.workload).__name__ for _, r in every.values()
+        if r.workload.ntasks <= inputs.SWEEP_MAX_TASKS)
     sample = collections.Counter(type(c.workload).__name__ for c in cells)
-    assert sample == {name: -(-count // inputs.SWEEP_STRIDE)
-                      for name, count in population.items()}
+    assert sample == {name: max(1, -(-small[name] // inputs.SWEEP_STRIDE))
+                      for name in classes}
+    assert all(c.workload.ntasks <= inputs.SWEEP_MAX_TASKS
+               for c in cells if small[type(c.workload).__name__])
 
 
 def test_percentile_needs_ten_samples_beyond_it():
@@ -80,6 +86,27 @@ def test_percentile_needs_ten_samples_beyond_it():
     assert stats.tail(list(range(1000))) == (989, "p99")
     assert stats.tail(list(range(100))) == (89, "p90")
     assert stats.tail([3.0, 1.0, 2.0]) == (3.0, "max")
+
+
+def test_host_clock_scales_by_the_readings_around_an_interval():
+    clock = hostclock.HostClock()
+    ref = hostclock.REFERENCE_S
+    clock.readings = [(float(t), ref * (2 if t >= 10 else 1))
+                      for t in range(20)]
+    assert clock.seconds(2.0, 8.0) == pytest.approx(6.0)
+    assert clock.seconds(12.0, 18.0) == pytest.approx(3.0)
+    # the readings cut an interval into pieces, each scaled on its own
+    assert clock.seconds(8.0, 12.0) == pytest.approx(2.0 + 1.0)
+    # short intervals take the nearest readings, at least MIN_READINGS
+    assert clock.seconds(14.5, 14.6) == pytest.approx(0.05)
+    assert clock.seconds(8.5, 8.6) == pytest.approx(0.1)
+    assert clock.seconds(-5.0, -4.0) == pytest.approx(1.0)
+
+    live = hostclock.HostClock().start()
+    time.sleep(0.5)
+    live.stop()
+    assert live.proc is None and len(live.readings) >= 2
+    assert all(cpu > 0 for _, cpu in live.readings)
 
 
 def _span(pid, ident, parent, start, end, name="f", layer="l", **attrs):

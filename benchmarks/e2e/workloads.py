@@ -35,11 +35,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import inputs
 import stats
+from hostclock import HostClock
 
 #: what the ``repro-bench`` console script runs
 CONSOLE = "import sys; from repro.bench.cli import main; sys.exit(main())"
 #: worker processes of every sweep (``--jobs 2``)
 JOBS = 2
+#: ``sweep-exact``'s warm re-reads after each cold pass
+WARM_REPS = 5
+#: cold ``repro-bench all`` runs of one ``bench-all`` run
+BENCH_COLD_RUNS = 2
 #: load-generator threads, each with one persistent connection
 CALLERS = 2
 READY_TIMEOUT_S = 30.0
@@ -52,6 +57,8 @@ CHECK_PREFIX = 400
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
+Interval = Tuple[float, float]
+
 
 def canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -62,15 +69,27 @@ def digest(texts: List[str]) -> str:
 
 
 class Outcome:
-    """What one workload run measured and checked."""
+    """What one workload run measured and checked.
 
-    def __init__(self) -> None:
+    Workloads record measured intervals of ``time.perf_counter`` and,
+    once :attr:`clock` has stopped, turn them into seconds at the
+    reference host speed (:mod:`hostclock`).  The time metrics are
+    medians of those over the run's units: a sweep's pass, a
+    ``repro-bench`` process, a served request.
+    """
+
+    def __init__(self, clock: HostClock) -> None:
+        self.clock = clock
+        #: scaled seconds, one sample per unit
         self.setup: List[float] = []
         self.cold: List[float] = []
         self.warm: List[float] = []
-        #: answers delivered, and delivered per second of measured time
+        #: scaled answers per second, one sample per unit
+        self.rates: List[float] = []
+        #: the samples ``tail_ms`` is the tail of
+        self.tail: List[float] = []
+        #: answers delivered
         self.results = 0
-        self.rate = 0.0
         self.window = 0.0
         self.attempted = 0
         self.failed = 0
@@ -80,31 +99,38 @@ class Outcome:
         self.counters: Dict[str, float] = {}
 
     def gate(self, ok: bool, message: str) -> None:
-        if not ok:
+        if not ok and message not in self.gates:
             self.gates.append(message)
 
+    def seconds(self, intervals: List[Interval]) -> List[float]:
+        """Each interval's length at the reference host speed; stops the
+        clock, so call it once the measured work is over."""
+        self.clock.stop()
+        return [self.clock.seconds(t0, t1) for t0, t1 in intervals]
+
     def report(self) -> Dict[str, Any]:
-        latencies = self.cold + self.warm
         metrics: Dict[str, Any] = {}
         if self.setup:
             metrics["setup_s"] = {"value": statistics.median(self.setup),
                                   "n": len(self.setup)}
-        if latencies:
-            value, label = stats.tail(latencies)
+        if self.rates:
+            tail, label = stats.tail(self.tail)
             metrics.update({
                 "cold_ms": {"value": 1000 * statistics.median(self.cold),
                             "n": len(self.cold)},
                 "warm_ms": {"value": 1000 * statistics.median(self.warm),
                             "n": len(self.warm)},
-                "tail_ms": {"value": 1000 * value, "n": len(latencies),
+                "tail_ms": {"value": 1000 * tail, "n": len(self.tail),
                             "note": label},
-                "results_per_s": {"value": self.rate, "n": self.results},
+                "results_per_s": {"value": statistics.median(self.rates),
+                                  "n": len(self.rates)},
                 "peak_rss_mb": {"value": self.rss_mb, "n": 1},
             })
         return {"correct": not self.gates and self.failed == 0,
                 "attempted": self.attempted, "failed": self.failed,
                 "gates": self.gates, "digest": self.digest,
-                "window_s": self.window, "metrics": metrics,
+                "window_s": self.window,
+                "host_slowdown": self.clock.slowdown(), "metrics": metrics,
                 "counters": self.counters}
 
 
@@ -128,21 +154,19 @@ def tree_rss_mb() -> float:
     return peak / 1024.0
 
 
-def timed_process(argv: List[str], cwd: str) -> float:
-    """Wall time of one child process from launch to exit."""
-    t0 = time.perf_counter()
-    subprocess.run(argv, cwd=cwd, stdout=subprocess.DEVNULL, check=True)
-    return time.perf_counter() - t0
+def timed_processes(argv: List[str], cwd: str, count: int) -> List[Interval]:
+    """``count`` runs of one child process, each from launch to exit."""
+    intervals = []
+    for _ in range(count):
+        t0 = time.perf_counter()
+        subprocess.run(argv, cwd=cwd, stdout=subprocess.DEVNULL, check=True)
+        intervals.append((t0, time.perf_counter()))
+    return intervals
 
 
 class Loop:
-    """Repeats a unit of work at least ``minimum`` times, and while at
-    least half of the next unit still fits before the end of the run.
-
-    Batch workloads report the results of one unit over the median unit
-    time as their throughput, so a run's rate does not depend on how
-    many units fitted.
-    """
+    """Repeats a unit of work at least ``minimum`` times, and while a
+    unit of the median length still fits before the end of the run."""
 
     def __init__(self, seconds: float, minimum: int):
         self.seconds = seconds
@@ -150,14 +174,10 @@ class Loop:
         self.units: List[float] = []
         self.started = time.perf_counter()
 
-    def rate(self, results: int) -> float:
-        """``results`` delivered per unit over the median unit time."""
-        return results / len(self.units) / statistics.median(self.units)
-
     def __iter__(self):
         while len(self.units) < self.minimum or (
                 time.perf_counter() - self.started
-                + statistics.median(self.units) / 2 <= self.seconds):
+                + statistics.median(self.units) <= self.seconds):
             t0 = time.perf_counter()
             yield len(self.units)
             self.units.append(time.perf_counter() - t0)
@@ -168,46 +188,59 @@ class Loop:
 def sweep_exact(args, out: Outcome) -> None:
     """Cold exact-tier sweeps through the executor, each re-read warm.
 
-    A pass runs the cell set on an empty cache directory with two
-    worker processes (cold), then once more through a fresh cache
-    object on the same directory (warm: disk reads and wire decode
-    only).  The seed is not used.
+    A unit runs the cell set on an empty cache directory with two
+    worker processes (cold), then :data:`WARM_REPS` times more, each
+    through a fresh cache object on the same directory (warm: disk
+    reads and wire decode only); its warm time is the median of those.
+    The seed is not used.
+
+    The worker pool starts inside the first cold pass, so that traced
+    workers inherit an active span recorder; the median over some
+    thirty units leaves that start-up out.
     """
     probe = [sys.executable, os.path.join(HERE, "workloads.py"),
              "sweep-setup"]
-    out.setup = [timed_process(probe, args.work)
-                 for _ in range(args.setup_reps)]
+    setups = timed_processes(probe, args.work, args.setup_reps)
     from repro.core import parallel
     from repro.core.cache import ResultCache
 
     cells = inputs.sweep_cells(inputs.SWEEP_STRIDE * (10 if args.smoke
                                                       else 1))
     texts: Optional[List[str]] = None
+    units: List[List[Interval]] = []
     cpu0 = time.process_time()
     tracing(True)
-    loop = Loop(args.seconds, args.minimum)
+    # enough units that tail_ms is a percentile, not the slowest pass
+    loop = Loop(args.seconds, args.minimum if args.smoke
+                else max(args.minimum, 2 * stats.MIN_BEYOND))
     for attempt in loop:
         directory = os.path.join(args.work, f"sweep-{attempt}")
-        passes = []
-        for kind in ("cold", "warm"):
+        passes: List[Interval] = []
+        for kind in ["cold"] + ["warm"] * WARM_REPS:
             t0 = time.perf_counter()
             results = parallel.run_requests(cells, jobs=JOBS,
                                             cache=ResultCache(directory))
-            getattr(out, kind).append(time.perf_counter() - t0)
+            passes.append((t0, time.perf_counter()))
             failures = parallel.take_failures()
             out.attempted += len(cells)
             out.failed += len(failures)
             out.results += len(cells) - len(failures)
-            passes.append([canonical(r.to_dict() if r else None)
-                           for r in results])
-        out.gate(passes[0] == passes[1], "warm sweep differs from cold")
-        out.gate(texts is None or passes[0] == texts,
-                 "two cold sweeps of the same cells differ")
-        texts = passes[0]
+            answers = [canonical(r.to_dict() if r else None)
+                       for r in results]
+            out.gate(texts is None or answers == texts,
+                     f"a {kind} sweep differs from the first cold sweep")
+            texts = texts or answers
+        units.append(passes)
     tracing(False)
     out.window = sum(loop.units)
-    out.rate = loop.rate(out.results)
     parallel.shutdown_pool()
+    out.setup = out.seconds(setups)
+    for passes in units:
+        cold, *warm = out.seconds(passes)
+        out.cold.append(cold)
+        out.warm.append(statistics.median(warm))
+        out.rates.append(2 * len(cells) / (cold + out.warm[-1]))
+    out.tail = out.cold
     out.digest = digest(texts or [])
     out.rss_mb = tree_rss_mb()
     out.counters = {"loadgen.requests": out.attempted,
@@ -239,39 +272,56 @@ def fidelity_rho(stdout: str) -> float:
 def bench_all(args, out: Outcome) -> None:
     """The headline command, cold and warm, each run a fresh process.
 
-    A cycle is one ``repro-bench all --tier fast --jobs 2`` on an empty
-    cache followed by one ``repro-bench all --tier fast`` on that cache.
-    The seed is not used.
+    The run is cut into :data:`BENCH_COLD_RUNS` equal parts (one part
+    with ``--minimum 1``).  Each part runs ``repro-bench all --tier fast
+    --jobs 2`` on an empty cache, then ``repro-bench all --tier fast``
+    on that cache until the part's time is up, at least once: a warm
+    run takes a third of a cold one's time and varies more, so it gets
+    more samples.  Each process is a unit.  The seed is not used.
     """
     base = [sys.executable, "-c", CONSOLE]
-    out.setup = [timed_process(base + ["list"], args.work)
-                 for _ in range(args.setup_reps)]
+    setups = timed_processes(base + ["list"], args.work, args.setup_reps)
     outputs: Dict[str, int] = {}
+    tables = 0
     rho = 0.0
+
+    def run(directory: str, extra: List[str]) -> Interval:
+        nonlocal tables, rho
+        env = dict(os.environ, REPRO_BENCH_CACHE_DIR=directory)
+        t0 = time.perf_counter()
+        done = subprocess.run(base + ["all", "--tier", "fast"] + extra,
+                              cwd=args.work, env=env, stdout=subprocess.PIPE)
+        interval = (t0, time.perf_counter())
+        out.attempted += 1
+        if done.returncode != 0:
+            out.failed += 1
+            return interval
+        text = done.stdout.decode()
+        tables = sum(1 for line in text.splitlines() if line == "=" * 72)
+        out.results += tables
+        key = hashlib.sha256(done.stdout).hexdigest()
+        outputs[key] = outputs.get(key, 0) + 1
+        rho = fidelity_rho(text)
+        return interval
+
     cpu0 = time.process_time()
-    loop = Loop(args.seconds, args.minimum)
-    for cycle in loop:
-        env = dict(os.environ, REPRO_BENCH_CACHE_DIR=os.path.join(
-            args.work, f"bench-{cycle}"))
-        for kind, extra in (("cold", ["--jobs", str(JOBS)]),
-                            ("warm", [])):
-            t0 = time.perf_counter()
-            done = subprocess.run(base + ["all", "--tier", "fast"] + extra,
-                                  cwd=args.work, env=env,
-                                  stdout=subprocess.PIPE)
-            getattr(out, kind).append(time.perf_counter() - t0)
-            out.attempted += 1
-            if done.returncode != 0:
-                out.failed += 1
-                continue
-            text = done.stdout.decode()
-            out.results += sum(1 for line in text.splitlines()
-                               if line == "=" * 72)
-            key = hashlib.sha256(done.stdout).hexdigest()
-            outputs[key] = outputs.get(key, 0) + 1
-            rho = fidelity_rho(text)
-    out.window = sum(loop.units)
-    out.rate = loop.rate(out.results)
+    started = time.perf_counter()
+    parts = min(BENCH_COLD_RUNS, args.minimum)
+    colds: List[Interval] = []
+    warms: List[Interval] = []
+    for part in range(parts):
+        directory = os.path.join(args.work, f"bench-{part}")
+        colds.append(run(directory, ["--jobs", str(JOBS)]))
+        end = started + (part + 1) * args.seconds / parts
+        for _ in Loop(end - time.perf_counter(), 1):
+            warms.append(run(directory, []))
+    out.window = time.perf_counter() - started
+    out.setup = out.seconds(setups)
+    out.cold = out.seconds(colds)
+    out.warm = out.seconds(warms)
+    out.tail = out.cold
+    out.rates = [2 * tables / (cold + statistics.median(out.warm))
+                 for cold in out.cold]
     out.gate(len(outputs) == 1,
              f"cold and warm stdout differ ({len(outputs)} variants)")
     out.digest = next(iter(outputs)) if outputs else ""
@@ -353,8 +403,9 @@ class Server:
         except (OSError, ValueError):
             return False
 
-    def start(self) -> float:
-        """Launch; returns seconds from launch to the first ok ping."""
+    def start(self) -> Interval:
+        """Launch; returns the interval from launch to the first ok
+        ping."""
         for _ in range(START_ATTEMPTS):
             port = free_ports(1 if self.kind == "daemon"
                               else self.shards + 1)
@@ -371,7 +422,7 @@ class Server:
             while time.perf_counter() < deadline \
                     and self.proc.poll() is None:
                 if self._ping():
-                    return time.perf_counter() - t0
+                    return t0, time.perf_counter()
                 time.sleep(0.02)
             self.stop()
         raise RuntimeError(f"{self.kind} did not start in "
@@ -426,12 +477,12 @@ def vm_hwm_mb(pids: List[int]) -> float:
 
 
 def closed_loop(address, cells: List[Dict], trace: List[Tuple[int, bool]],
-                seconds: float) -> Tuple[List[Optional[Tuple]], float]:
+                seconds: float) -> Tuple[List[Optional[Tuple]], Interval]:
     """``CALLERS`` threads, each on one persistent protocol-3
     connection, walk the shared trace until ``seconds`` pass.
 
-    Returns one record per trace position sent — ``(latency_s, reply)``
-    — and the measured window.
+    Returns one record per trace position sent -- ``(interval, reply)``,
+    the interval from send to reply -- and the measured window.
     """
     from repro.service.transport import Connection
 
@@ -459,10 +510,10 @@ def closed_loop(address, cells: List[Dict], trace: List[Tuple[int, bool]],
                                           "protocol 3")
                     t0 = time.perf_counter()
                     reply = conn.request(message)
-                    records[position] = (time.perf_counter() - t0, reply)
+                    records[position] = ((t0, time.perf_counter()), reply)
                 except (OSError, ValueError) as exc:
-                    records[position] = (0.0, {"status": "error",
-                                               "message": str(exc)})
+                    records[position] = (None, {"status": "error",
+                                                "message": str(exc)})
                     if conn is not None:
                         conn.close()
                     conn = None
@@ -476,7 +527,7 @@ def closed_loop(address, cells: List[Dict], trace: List[Tuple[int, bool]],
         thread.start()
     for thread in threads:
         thread.join()
-    window = time.perf_counter() - t0
+    window = (t0, time.perf_counter())
     if errors:
         raise RuntimeError(errors[0])
     return records, window
@@ -498,40 +549,45 @@ def serve(kind: str, args, out: Outcome) -> None:
 
     Requests are single fast-tier cells from the seeded trace; a
     request is *cold* when the trace asks for its cell for the first
-    time and *warm* when it repeats one.
+    time and *warm* when it repeats one.  Each request is a unit.
     """
     cells = inputs.serve_pool()
     trace = inputs.serve_trace(cells, args.seed)
+    setups: List[Interval] = []
     for _ in range(args.setup_reps - 1):
         server = Server(kind, args.work)
         try:
-            out.setup.append(server.start())
+            setups.append(server.start())
         finally:
             server.stop()
     server = Server(kind, args.work)
     try:
-        out.setup.append(server.start())
+        setups.append(server.start())
         if args.setup_reps == 0:
-            out.setup = []
+            setups = []
         cpu0 = time.process_time()
         tracing(True)
-        records, out.window = closed_loop(server.address, cells, trace,
-                                          args.seconds)
+        records, window = closed_loop(server.address, cells, trace,
+                                      args.seconds)
         tracing(False)
         cpu = time.process_time() - cpu0
+        out.clock.stop()
         from repro.service.transport import request
         info = request(server.address, {"op": "stats"}, timeout=30.0)
         out.rss_mb = vm_hwm_mb(server.pids())
     finally:
         server.stop()
 
+    out.setup = out.seconds(setups)
+    out.window = window[1] - window[0]
     outcomes: Dict[int, set] = {}
     first: List[int] = []
     waits: List[float] = []
+    latencies: List[float] = []
     for position, record in enumerate(records):
         if record is None:
             continue
-        latency, reply = record
+        interval, reply = record
         index, is_new = trace[position]
         out.attempted += 1
         status = reply.get("status")
@@ -539,7 +595,9 @@ def serve(kind: str, args, out: Outcome) -> None:
             out.failed += 1
             continue
         out.results += 1
-        (out.cold if is_new else out.warm).append(latency)
+        latencies.append(interval[1] - interval[0])
+        (out.cold if is_new else out.warm).append(
+            out.clock.seconds(*interval))
         if reply.get("source") in ("computed", "coalesced"):
             waits.append(float(reply.get("wait_s", 0.0)))
         answer = canonical(reply["result"]) if status == "ok" \
@@ -549,7 +607,8 @@ def serve(kind: str, args, out: Outcome) -> None:
             if position < CHECK_PREFIX:
                 first.append(index)
         outcomes[index].add(answer)
-    out.rate = out.results / out.window
+    out.tail = out.cold + out.warm
+    out.rates = [out.results / out.clock.seconds(*window)]
     out.gate(all(len(a) == 1 for a in outcomes.values()),
              "one cell was served two different answers")
     sample = sorted(random.Random(f"check/{args.seed}").sample(
@@ -565,7 +624,6 @@ def serve(kind: str, args, out: Outcome) -> None:
 
     totals = info.get("stats", {})
     cluster = info.get("cluster", {})
-    latencies = out.cold + out.warm
     out.counters = {
         "service.coalesced": totals.get("coalesced", 0),
         "service.admission_hits": totals.get("cache_hits", 0),
@@ -610,8 +668,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     tracing(False)
     os.chdir(args.work)
-    out = Outcome()
-    WORKLOADS[args.workload](args, out)
+    out = Outcome(HostClock().start())
+    try:
+        WORKLOADS[args.workload](args, out)
+    finally:
+        out.clock.stop()
     print(json.dumps(out.report()))
     return 0
 
