@@ -5,7 +5,8 @@ the transcribed measurements (:mod:`repro.bench.paper_data`) and score:
 
 * **rank correlation** (Spearman) over each row's scheme/column values —
   "does the model order the configurations the way the paper measured
-  them?", the reproduction's primary claim;
+  them?", the reproduction's primary claim.  It is the same pure-python
+  :func:`repro.surrogate.calibration.spearman` the surrogate gate uses;
 * the **median magnitude ratio** model/paper — how close absolute
   numbers land;
 * the **ratio spread** (max/min of per-cell ratios) — whether the model
@@ -22,10 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from scipy import stats
-
 from ..core.parallel import run_requests
 from ..core.report import TableResult
+from ..surrogate.calibration import spearman
 from . import paper_data, tables
 
 __all__ = ["TableFidelity", "score_pairs", "fidelity_table", "paired_values"]
@@ -71,9 +71,9 @@ def score_pairs(pairs: Sequence[Tuple[float, float]],
         models = [m for _p, m in group]
         if len(set(papers)) < 2 or len(set(models)) < 2:
             continue
-        rho = stats.spearmanr(papers, models).statistic
-        if not math.isnan(rho):
-            correlations.append(float(rho))
+        rho = spearman(papers, models)
+        if rho is not None:
+            correlations.append(rho)
     mean_rho = (sum(correlations) / len(correlations)
                 if correlations else None)
     return TableFidelity(name=name, cells=len(pairs),

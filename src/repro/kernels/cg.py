@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.ops import Compute
 
@@ -32,13 +31,16 @@ __all__ = [
 
 
 def random_spd_matrix(n: int, nonzeros_per_row: int = 7,
-                      shift: float = 10.0, seed: int = 0) -> sp.csr_matrix:
+                      shift: float = 10.0,
+                      seed: int = 0) -> "scipy.sparse.csr_matrix":
     """A random sparse symmetric positive-definite matrix.
 
     Built as ``R @ R.T + shift*I`` with a random sparse R — the same
     construction idea as the NAS CG benchmark's fractional-outer-product
     matrix, guaranteeing SPD for any seed.
     """
+    import scipy.sparse as sp  # kept off the CLI's import path
+
     if n < 1 or nonzeros_per_row < 1:
         raise ValueError("n and nonzeros_per_row must be positive")
     rng = np.random.default_rng(seed)

@@ -118,10 +118,16 @@ class MachineSpec:
         The experiment result cache keys on this, so two specs with
         identical parameters share cached results even when constructed
         independently (presets, ``hypothetical()`` what-ifs, tests).
+        Memoized on the frozen instance (a bench run keys ~1500 cells);
+        the memo is not a field, so ``==``, ``hash`` and ``asdict`` skip it.
         """
-        payload = json.dumps(asdict(self), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        token = self.__dict__.get("_cache_token")
+        if token is None:
+            payload = json.dumps(asdict(self), sort_keys=True,
+                                 separators=(",", ":"))
+            token = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_cache_token", token)
+        return token
 
     @property
     def total_cores(self) -> int:

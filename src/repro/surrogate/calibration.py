@@ -96,6 +96,9 @@ def _ranks(values: Sequence[float]) -> List[float]:
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     """Spearman rank correlation (tie-aware, pure python).
 
+    The one Spearman of the repository, shared by the surrogate gate
+    and the fidelity gate; tests pin it to ``scipy.stats.spearmanr``.
+
     ``None`` when fewer than two pairs or either side is constant —
     a degenerate table neither passes nor fails on correlation alone.
     """

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.apps.md import lj_forces, neighbor_pairs, steepest_descent
-from repro.core import AffinityScheme, run_workload
+from repro.bench.extensions import ext_hybrid_scaling
+from repro.core import AffinityScheme, parallel, run_workload
+from repro.core import cache as result_cache
 from repro.machine import describe, distance_table, dmz, hypothetical, longs
 from repro.numa import (
     FirstTouch,
@@ -15,6 +17,8 @@ from repro.numa import (
     PageTable,
     numastat,
 )
+from repro.service import default_session
+from repro.sim.engine import Engine
 from repro.workloads import ImbAllreduce, ImbBcast, ImbSendRecv
 
 
@@ -174,3 +178,34 @@ def test_imb_extra_validation():
         ImbSendRecv(1, 100)
     with pytest.raises(ValueError):
         ImbAllreduce(2, -1)
+
+
+# -- hybrid scaling extension bench -------------------------------------------
+
+def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
+    """Every ext_hybrid cell, hybrid ones included, is served from cache."""
+    cache = result_cache.default_cache()
+    saved = (cache.enabled, cache.directory, cache.disk)
+    result_cache.configure(enabled=True, directory=tmp_path, disk=True)
+    parallel.set_default_tier("fast")  # hybrid cells stay exact regardless
+    try:
+        default_session().clear()
+        table = ext_hybrid_scaling()
+        cold = (table.to_text(), table.to_csv())
+
+        default_session().clear()
+        misses = cache.stats.misses
+
+        def no_simulation(self, *args, **kwargs):
+            raise AssertionError("a warm run must not step the engine")
+
+        monkeypatch.setattr(Engine, "run", no_simulation)
+        table = ext_hybrid_scaling()
+        warm = (table.to_text(), table.to_csv())
+        assert warm == cold
+        assert cache.stats.misses == misses
+    finally:
+        parallel.set_default_tier(None)
+        default_session().clear()
+        result_cache.configure(enabled=saved[0], directory=saved[1],
+                               disk=saved[2])

@@ -207,3 +207,54 @@ def test_chiplet_cache_keys_distinct():
         spec, socket=dataclasses.replace(spec.socket, l3_bytes=0))
     assert twin.cache_token() != spec.cache_token()
     assert chiplet().cache_token() == spec.cache_token()  # deterministic
+
+
+def _fresh_token(spec):
+    import dataclasses
+    import hashlib
+    import json
+
+    payload = json.dumps(dataclasses.asdict(spec), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_cache_token_memo_matches_fresh_hash():
+    spec = longs()
+    assert spec.cache_token() == _fresh_token(spec)
+    assert spec.cache_token() == _fresh_token(spec)  # served from the memo
+
+
+def test_cache_token_memo_not_inherited_by_replace():
+    import dataclasses
+
+    spec = longs()
+    token = spec.cache_token()
+    smaller = dataclasses.replace(spec, sockets=4)
+    assert smaller.cache_token() == _fresh_token(smaller)
+    assert smaller.cache_token() != token
+
+
+def test_cache_token_survives_pickle():
+    import pickle
+
+    spec = dmz()
+    token = spec.cache_token()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone.cache_token() == token == _fresh_token(clone)
+
+
+def test_cache_token_memo_invisible_to_eq_hash_and_keys():
+    import dataclasses
+
+    from repro.core.cache import canonical_token
+
+    memoized = longs()
+    untouched = dataclasses.replace(memoized)
+    memoized.cache_token()
+    assert "_cache_token" not in untouched.__dict__
+    assert memoized == untouched
+    assert hash(memoized) == hash(untouched)
+    assert canonical_token(memoized) == canonical_token(untouched)
+    assert "_cache_token" not in repr(canonical_token(memoized))

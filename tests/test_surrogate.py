@@ -12,6 +12,8 @@ Three properties matter and each gets its own section below:
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.affinity import AffinityScheme, resolve_scheme
 from repro.core.parallel import (JobRequest, default_tier, set_default_tier)
@@ -205,3 +207,28 @@ def test_spearman_degenerate_inputs_return_none():
 def test_spearman_length_mismatch_raises():
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0])
+
+
+_FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+#: a handful of values, so long lists are full of ties
+_TIED = st.sampled_from([0.25, 1.0, 1.5, 2.0, 7.0])
+
+
+@st.composite
+def _paired(draw, values, unique):
+    n = draw(st.integers(min_value=2, max_value=30))
+    xs = draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+    ys = draw(st.lists(values, min_size=n, max_size=n, unique=unique))
+    assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+    return xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_paired(_FINITE, unique=True),
+                 _paired(_TIED, unique=False)))
+def test_spearman_matches_scipy(pair):
+    """The one shared Spearman equals scipy's, with and without ties."""
+    stats = pytest.importorskip("scipy.stats")
+    xs, ys = pair
+    expected = stats.spearmanr(xs, ys).statistic
+    assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)

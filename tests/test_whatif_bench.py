@@ -1,5 +1,10 @@
 """Tests for what-if machines, custom topologies, and the bench layer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -134,3 +139,16 @@ def test_cli_renders_data_table(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "System Configurations" in out
     assert (tmp_path / "tab01.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_and_sparse_unloaded():
+    """Startup weight guard: only the CG validator needs scipy.sparse."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, repro.bench.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out.strip() == "[]"
