@@ -117,8 +117,7 @@ def main() -> int:
         shard = Session(name="parity-shard",
                         cache=ResultCache(directory=tmp / "shard"))
         server = make_server(("127.0.0.1", 0),
-                             lambda m: handle_request(shard, m),
-                             server_name="parity-shard")
+                             lambda m: handle_request(shard, m))
         serve_in_thread(server, "parity-shard")
         try:
             backend = RemoteBackend(f"127.0.0.1:{server.address[1]}")

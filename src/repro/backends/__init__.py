@@ -10,9 +10,8 @@ cluster router's shards — schedules cells through one contract,
 * :class:`~repro.backends.local.ThreadBackend` — an in-process thread
   pool, zero setup, no isolation;
 * :class:`~repro.backends.remote.RemoteBackend` — cells forwarded to a
-  ``repro-bench serve`` daemon (or cluster router) over the wire
-  protocol, negotiating the binary v3 framing when the server speaks
-  it.
+  ``repro-bench serve`` daemon (or cluster router) as protocol-3
+  binary frames.
 
 Backends run cells; they never see the cache.  Content addressing,
 hit/duplicate coalescing, and stores stay in

@@ -3,11 +3,9 @@
 One :class:`RemoteBackend` owns one persistent
 :class:`~repro.service.transport.Connection` to a ``repro-bench
 serve`` daemon (or a cluster router) and forwards whole batches as a
-single ``{"op": "batch"}`` request.  The connection negotiates
-protocol 3 on open, so against any current daemon the cells and their
-results travel as :mod:`repro.wire` binary frames; against an older
-v2-only daemon everything still works over NDJSON — the backend never
-needs to know the server's age.
+single ``{"op": "batch"}`` request.  The cells and their results
+travel as :mod:`repro.wire` binary frames (protocol 3, the only
+protocol the service speaks).
 
 Cells are translated to their name-based wire spelling by
 :func:`~repro.service.registry.wire_cell_for`, which *verifies* every
@@ -18,9 +16,9 @@ affinities, fault plans, unregistered workloads) fail individually;
 they never poison the rest of the batch.
 
 The cluster router reuses the lower-level :meth:`RemoteBackend.forward`
-for its per-shard forwarding: one persistent negotiated connection per
-shard when traffic is sequential, falling back to the classic one-shot
-socket when the connection is busy, so slow sweeps never serialize
+for its per-shard forwarding: one persistent connection per shard
+when traffic is sequential, falling back to a one-shot connection
+when the persistent one is busy, so slow sweeps never serialize
 health probes behind them.
 """
 
@@ -86,7 +84,7 @@ class RemoteBackend(ExecutionBackend):
     def forward(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """One protocol request/response against this endpoint.
 
-        Uses the persistent negotiated connection when it is free; a
+        Uses the persistent connection when it is free; a
         busy connection (another thread mid-request) falls back to a
         one-shot socket so concurrent callers never queue behind a
         long-running batch.  Raises :class:`ConnectionError`/
@@ -191,17 +189,6 @@ class RemoteBackend(ExecutionBackend):
         except (OSError, ValueError):
             return False
         return response.get("status") == "ok"
-
-    def server_info(self) -> Dict[str, Any]:
-        """What the endpoint's ``hello`` advertised (empty before the
-        first forwarded request, or against a v2-only server)."""
-        with self._conn_lock:
-            return dict(self._conn.server_info) if self._conn else {}
-
-    def protocol(self) -> int:
-        """The negotiated protocol version (2 until a connection exists)."""
-        with self._conn_lock:
-            return self._conn.protocol if self._conn else 2
 
     def close(self) -> None:
         with self._conn_lock:

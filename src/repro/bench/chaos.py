@@ -379,18 +379,15 @@ def scenario_corrupted_cache() -> Tuple[bool, List[str]]:
             raw = path.read_bytes()
             if mode == "flipped":
                 # alter the payload but not the stored checksum: still a
-                # well-formed entry (schema-2 JSON or schema-3 frames),
-                # so only checksum verification catches it
+                # well-formed frame, so only checksum verification
+                # catches it
                 from ..core.cache import parse_entry
                 from ..wire import frames
 
                 entry = parse_entry(raw)
                 entry["result"]["wall_time"] = \
                     entry["result"].get("wall_time", 0.0) + 1.0
-                if raw[:2] == frames.FRAME_MAGIC:
-                    path.write_bytes(frames.pack_frames(entry))
-                else:
-                    path.write_text(json.dumps(entry))
+                path.write_bytes(frames.pack_frames(entry))
             else:
                 path.write_bytes(raw[: len(raw) // 2])
 

@@ -19,14 +19,11 @@ Both levels are owned by the process-wide
 :class:`repro.service.Session` — :func:`run` routes through
 ``default_session().run(...)`` and :func:`memo` through
 ``Session.memo``, so bench traffic shares one cache, one coalescing
-map, and one set of service counters with served traffic.  The old
-module-global spellings :func:`run_cached`/:func:`clear_cache` remain
-as deprecated shims over the default session.
+map, and one set of service counters with served traffic.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Tuple
 
 from ..core import (
@@ -36,7 +33,6 @@ from ..core import (
     Workload,
     resolve_scheme,
 )
-from ..errors import ReproDeprecationWarning
 from ..machine import MachineSpec
 from ..mpi import MpiImplementation
 from ..numa import LocalAlloc
@@ -48,8 +44,6 @@ __all__ = [
     "bound_spread_affinity",
     "memo",
     "run",
-    "run_cached",
-    "clear_cache",
 ]
 
 
@@ -108,28 +102,3 @@ def memo(key: Tuple, factory: Callable[[], JobResult]) -> JobResult:
     from ..service.session import default_session
 
     return default_session().memo(key, factory)
-
-
-def run_cached(key: Tuple, factory: Callable[[], JobResult]) -> JobResult:
-    """Deprecated shim for :meth:`repro.service.Session.memo`."""
-    warnings.warn(
-        "repro.bench.common.run_cached() is deprecated; use "
-        "repro.service.Session.memo() (see docs/API.md)",
-        ReproDeprecationWarning, stacklevel=2)
-    return memo(key, factory)
-
-
-def clear_cache() -> None:
-    """Deprecated shim for :meth:`repro.service.Session.clear`.
-
-    Drops the default session's memo table and the memory tier of its
-    content-addressed cache; on-disk entries are untouched (they are
-    keyed by content and remain valid).
-    """
-    warnings.warn(
-        "repro.bench.common.clear_cache() is deprecated; use "
-        "repro.service.Session.clear() (see docs/API.md)",
-        ReproDeprecationWarning, stacklevel=2)
-    from ..service.session import default_session
-
-    default_session().clear()

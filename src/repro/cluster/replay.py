@@ -2,7 +2,7 @@
 
 Replays recorded traffic — a JSONL trace file, or the bounded traffic
 log a ``serve`` daemon folds into its ``tool="serve"`` ledger records —
-against any NDJSON endpoint (single daemon or cluster router) at a
+against any service endpoint (single daemon or cluster router) at a
 configurable request rate with N concurrent clients, then reports what
 the paper's serving story needs numbers for:
 

@@ -1,6 +1,6 @@
 """The cluster router: content-address sharding over N serve daemons.
 
-The router speaks the same NDJSON protocol as a single daemon — clients
+The router speaks the same protocol as a single daemon — clients
 cannot tell the difference — and forwards every cell to one of N shards
 picked by **rendezvous (highest-random-weight) hashing of the cell's
 cache content address** (:meth:`RunRequest.key`).  That choice is what
@@ -194,7 +194,7 @@ class ShardState:
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     #: transitions already published as the metrics counter
     breaker_transitions_emitted: int = 0
-    #: the shard's RemoteBackend: one persistent negotiated connection
+    #: the shard's RemoteBackend: one persistent connection
     #: for sequential traffic, one-shot sockets when it is busy
     backend: Optional[Any] = None
 
@@ -205,13 +205,11 @@ class ShardState:
                 "forwarded": self.forwarded,
                 "failures": self.failures,
                 "last_error": self.last_error,
-                "protocol": self.backend.protocol()
-                if self.backend is not None else 2,
                 "breaker": self.breaker.as_dict()}
 
 
 class Router:
-    """Shard-picking request forwarder behind one NDJSON endpoint.
+    """Shard-picking request forwarder behind one service endpoint.
 
     ``handle_message`` is the transport hook — plug it into
     :func:`~repro.service.transport.make_server` and the router serves

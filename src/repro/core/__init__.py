@@ -21,9 +21,6 @@ from .experiment import (
     ALL_SCHEMES,
     Experiment,
     SchemeComparison,
-    compare_schemes,
-    scaling_study,
-    scheme_sweep,
 )
 from .metrics import (
     bandwidth,
@@ -75,9 +72,6 @@ __all__ = [
     "JobResult",
     "run_workload",
     "Experiment",
-    "scheme_sweep",
-    "scaling_study",
-    "compare_schemes",
     "SchemeComparison",
     "Op",
     "Compute",

@@ -16,23 +16,20 @@ Two tiers:
   ``REPRO_BENCH_CACHE_DIR``), so *reruns* of the bench pipeline are
   served from disk.
 
-Disk entries come in two storage formats, told apart by their first
-bytes: schema-2 entries are plain JSON objects (leading ``{``) and
-schema-3 entries are :mod:`repro.wire` framed binary (leading ``RW``
-magic).  New writes use the binary format (set
-``REPRO_BENCH_CACHE_FORMAT=json`` to keep writing schema 2); reads
-accept both, so upgrading never invalidates a warm cache.  The
-storage format is *not* part of the content address — keys still hash
-the schema-2 key layout — and the per-entry checksum is computed over
-the canonical JSON form of the result either way, so a binary entry
-and a JSON entry of the same result carry bit-identical checksums.
+Disk entries are schema-3 :mod:`repro.wire` framed binary (leading
+``RW`` magic); anything else at a key's path is treated like a torn
+entry — quarantined and recomputed.  The storage format is *not* part
+of the content address — keys hash their own layout
+(:data:`CACHE_SCHEMA`) — and the per-entry checksum is computed over
+the canonical JSON form of the result.  No migration between formats
+is ever needed: the model fingerprint below changes with every source
+edit, so entries written by older code are never looked up again.
 
 Keys additionally fold in a **model fingerprint** — a hash over the
 source of every non-bench ``repro`` module — so editing the simulator
 invalidates stale results automatically instead of silently replaying
-them.  Floats survive the JSON round trip exactly (``repr`` shortest
-round-trip), which is what lets cached results stay bit-identical to
-freshly computed ones.
+them.  Floats survive the binary round trip bit for bit, which is what
+lets cached results stay bit-identical to freshly computed ones.
 
 Set ``REPRO_BENCH_NO_CACHE=1`` (or call ``configure(enabled=False)``,
 or pass ``--no-cache`` to ``repro-bench``) to disable both tiers.
@@ -71,11 +68,12 @@ __all__ = [
 
 #: bump when the key layout or the *logical* entry schema changes;
 #: folded into every content address, so bumping it invalidates the
-#: whole cache — which is why the binary storage format below is a
-#: separate number
+#: whole cache — which is why the storage format below is a separate
+#: number
 CACHE_SCHEMA = 2
-#: the framed-binary *storage* format (never part of the key payload:
-#: how an entry is spelled on disk must not change its address)
+#: the framed-binary *storage* format, checked on every read (never
+#: part of the key payload: how an entry is spelled on disk must not
+#: change its address)
 CACHE_STORE_SCHEMA = 3
 
 _LOG = logging.getLogger("repro.core.cache")
@@ -243,30 +241,23 @@ def result_checksum(result_data: Dict) -> str:
 
 
 def parse_entry(raw: bytes) -> Dict:
-    """Decode and verify one disk entry in either storage format.
+    """Decode and verify one schema-3 disk entry.
 
-    Schema-3 entries start with the ``RW`` frame magic and hold one
-    framed binary message; anything else is parsed as a schema-2 JSON
-    object.  Returns the entry dict (``schema``/``check``/``result``)
-    after verifying the schema number and the result checksum; raises
-    :class:`ValueError` (or a subclass — frame errors are
-    :class:`~repro.errors.ProtocolError`) on anything malformed, torn,
-    or bit-rotted.
+    An entry is one framed binary message.  Returns the entry dict
+    (``schema``/``check``/``result``) after verifying the schema number
+    and the result checksum; raises :class:`ValueError` (or a subclass
+    — frame errors are :class:`~repro.errors.ProtocolError`) on
+    anything malformed, torn, bit-rotted or in another format.
     """
-    if raw[:2] == _frames.FRAME_MAGIC:
-        data, end = _frames.unpack_frames(raw)
-        if end != len(raw):
-            raise ValueError(
-                f"{len(raw) - end} trailing byte(s) after cache entry")
-        expected = CACHE_STORE_SCHEMA
-    else:
-        data = json.loads(raw)
-        expected = CACHE_SCHEMA
+    data, end = _frames.unpack_frames(raw)
+    if end != len(raw):
+        raise ValueError(
+            f"{len(raw) - end} trailing byte(s) after cache entry")
     if not isinstance(data, dict):
         raise ValueError("cache entry is not an object")
-    if data.get("schema") != expected:
+    if data.get("schema") != CACHE_STORE_SCHEMA:
         raise ValueError(f"cache schema {data.get('schema')!r}, "
-                         f"expected {expected}")
+                         f"expected {CACHE_STORE_SCHEMA}")
     if data.get("check") != result_checksum(data["result"]):
         raise ValueError("cache checksum mismatch")
     return data
@@ -275,10 +266,7 @@ def parse_entry(raw: bytes) -> Dict:
 class ResultCache:
     """Two-tier (memory + on-disk) store of :class:`JobResult`.
 
-    Disk entries are written in the schema-3 framed binary format by
-    default (schema-2 JSON with ``binary=False`` or
-    ``REPRO_BENCH_CACHE_FORMAT=json``); reads accept both formats, so
-    mixed-schema directories stay fully usable.
+    Disk entries are written in the schema-3 framed binary format.
 
     Disk writes are atomic (temp file + fsync + ``os.replace``), so
     concurrent writers — the parallel sweep executor's workers — can
@@ -291,16 +279,10 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: bool = True, disk: bool = True,
-                 binary: Optional[bool] = None):
+                 enabled: bool = True, disk: bool = True):
         self.directory = Path(directory) if directory else _default_directory()
         self.enabled = enabled
         self.disk = disk
-        if binary is None:
-            binary = os.environ.get(
-                "REPRO_BENCH_CACHE_FORMAT", "binary") != "json"
-        #: write schema-3 binary entries (reads always accept both)
-        self.binary = binary
         self.stats = CacheStats()
         self._memory: Dict[str, JobResult] = {}
         self._disk_warned = False
@@ -375,15 +357,9 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             result_data = result.to_dict()
             check = result_checksum(result_data)
-            if self.binary:
-                payload = _frames.pack_frames(
-                    {"schema": CACHE_STORE_SCHEMA, "check": check,
-                     "result": result_data})
-                _metrics.inc("cache_store_binary_total")
-            else:
-                payload = json.dumps({"schema": CACHE_SCHEMA,
-                                      "check": check,
-                                      "result": result_data}).encode()
+            payload = _frames.pack_frames(
+                {"schema": CACHE_STORE_SCHEMA, "check": check,
+                 "result": result_data})
             _metrics.inc("cache_disk_write_bytes_total", len(payload))
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
@@ -442,8 +418,7 @@ def default_cache() -> ResultCache:
 
 def configure(enabled: Optional[bool] = None,
               directory: Optional[os.PathLike] = None,
-              disk: Optional[bool] = None,
-              binary: Optional[bool] = None) -> ResultCache:
+              disk: Optional[bool] = None) -> ResultCache:
     """Reconfigure the process-wide cache in place and return it."""
     cache = default_cache()
     if enabled is not None:
@@ -453,6 +428,4 @@ def configure(enabled: Optional[bool] = None,
         cache.clear_memory()
     if disk is not None:
         cache.disk = disk
-    if binary is not None:
-        cache.binary = binary
     return cache

@@ -1,33 +1,28 @@
-"""Experiments and sweeps: the paper's measurement methodology as a library.
+"""Experiments: the paper's measurement methodology as a library.
 
-* :class:`Experiment` — one (system, workload, scheme, MPI config) cell,
-  now a thin typed wrapper over :class:`repro.service.RunRequest` that
-  executes through the process-wide :class:`repro.service.Session`.
-* :func:`scheme_sweep` / :func:`compare_schemes` / :func:`scaling_study`
-  — **deprecated** free-function shims.  The implementations moved to
-  the session facade (:meth:`Session.scheme_sweep` and friends) so
-  sweeps share the service's cache, coalescing, and telemetry; these
-  wrappers delegate to :func:`repro.service.default_session` and emit
-  :class:`~repro.errors.ReproDeprecationWarning`.
+:class:`Experiment` is one (system, workload, scheme, MPI config) cell,
+a thin typed wrapper over :class:`repro.service.RunRequest` that
+executes through the process-wide :class:`repro.service.Session`.
+Sweeps are session methods (:meth:`Session.scheme_sweep`,
+:meth:`Session.compare_schemes`, :meth:`Session.scaling_study`), so
+they share the service's cache, coalescing, and telemetry;
+:class:`SchemeComparison` and :data:`ALL_SCHEMES` live here because
+those methods return and default to them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..errors import ReproDeprecationWarning
 from ..machine.topology import MachineSpec
 from ..mpi import MpiImplementation, OPENMPI
 from .affinity import AffinityScheme
 from .execution import JobResult
 from .parallel import JobRequest
-from .report import TableResult
 from .workload import Workload
 
-__all__ = ["Experiment", "scheme_sweep", "scaling_study", "compare_schemes",
-           "SchemeComparison", "ALL_SCHEMES"]
+__all__ = ["Experiment", "SchemeComparison", "ALL_SCHEMES"]
 
 #: paper column order for the numactl tables
 ALL_SCHEMES: List[AffinityScheme] = [
@@ -46,12 +41,6 @@ def _session():
     from ..service.session import default_session
 
     return default_session()
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md)",
-        ReproDeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -101,30 +90,6 @@ class Experiment:
         return self.request().execute()
 
 
-def scheme_sweep(
-    system: MachineSpec,
-    workload_factory: Callable[[int], Workload],
-    task_counts: Sequence[int],
-    schemes: Sequence[AffinityScheme] = tuple(ALL_SCHEMES),
-    impl: MpiImplementation = OPENMPI,
-    lock: Optional[str] = None,
-    value: Callable[[JobResult], float] = lambda r: r.wall_time,
-    title: str = "",
-    jobs: Optional[int] = None,
-) -> TableResult:
-    """Deprecated shim for :meth:`repro.service.Session.scheme_sweep`.
-
-    A paper-style numactl table for one workload on one system: rows
-    are task counts, columns the affinity schemes, dashes the
-    infeasible combinations.
-    """
-    _deprecated("repro.core.scheme_sweep()",
-                "repro.service.Session.scheme_sweep()")
-    return _session().scheme_sweep(
-        system, workload_factory, task_counts, schemes=schemes, impl=impl,
-        lock=lock, value=value, title=title, jobs=jobs)
-
-
 @dataclass
 class SchemeComparison:
     """Outcome of :meth:`Session.compare_schemes` for one workload."""
@@ -147,49 +112,3 @@ class SchemeComparison:
     def spread(self) -> float:
         """Worst/best runtime ratio across feasible schemes."""
         return self.times[self.worst] / self.best_time
-
-
-def compare_schemes(
-    system: MachineSpec,
-    workload_factory: Callable[[], Workload],
-    schemes: Sequence[AffinityScheme] = tuple(ALL_SCHEMES),
-    impl: MpiImplementation = OPENMPI,
-    lock: Optional[str] = None,
-    value: Callable[[JobResult], float] = lambda r: r.wall_time,
-    jobs: Optional[int] = None,
-) -> SchemeComparison:
-    """Deprecated shim for :meth:`repro.service.Session.compare_schemes`.
-
-    Run one workload under every feasible scheme and rank them; raises
-    :class:`~repro.errors.NoFeasibleSchemeError` (a ``ValueError``)
-    when every scheme is infeasible.
-    """
-    _deprecated("repro.core.compare_schemes()",
-                "repro.service.Session.compare_schemes()")
-    return _session().compare_schemes(
-        system, workload_factory, schemes=schemes, impl=impl, lock=lock,
-        value=value, jobs=jobs)
-
-
-def scaling_study(
-    systems: Sequence[MachineSpec],
-    workload_factory: Callable[[int], Workload],
-    task_counts: Sequence[int],
-    scheme: AffinityScheme = AffinityScheme.DEFAULT,
-    impl: MpiImplementation = OPENMPI,
-    value: Callable[[JobResult], float] = lambda r: r.wall_time,
-    title: str = "",
-    metric: str = "efficiency",
-    jobs: Optional[int] = None,
-) -> TableResult:
-    """Deprecated shim for :meth:`repro.service.Session.scaling_study`.
-
-    Parallel-efficiency (or speedup) rows per system (Table 4 style);
-    raises :class:`~repro.errors.UnknownMetricError` (a ``ValueError``)
-    for metrics other than ``"efficiency"``/``"speedup"``.
-    """
-    _deprecated("repro.core.scaling_study()",
-                "repro.service.Session.scaling_study()")
-    return _session().scaling_study(
-        systems, workload_factory, task_counts, scheme=scheme, impl=impl,
-        value=value, title=title, metric=metric, jobs=jobs)

@@ -24,7 +24,6 @@ from typing import Any, Dict, Optional, Type
 
 __all__ = [
     "ReproError",
-    "ReproDeprecationWarning",
     "InfeasibleSchemeError",
     "NoFeasibleSchemeError",
     "UnknownMetricError",
@@ -47,16 +46,6 @@ __all__ = [
 #: connect/read failure.
 RETRYABLE_CODES = frozenset({"queue_full", "shard_unavailable",
                              "transport"})
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation of a ``repro`` API (never raised by third parties).
-
-    A dedicated category lets CI run the examples under
-    ``-W error::DeprecationWarning`` style enforcement scoped to this
-    library without tripping on unrelated warnings from the scientific
-    stack.
-    """
 
 
 class ReproError(Exception):

@@ -9,9 +9,10 @@ cells collapse into one simulation), batching into the shared worker
 pool, bounded-queue admission control, and graceful drain.
 
 The same session powers the ``repro-bench serve`` daemon, which speaks
-newline-delimited JSON over a Unix socket (:mod:`~.protocol`,
-:mod:`~.daemon`), so remote clients and in-process callers share one
-cache, one coalescing map, and one telemetry stream.
+protocol-3 :mod:`repro.wire` binary frames over a Unix socket or TCP
+(:mod:`~.protocol`, :mod:`~.transport`, :mod:`~.daemon`), so remote
+clients and in-process callers share one cache, one coalescing map,
+and one telemetry stream.
 """
 
 from .api import RunRequest, RunResult

@@ -1,7 +1,7 @@
 """``repro-bench serve`` / ``submit``: the service over a stream socket.
 
 The daemon wraps one :class:`~.session.Session` behind the shared
-NDJSON transport of :mod:`~.transport` — a Unix socket by default, a
+frame transport of :mod:`~.transport` — a Unix socket by default, a
 TCP endpoint with ``--tcp host:port``, or both at once.  Each
 connection gets a handler thread, so a slow sweep on one connection
 never blocks a ``stats`` probe on another; coalescing happens inside
@@ -35,8 +35,8 @@ from . import cliargs
 from .protocol import handle_request
 from .session import Session
 from .transport import (
-    TcpNdjsonServer,
-    UnixNdjsonServer,
+    TcpFrameServer,
+    UnixFrameServer,
     format_address,
     parse_address,
     request,
@@ -44,7 +44,7 @@ from .transport import (
 )
 
 __all__ = ["ServiceFrontend", "ServiceServer", "TcpServiceServer",
-           "main", "request_over_socket", "submit_main"]
+           "main", "submit_main"]
 
 _LOG = logging.getLogger("repro.service.daemon")
 
@@ -55,8 +55,8 @@ TRAFFIC_LOG_LIMIT = 512
 class ServiceFrontend:
     """The transport-independent half of the daemon: one shared session.
 
-    ``handle_message`` is what both socket servers call per request
-    line; it additionally keeps a bounded **traffic log** — arrival
+    ``handle_message`` is what both socket servers call per request;
+    it additionally keeps a bounded **traffic log** — arrival
     offset plus wire cell for every submit/batch cell — which the
     ledger record carries so recorded traffic can be replayed later by
     ``repro-bench replay``.
@@ -95,7 +95,7 @@ class ServiceFrontend:
                     "recorded": list(self._traffic)}
 
 
-class ServiceServer(UnixNdjsonServer):
+class ServiceServer(UnixFrameServer):
     """Threaded Unix-socket server around one shared session.
 
     Binding a path with a leftover socket file from a crashed daemon
@@ -115,7 +115,7 @@ class ServiceServer(UnixNdjsonServer):
         return self.address
 
 
-class TcpServiceServer(TcpNdjsonServer):
+class TcpServiceServer(TcpFrameServer):
     """Threaded TCP server around one shared session (the shard form)."""
 
     def __init__(self, address, session: Session,
@@ -123,16 +123,6 @@ class TcpServiceServer(TcpNdjsonServer):
         self.session = session
         self.frontend = frontend or ServiceFrontend(session)
         super().__init__(address, self.frontend.handle_message)
-
-
-def request_over_socket(socket_path, message: Dict[str, Any],
-                        timeout: float = 600.0) -> Dict[str, Any]:
-    """Client side: one request line out, one response line back.
-
-    Accepts a Unix socket path or a TCP ``host:port`` spelling — the
-    transport is chosen by the address form.
-    """
-    return request(socket_path, message, timeout=timeout)
 
 
 def _link_shutdown(servers: List[Any]) -> None:
@@ -334,8 +324,7 @@ def _request_with_retries(address, message: Dict[str, Any],
             sleep = min(max_sleep, base) * (1.0 + random.uniform(0, 0.25))
             time.sleep(sleep)
         try:
-            response = request_over_socket(address, message,
-                                           timeout=timeout)
+            response = request(address, message, timeout=timeout)
             last_exc = None
         except (OSError, ValueError) as exc:
             last_exc = exc

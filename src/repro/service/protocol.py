@@ -1,11 +1,10 @@
-"""NDJSON wire protocol of the characterization service.
+"""Request/response protocol of the characterization service (v3).
 
-One JSON object per line in both directions over a Unix domain socket.
+Every message travels as one :mod:`repro.wire` framed binary message
+(:mod:`~.transport` owns the framing); the shapes below are spelled in
+JSON for readability.  Requests::
 
-Requests::
-
-    {"op": "ping"}
-    {"op": "hello", "protocol": 3}             # negotiate, see below
+    {"op": "ping"}                             # reports "protocol": 3
     {"op": "stats"}
     {"op": "metrics"}                          # live registry snapshot
     {"op": "trace", "trace_id": "9f.."}        # buffered spans (id optional)
@@ -30,16 +29,9 @@ is metadata, never load-bearing.  ``metrics`` is side-effect-free and
 returns the process metrics snapshot (add ``"format": "text"`` for the
 Prometheus exposition alongside).
 
-``hello`` is side-effect-free: it reports the versions this server
-speaks (``protocol_versions``), its name, and its capability strings.
-When the request carries ``"protocol": 3`` and the server supports it,
-the *rest of that connection* switches to the :mod:`repro.wire` framed
-binary format (protocol v3) — same messages, compact spelling.  A
-server that predates ``hello`` answers with its ordinary unknown-op
-``protocol_error``, which clients treat as "speak v2 NDJSON"; a
-``hello`` naming a version outside ``protocol_versions`` gets a
-``protocol_error`` reply that still lists the supported versions, so
-the client can downgrade instead of guessing.
+Protocol 3 is the only protocol served.  A protocol-2 peer, which
+opens with an NDJSON line, gets one JSON ``protocol_error`` line
+(:func:`encode_line`) naming protocol 3 and is disconnected.
 
 Responses are ``{"status": "ok", ...}`` or the wire form of a
 :class:`~repro.errors.ReproError` (``{"status": "error", "code": ...,
@@ -56,7 +48,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import ProtocolError, ReproError, error_code
 from ..telemetry import metrics as metrics_mod
@@ -65,35 +57,19 @@ from .api import RunRequest, RunResult
 from .registry import resolve_scheme_name, resolve_system, resolve_workload
 from .session import Session
 
-__all__ = ["PROTOCOL_VERSION", "PROTOCOL_VERSIONS", "SERVER_CAPS",
-           "cell_from_wire", "decode_line", "encode_line", "handle_request",
-           "hello_response", "metrics_response"]
+__all__ = ["PROTOCOL_VERSION", "cell_from_wire", "encode_line",
+           "handle_request", "metrics_response"]
 
-#: baseline protocol revision, echoed by ping (2 adds `metrics` + trace
-#: fields); every connection starts at v2 NDJSON
-PROTOCOL_VERSION = 2
-#: every revision this server speaks; 3 is the framed binary format,
-#: entered per-connection via a successful `hello`
-PROTOCOL_VERSIONS = (2, 3)
-#: capability strings advertised by `hello`
-SERVER_CAPS = ("batch", "metrics", "trace", "binary-frames")
+#: the protocol revision every connection speaks (framed binary),
+#: echoed by ping
+PROTOCOL_VERSION = 3
 
 
 def encode_line(message: Dict[str, Any]) -> bytes:
-    """One message as a newline-terminated JSON line."""
+    """One message as a newline-terminated JSON line (the error a
+    protocol-2 peer gets)."""
     return (json.dumps(message, sort_keys=True,
                        separators=(",", ":")) + "\n").encode()
-
-
-def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one request line (raises :class:`ProtocolError`)."""
-    try:
-        message = json.loads(line.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"undecodable request line: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("request must be a JSON object")
-    return message
 
 
 def cell_from_wire(cell: Any) -> RunRequest:
@@ -130,32 +106,6 @@ def cell_from_wire(cell: Any) -> RunRequest:
                       tier=tier,
                       tag=str(tag) if tag is not None else None,
                       trace_id=trace_id, parent_span=parent_span)
-
-
-def hello_response(message: Dict[str, Any],
-                   server: str = "repro-service"
-                   ) -> "Tuple[Dict[str, Any], int]":
-    """The side-effect-free ``hello`` reply plus the selected version.
-
-    Returns ``(response, protocol)``: ``protocol`` is the version the
-    rest of the connection should speak — the requested one when this
-    server supports it, else :data:`PROTOCOL_VERSION` (the response is
-    then a typed ``protocol_error`` that still carries
-    ``protocol_versions`` so the client can downgrade gracefully).
-    """
-    requested = message.get("protocol")
-    if requested is not None and requested not in PROTOCOL_VERSIONS:
-        error = ProtocolError(
-            f"unsupported protocol version {requested!r}; "
-            f"this server speaks {list(PROTOCOL_VERSIONS)}")
-        wire = error.to_wire()
-        wire["op"] = "hello"
-        wire["protocol_versions"] = list(PROTOCOL_VERSIONS)
-        return wire, PROTOCOL_VERSION
-    selected = int(requested) if requested is not None else PROTOCOL_VERSION
-    return ({"status": "ok", "op": "hello", "protocol": selected,
-             "protocol_versions": list(PROTOCOL_VERSIONS),
-             "server": server, "caps": list(SERVER_CAPS)}, selected)
 
 
 def _error_wire(exc: BaseException) -> Dict[str, Any]:
@@ -215,11 +165,6 @@ def handle_request(session: Session, message: Dict[str, Any]
             return {"status": "ok", "op": "ping",
                     "protocol": PROTOCOL_VERSION,
                     "session": session.name}
-        if op == "hello":
-            # the transport layer intercepts hello to switch framing;
-            # answering here too keeps direct handle_request callers
-            # (tests, embedders) working identically
-            return hello_response(message, server=session.name)[0]
         if op == "stats":
             return {"status": "ok", "op": "stats",
                     "stats": session.stats.as_dict(),

@@ -1,6 +1,6 @@
 """Name registries for the service wire protocol (and the prof CLI).
 
-The NDJSON protocol describes cells by *name* — a system from the
+The service protocol describes cells by *name* — a system from the
 paper's three evaluation machines, a workload from the characterization
 spectrum, a Table 5 scheme — and this module is the one place those
 names resolve.  ``repro-prof`` imports the same tables, so a cell that

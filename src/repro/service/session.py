@@ -25,8 +25,7 @@ use, and the executor configuration — plus an **async job queue**:
 thread (attaching to an in-flight twin when one exists) and returns the
 :class:`RunResult` directly.  The sweep methods (:meth:`scheme_sweep`,
 :meth:`compare_schemes`, :meth:`scaling_study`) are the typed,
-session-routed implementations behind the deprecated free functions of
-:mod:`repro.core.experiment`.
+session-routed sweep drivers.
 
 Per-request telemetry: every batch is bracketed in a ``service_batch``
 span, and :meth:`gauges` exposes perfctr-style queue-depth /
@@ -689,10 +688,9 @@ class Session:
     def memo(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Memoize ``factory()`` under an explicit hashable key.
 
-        The session-scoped replacement for the old module-global
-        ``bench.common.run_cached``: several paper tables are different
-        projections of the same sweep, and this keeps them sharing runs
-        without any cross-session leakage.
+        Several paper tables are different projections of the same
+        sweep; this keeps them sharing runs without any cross-session
+        leakage.
         """
         with self._lock:
             if key in self._memo:

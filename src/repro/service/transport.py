@@ -1,8 +1,8 @@
-"""Shared NDJSON transport: Unix-socket and TCP servers plus clients.
+"""Shared transport: Unix-socket and TCP servers plus clients.
 
 Every service endpoint — the single-session ``repro-bench serve``
-daemon and the :mod:`repro.cluster` router — speaks the same
-newline-delimited-JSON protocol (:mod:`~.protocol`) over a stream
+daemon and the :mod:`repro.cluster` router — speaks the same protocol
+(:mod:`~.protocol`) as :mod:`repro.wire` binary frames over a stream
 socket.  This module owns everything transport-shaped so the daemon and
 the router only implement ``handle_message``:
 
@@ -10,42 +10,39 @@ the router only implement ``handle_message``:
   anything else (or ``unix://path``) is a Unix socket path, so one
   ``--connect`` flag reaches either transport;
 * **server plumbing**: threaded accept loops (one handler thread per
-  connection), a bounded request-line size, typed error replies for
-  undecodable or oversized lines, and resilience to clients that
-  disconnect mid-stream;
+  connection), typed error replies for malformed or oversized frames,
+  and resilience to clients that disconnect mid-stream;
+* **the first-byte rule**: there is no handshake.  A connection whose
+  first byte is ``{`` is a protocol-2 NDJSON peer: it gets one JSON
+  ``protocol_error`` line naming protocol 3 and is closed.  Any other
+  first byte starts the frame loop;
 * **stale-socket recovery**: binding a Unix path that already exists
   probes it first — a live daemon is never clobbered (the bind fails
   with a clear error), a leftover socket from a crashed daemon is
   removed and reclaimed;
-* **client side**: one-shot ``request()`` (connect, one line out, one
-  line in) used by the CLI clients and the replay load generator, and
-  the persistent :class:`Connection` used by the remote execution
-  backend and the router;
-* **protocol negotiation**: a ``hello`` asking for protocol 3 flips
-  one connection (both directions) to the :mod:`repro.wire` framed
-  binary format; every connection starts as — and v2-only peers stay
-  on — NDJSON.
+* **client side**: the persistent :class:`Connection` used by the
+  remote execution backend and the router, and one-shot ``request()``
+  (open a connection, one request, close) used by the CLI clients and
+  the replay load generator.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import socket
 import socketserver
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from ..errors import ProtocolError, ReproError
+from ..errors import ProtocolError
 from ..telemetry import metrics as _metrics
 from ..wire import frames as _frames
-from .protocol import decode_line, encode_line, hello_response
+from .protocol import PROTOCOL_VERSION, encode_line
 
 __all__ = [
     "Address",
     "Connection",
-    "MAX_LINE_BYTES",
     "format_address",
     "make_server",
     "parse_address",
@@ -55,11 +52,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("repro.service.transport")
-
-#: hard bound on one NDJSON request line; longer lines are rejected with
-#: a typed ``protocol_error`` and the connection dropped (the stream
-#: cannot be re-framed past an unterminated line)
-MAX_LINE_BYTES = 1 << 20
 
 #: a Unix socket path, or a (host, port) TCP endpoint
 Address = Union[str, Tuple[str, int]]
@@ -123,48 +115,38 @@ def prepare_unix_socket(path: str) -> None:
         probe.close()
 
 
-class _NdjsonHandler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, write response lines.
+class _FrameHandler(socketserver.StreamRequestHandler):
+    """One connection: read request frames, write response frames.
 
-    Client-caused failures (garbage lines, oversized lines, mid-stream
-    disconnects) never take the server down — they answer with a typed
-    error or end this connection only.
+    Client-caused failures (protocol-2 peers, malformed frames,
+    mid-stream disconnects) never take the server down — they answer
+    with a typed error or end this connection only.
     """
 
-    def handle(self) -> None:  # noqa: C901 - one loop, explicit cases
+    def handle(self) -> None:
         server = self.server  # type: ignore[assignment]
+        try:
+            first = self.rfile.peek(1)[:1]
+        except OSError:
+            return  # client vanished before its first byte
+        if first == b"{":
+            self._refuse_ndjson()
+            return
         while True:
             try:
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            except OSError:
-                return  # client vanished mid-line
-            if not line:
-                return  # clean disconnect
-            if len(line) > MAX_LINE_BYTES:
-                # the rest of the stream is unframeable: answer, drop
-                error = ProtocolError(
-                    f"request line exceeds {MAX_LINE_BYTES} bytes")
-                self._reply(error.to_wire())
+                message = _frames.read_frame_message(self.rfile)
+            except ProtocolError as exc:
+                # past a bad header the stream cannot be re-framed
+                self._reply(exc.to_wire())
                 return
-            if not line.strip():
-                continue
-            try:
-                message = decode_line(line)
-            except ReproError as exc:
-                if not self._reply(exc.to_wire()):
-                    return
-                continue
-            if message.get("op") == "hello":
-                # negotiation is a transport concern: a successful
-                # protocol-3 hello flips *this connection* to framed
-                # binary before the next message
-                response, selected = hello_response(
-                    message, server=server.server_name)
-                if not self._reply(response):
-                    return
-                if selected >= 3:
-                    _metrics.inc("wire_binary_connections_total")
-                    self._handle_binary(server)
+            except OSError:
+                return  # client vanished mid-frame
+            if message is None:
+                return  # clean disconnect
+            _metrics.inc("wire_binary_messages_total")
+            if not isinstance(message, dict):
+                error = ProtocolError("request must be a wire object")
+                if not self._reply(error.to_wire()):
                     return
                 continue
             try:
@@ -180,76 +162,40 @@ class _NdjsonHandler(socketserver.StreamRequestHandler):
                 server.initiate_shutdown()
                 return
 
-    def _handle_binary(self, server) -> None:
-        """Serve framed binary messages until disconnect (protocol v3).
+    def _refuse_ndjson(self) -> None:
+        """Answer a protocol-2 NDJSON peer with one error line."""
+        error = ProtocolError(
+            f"this server speaks protocol {PROTOCOL_VERSION} "
+            f"(repro.wire binary frames) only; NDJSON requests are "
+            f"not served")
+        wire = error.to_wire()
+        wire["protocol"] = PROTOCOL_VERSION
+        try:
+            self.wfile.write(encode_line(wire))
+            self.wfile.flush()
+        except OSError:
+            pass
 
-        Same request/response loop as NDJSON with the framing swapped:
-        one :mod:`repro.wire` message in, one out.  A malformed frame
-        (bad magic, unknown version, truncation, oversize) gets a typed
-        ``protocol_error`` reply and ends the connection — past a bad
-        header the stream cannot be re-framed.
-        """
-        while True:
-            try:
-                message = _frames.read_frame_message(self.rfile)
-            except ProtocolError as exc:
-                self._reply_binary(exc.to_wire())
-                return
-            except OSError:
-                return  # client vanished mid-frame
-            if message is None:
-                return  # clean disconnect
-            _metrics.inc("wire_binary_messages_total")
-            if not isinstance(message, dict):
-                error = ProtocolError("request must be a wire object")
-                if not self._reply_binary(error.to_wire()):
-                    return
-                continue
-            try:
-                response = server.handle_message(message)
-            except BaseException as exc:
-                _LOG.exception("handler error for op %r",
-                               message.get("op"))
-                response = {"status": "error", "code": "internal",
-                            "message": f"{type(exc).__name__}: {exc}"}
-            if not self._reply_binary(response):
-                return
-            if server.is_shutdown_response(response):
-                server.initiate_shutdown()
-                return
-
-    def _reply_binary(self, response: Dict[str, Any]) -> bool:
+    def _reply(self, response: Dict[str, Any]) -> bool:
         """Write one framed response; False when the client went away."""
         try:
             sent = _frames.write_frame_message(self.wfile, response)
             _metrics.inc("wire_binary_bytes_sent_total", sent)
             return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return False
-
-    def _reply(self, response: Dict[str, Any]) -> bool:
-        """Write one response line; False when the client went away."""
-        try:
-            self.wfile.write(encode_line(response))
-            self.wfile.flush()
-            return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
+        except OSError:
             return False
 
 
-class _NdjsonServerCore:
-    """Behaviour shared by the Unix and TCP NDJSON servers."""
+class _ServerCore:
+    """Behaviour shared by the Unix and TCP servers."""
 
     daemon_threads = True
     allow_reuse_address = True
 
     def _init_core(self,
                    handle_message: Callable[[Dict[str, Any]],
-                                            Dict[str, Any]],
-                   server_name: str = "repro-service") -> None:
+                                            Dict[str, Any]]) -> None:
         self.handle_message = handle_message
-        #: advertised in `hello` replies
-        self.server_name = server_name
         self._shutdown_started = threading.Event()
 
     def is_shutdown_response(self, response: Dict[str, Any]) -> bool:
@@ -265,18 +211,17 @@ class _NdjsonServerCore:
         threading.Thread(target=self.shutdown, daemon=True).start()
 
 
-class UnixNdjsonServer(_NdjsonServerCore, socketserver.ThreadingMixIn,
-                       socketserver.UnixStreamServer):
-    """Threaded NDJSON server on a Unix socket path."""
+class UnixFrameServer(_ServerCore, socketserver.ThreadingMixIn,
+                      socketserver.UnixStreamServer):
+    """Threaded frame server on a Unix socket path."""
 
     def __init__(self, path: str,
                  handle_message: Callable[[Dict[str, Any]],
-                                          Dict[str, Any]],
-                 server_name: str = "repro-service"):
-        self._init_core(handle_message, server_name)
+                                          Dict[str, Any]]):
+        self._init_core(handle_message)
         self.address = path
         prepare_unix_socket(path)
-        super().__init__(path, _NdjsonHandler)
+        super().__init__(path, _FrameHandler)
 
     def close(self) -> None:
         self.server_close()
@@ -286,16 +231,15 @@ class UnixNdjsonServer(_NdjsonServerCore, socketserver.ThreadingMixIn,
             pass
 
 
-class TcpNdjsonServer(_NdjsonServerCore, socketserver.ThreadingMixIn,
-                      socketserver.TCPServer):
-    """Threaded NDJSON server on a TCP host:port."""
+class TcpFrameServer(_ServerCore, socketserver.ThreadingMixIn,
+                     socketserver.TCPServer):
+    """Threaded frame server on a TCP host:port."""
 
     def __init__(self, address: Tuple[str, int],
                  handle_message: Callable[[Dict[str, Any]],
-                                          Dict[str, Any]],
-                 server_name: str = "repro-service"):
-        self._init_core(handle_message, server_name)
-        super().__init__(address, _NdjsonHandler)
+                                          Dict[str, Any]]):
+        self._init_core(handle_message)
+        super().__init__(address, _FrameHandler)
         #: the bound endpoint (resolves port 0 to the kernel's choice)
         self.address: Tuple[str, int] = self.server_address[:2]
 
@@ -305,21 +249,16 @@ class TcpNdjsonServer(_NdjsonServerCore, socketserver.ThreadingMixIn,
 
 def make_server(address: Union[str, Address],
                 handle_message: Callable[[Dict[str, Any]], Dict[str, Any]],
-                server_name: str = "repro-service",
-                ) -> Union[UnixNdjsonServer, TcpNdjsonServer]:
-    """An NDJSON server for ``address``, transport chosen by its form.
-
-    ``server_name`` is what `hello` replies advertise for this
-    endpoint (a daemon passes its session name, the router its own).
-    """
+                ) -> Union[UnixFrameServer, TcpFrameServer]:
+    """A frame server for ``address``, transport chosen by its form."""
     resolved = parse_address(address)
     if isinstance(resolved, tuple):
-        return TcpNdjsonServer(resolved, handle_message, server_name)
-    return UnixNdjsonServer(resolved, handle_message, server_name)
+        return TcpFrameServer(resolved, handle_message)
+    return UnixFrameServer(resolved, handle_message)
 
 
-def serve_in_thread(server: Union[UnixNdjsonServer, TcpNdjsonServer],
-                    name: str = "ndjson-server") -> threading.Thread:
+def serve_in_thread(server: Union[UnixFrameServer, TcpFrameServer],
+                    name: str = "frame-server") -> threading.Thread:
     """Run ``serve_forever`` on a daemon thread (tests, in-process shards)."""
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05},
@@ -343,95 +282,49 @@ def _connect(address: Address, timeout: float) -> socket.socket:
 
 def request(address: Union[str, Address], message: Dict[str, Any],
             timeout: float = 600.0) -> Dict[str, Any]:
-    """Client side: send one request line, read one response line.
+    """Client side: open a connection, send one request, close.
 
     Raises :class:`ConnectionError`/:class:`OSError` when the endpoint
-    is unreachable or closes mid-request — the router's health tracking
-    and the CLI clients both key off those.
+    is unreachable or closes mid-request, and :class:`ValueError` (a
+    :class:`~repro.errors.ProtocolError`) on a malformed reply — the
+    router's health tracking and the CLI clients both key off those.
     """
-    resolved = parse_address(address)
-    with _connect(resolved, timeout) as sock:
-        sock.sendall(encode_line(message))
-        buffer = b""
-        while not buffer.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-    if not buffer.strip():
-        raise ConnectionError(
-            f"{format_address(resolved)} closed the connection mid-request")
-    return json.loads(buffer.decode())
+    with Connection(address, timeout=timeout) as conn:
+        return conn.request(message)
 
 
 class Connection:
-    """A persistent client connection with protocol negotiation.
-
-    Opens at v2 NDJSON and (by default) sends a ``hello`` asking for
-    protocol 3; when the server agrees, every subsequent request on
-    this connection travels as :mod:`repro.wire` binary frames.  A
-    server that rejects or does not understand ``hello`` — any v2-only
-    peer — leaves the connection speaking NDJSON, so clients never
-    need to know the server's age in advance.  :attr:`protocol` says
-    what was negotiated; :attr:`server_info` keeps the ``hello`` reply
-    (name, caps) when there was one.
+    """A persistent client connection speaking protocol-3 frames.
 
     Used by the remote execution backend and the cluster router's
-    forwarding path, where connection reuse and compact framing matter;
-    one-shot CLI pings keep using :func:`request`.
+    forwarding path, where connection reuse matters; one-shot CLI
+    pings use :func:`request`.
     """
 
+    #: the protocol every connection speaks (there is no negotiation)
+    protocol = PROTOCOL_VERSION
+
     def __init__(self, address: Union[str, Address],
-                 timeout: float = 600.0, binary: bool = True):
+                 timeout: float = 600.0):
         self.address = parse_address(address)
         self.timeout = timeout
-        self.protocol = 2
-        self.server_info: Dict[str, Any] = {}
         self._sock: Optional[socket.socket] = _connect(self.address, timeout)
         self._rfile = self._sock.makefile("rb")
-        if binary:
-            self._negotiate()
-
-    def _read_ndjson(self) -> Dict[str, Any]:
-        line = self._rfile.readline(MAX_LINE_BYTES + 1)
-        if not line.strip():
-            raise ConnectionError(
-                f"{format_address(self.address)} closed the connection "
-                f"mid-request")
-        return json.loads(line.decode())
-
-    def _negotiate(self) -> None:
-        """Ask for protocol 3; stay at 2 on any non-ok answer."""
-        assert self._sock is not None
-        self._sock.sendall(encode_line({"op": "hello", "protocol": 3}))
-        reply = self._read_ndjson()
-        if reply.get("status") == "ok" and reply.get("op") == "hello":
-            self.server_info = {k: reply[k] for k in
-                                ("server", "caps", "protocol_versions")
-                                if k in reply}
-            if reply.get("protocol") == 3:
-                self.protocol = 3
-        # an error reply (unknown op on an old server, or an
-        # unsupported-version protocol_error) is the downgrade path:
-        # the connection simply keeps speaking v2 NDJSON
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request, wait for its response (either framing)."""
+        """Send one request frame, wait for its response frame."""
         if self._sock is None:
             raise ConnectionError("connection is closed")
-        if self.protocol >= 3:
-            sent = _frames.write_frame_message(self._sock, message)
-            _metrics.inc("wire_binary_bytes_sent_total", sent)
-            reply = _frames.read_frame_message(self._rfile)
-            if reply is None:
-                raise ConnectionError(
-                    f"{format_address(self.address)} closed the "
-                    f"connection mid-request")
-            if not isinstance(reply, dict):
-                raise ProtocolError("response must be a wire object")
-            return reply
-        self._sock.sendall(encode_line(message))
-        return self._read_ndjson()
+        sent = _frames.write_frame_message(self._sock, message)
+        _metrics.inc("wire_binary_bytes_sent_total", sent)
+        reply = _frames.read_frame_message(self._rfile)
+        if reply is None:
+            raise ConnectionError(
+                f"{format_address(self.address)} closed the "
+                f"connection mid-request")
+        if not isinstance(reply, dict):
+            raise ProtocolError("response must be a wire object")
+        return reply
 
     def close(self) -> None:
         sock, self._sock = self._sock, None

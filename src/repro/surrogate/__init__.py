@@ -6,8 +6,7 @@ take on this machine under this affinity scheme?* — without stepping
 the discrete-event engine.  Every cost the engine accumulates event by
 event (cache-filtered DRAM traffic on contended controllers, NUMA
 latency with queueing, MPI protocol/lock/copy overheads, collective
-round structure) has a closed-form counterpart here, batch-evaluated
-with numpy where available.
+round structure) has a closed-form counterpart here.
 
 The surrogate trades *bit-exactness* for speed: absolute times differ
 slightly from the exact tier (no dynamic bandwidth renegotiation, no
@@ -25,7 +24,6 @@ exact tier before keying.
 
 from ..errors import SurrogateUnsupportedError
 from .evaluator import (
-    HAVE_NUMPY,
     SurrogateEvaluator,
     evaluate_request,
     evaluate_workload,
@@ -33,7 +31,6 @@ from .evaluator import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
     "SurrogateEvaluator",
     "SurrogateUnsupportedError",
     "evaluate_request",

@@ -11,8 +11,11 @@ predictable enough to compute directly:
   dynamic controller contention replaced by the static
   ``controller_sharers()`` estimate (the quantity the exact tier already
   uses for its latency queueing term).  Unique ``(op, placement)``
-  combinations across a program are deduplicated and batch-evaluated as
-  numpy array expressions (pure-python loop when numpy is missing).
+  combinations across a program are deduplicated and each is costed
+  once, through the owning :meth:`CacheModel.dram_traffic_factor` and
+  :func:`~repro.openmp.fork_join_cost` rather than a copy of their
+  formulas (most programs have a handful of unique ops, too few for
+  array evaluation to pay off).
 * **Messages** — protocol overhead, queue-lock cost, eager copies /
   rendezvous handshake + pipelined bulk, HT wire latency: the same
   constants as :mod:`repro.mpi.simmpi`, composed arithmetically instead
@@ -31,13 +34,7 @@ message.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
-
-try:  # satellite guard: the fast tier degrades to pure python without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
 
 import networkx as nx
 
@@ -67,14 +64,11 @@ from ..mpi.simmpi import MpiWorld
 from ..openmp import fork_join_cost
 
 __all__ = [
-    "HAVE_NUMPY",
     "SurrogateEvaluator",
     "evaluate_request",
     "evaluate_workload",
     "unsupported_reason",
 ]
-
-HAVE_NUMPY = _np is not None
 
 _KNOWN_OPS = (Compute, MarkerStart, MarkerStop, Send, Recv, SendRecv,
               Barrier, Allreduce, Alltoall, Allgather, Bcast, Reduce)
@@ -304,19 +298,10 @@ class SurrogateEvaluator:
                 f"oversubscribe its {self.spec.cores_per_socket} cores"
             )
 
-    # -- compute-op batch costing --------------------------------------
-
-    def _compute_costs(self, entries: List[Tuple[Compute, int]]
-                       ) -> List[float]:
-        """Cost every unique (Compute op, rank) pair, vectorized."""
-        if not entries:
-            return []
-        if _np is not None:
-            return self._compute_costs_numpy(entries)
-        return [self._compute_cost_scalar(op, rank) for op, rank in entries]
+    # -- compute-op costing --------------------------------------------
 
     def _compute_cost_scalar(self, op: Compute, rank: int) -> float:
-        """Pure-python fallback, kept semantically identical to numpy."""
+        """The cost of one Compute op on one rank's placement."""
         e_lat, s_factor, drain = self._scalars[rank]
         threads = op.threads
         residency = self.cache.dram_traffic_factor(
@@ -338,54 +323,6 @@ class SurrogateEvaluator:
         noise = self.om
         return fork_join_cost(threads) + max(
             flop_t * noise, (lat_t + mem_floor) * noise, stream_t)
-
-    def _compute_costs_numpy(self, entries: List[Tuple[Compute, int]]
-                             ) -> List[float]:
-        np = _np
-        ops = [e[0] for e in entries]
-        scalars = [self._scalars[e[1]] for e in entries]
-        flops = np.array([op.flops for op in ops])
-        dram = np.array([op.dram_bytes for op in ops])
-        ws = np.array([op.working_set for op in ops])
-        reuse = np.array([op.reuse for op in ops])
-        eff = np.array([op.flop_efficiency for op in ops])
-        ra = np.array([op.random_accesses for op in ops])
-        sbw = np.array([op.stream_bandwidth for op in ops])
-        threads = np.array([float(op.threads) for op in ops])
-        e_lat = np.array([s[0] for s in scalars])
-        s_factor = np.array([s[1] for s in scalars])
-        drain = np.array([s[2] for s in scalars])
-
-        floor = self.cache.traffic_floor
-        cap = self.cache.capacity
-        ws_slice = ws / threads
-        with np.errstate(divide="ignore"):
-            resident = np.minimum(1.0, np.where(ws_slice > 0,
-                                                cap / np.maximum(ws_slice,
-                                                                 1e-300),
-                                                np.inf))
-        residency = np.where(ws_slice > 0,
-                             np.maximum(floor, 1.0 - reuse * resident),
-                             floor)
-        peak = self.spec.socket.core.peak_flops
-        flop_t = np.where(flops > 0, flops / (peak * eff * threads), 0.0)
-        lat_t = np.where(ra > 0, ra * residency / threads * e_lat, 0.0)
-        traffic = dram * residency
-        rate = np.minimum(sbw * threads, self.ctrl_capacity)
-        mem_floor = np.where(dram > 0, traffic * s_factor / rate, 0.0)
-        stream_t = np.where(dram > 0, traffic * drain, 0.0)
-        steps = np.ceil(np.log2(np.maximum(threads, 1.0)))
-        base, step = 0.9e-6, 0.35e-6
-        fj = np.where(threads > 1, base + steps * (base + step), 0.0)
-        # keep the fork/join constants owned by repro.openmp: recompute
-        # via the authoritative function for the (few) threaded entries
-        if np.any(threads > 1):
-            fj = np.array([fork_join_cost(op.threads) for op in ops])
-        noise = self.om
-        cost = fj + np.maximum(
-            np.maximum(flop_t * noise, (lat_t + mem_floor) * noise),
-            stream_t)
-        return [float(c) for c in cost]
 
     # -- message cost pieces -------------------------------------------
 
@@ -475,8 +412,8 @@ class SurrogateEvaluator:
 
         # Phase 1: materialize and expand every rank's program.
         programs: List[List[Tuple[Op, str, List[tuple]]]] = []
-        compute_index: Dict[Tuple[Compute, int], int] = {}
-        compute_entries: List[Tuple[Compute, int]] = []
+        #: unique (Compute op, rank) pairs, in first-seen order
+        compute_keys: Dict[Tuple[Compute, int], None] = {}
         for rank in range(n):
             items: List[Tuple[Op, str, List[tuple]]] = []
             for op in workload.program(rank):
@@ -484,10 +421,7 @@ class SurrogateEvaluator:
                     continue  # zero-cost observability brackets
                 if isinstance(op, Compute):
                     self._check_thread_team(op, rank)
-                    key = (op, rank)
-                    if key not in compute_index:
-                        compute_index[key] = len(compute_entries)
-                        compute_entries.append(key)
+                    compute_keys[(op, rank)] = None
                     items.append((op, "compute", [("compute", op)]))
                 elif isinstance(op, Send):
                     if op.nbytes < 0:
@@ -511,9 +445,9 @@ class SurrogateEvaluator:
                         f"unknown operation {type(op).__name__}")
             programs.append(items)
 
-        # Phase 2: batch-cost the unique compute entries.
-        costs = self._compute_costs(compute_entries)
-        compute_cost = {key: costs[i] for key, i in compute_index.items()}
+        # Phase 2: cost each unique compute entry once.
+        compute_cost = {key: self._compute_cost_scalar(*key)
+                        for key in compute_keys}
 
         # Phase 3: advance per-rank virtual clocks to completion.
         clocks = [0.0] * n

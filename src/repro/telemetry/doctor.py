@@ -9,9 +9,10 @@ walks both stores and reports:
 * **torn ledger lines** — a crashed writer's partial JSONL record
   (``--fix`` rewrites the ledger keeping only parseable records, with
   a ``.bak`` of the original);
-* **corrupt cache entries** — files that fail to parse, carry a stale
-  schema, or whose stored checksum does not match their payload
-  (``--fix`` quarantines them to ``*.corrupt`` so the cell recomputes);
+* **corrupt cache entries** — files that fail to parse, carry another
+  schema (a schema-2 JSON entry included), or whose stored checksum
+  does not match their payload (``--fix`` quarantines them to
+  ``*.corrupt`` so the cell recomputes);
 * **stale temp files** — ``*.tmp`` droppings from writers that died
   between ``mkstemp`` and ``os.replace`` (``--fix`` deletes them);
 * **quarantined entries** — previously quarantined ``*.corrupt`` files
@@ -45,10 +46,9 @@ def check_cache_dir(directory: Path, fix: bool = False) -> Dict[str, Any]:
     pre-existing quarantined files (deleted when ``fix``).
     """
     from ..core.cache import parse_entry
-    from ..wire import FRAME_MAGIC
 
     summary: Dict[str, Any] = {"path": str(directory), "entries": 0,
-                               "binary": 0, "corrupt": [], "stale_tmp": 0,
+                               "corrupt": [], "stale_tmp": 0,
                                "quarantined": 0}
     if not directory.is_dir():
         return summary
@@ -69,10 +69,7 @@ def check_cache_dir(directory: Path, fix: bool = False) -> Dict[str, Any]:
     for path in sorted(directory.rglob("*.json")):
         summary["entries"] += 1
         try:
-            raw = path.read_bytes()
-            if raw[:2] == FRAME_MAGIC:
-                summary["binary"] += 1
-            parse_entry(raw)
+            parse_entry(path.read_bytes())
         except (OSError, ValueError, KeyError, TypeError) as exc:
             summary["corrupt"].append({"file": str(path), "reason": str(exc)})
             if fix:
@@ -170,8 +167,7 @@ def main(argv=None) -> int:
     cache_report = check_cache_dir(cache_dir, fix=args.fix)
     corrupt = len(cache_report["corrupt"])
     print(f"cache {cache_report['path']}: {cache_report['entries']} "
-          f"entr(ies) ({cache_report['binary']} binary), "
-          f"{corrupt} corrupt, "
+          f"entr(ies), {corrupt} corrupt, "
           f"{cache_report['stale_tmp']} stale temp file(s), "
           f"{cache_report['quarantined']} quarantined")
     for item in cache_report["corrupt"]:

@@ -21,14 +21,13 @@ Two layers, both pure stdlib:
     payload length) followed by a codec payload.  Large messages
     stream as *chunked* continuation frames (the ``MORE`` flag bit)
     so a sweep-sized batch response never has to be buffered as one
-    giant line, and readers reject truncated frames, wrong magic, and
+    giant buffer, and readers reject truncated frames, wrong magic, and
     unknown versions with :class:`~repro.errors.ProtocolError`.
 
 Nothing here changes *what* is said on the wire or stored in the
 cache — only how it is spelled.  sha256 checksums and cache content
-addresses are still computed over the canonical JSON form, so a
-binary entry and a JSON entry of the same result verify with
-bit-for-bit identical checksums.
+addresses are computed over the canonical JSON form of a value, never
+over its binary spelling.
 """
 
 from .codec import decode, decode_value, encode, encode_value

@@ -1,7 +1,7 @@
 """Binary value codec: msgpack-style tags, float-array fast paths.
 
-The codec speaks exactly the value universe the NDJSON protocol and
-the JSON cache entries already use — ``None``, bools, ints, floats,
+The codec speaks exactly the JSON value universe that protocol
+messages and cache entries use — ``None``, bools, ints, floats,
 strings, lists, and string-keyed dicts (plus ``bytes``, which JSON
 cannot spell and the framing layer needs).  Decoding a codec payload
 yields the same Python values a ``json.loads(json.dumps(value))``

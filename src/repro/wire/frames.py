@@ -19,15 +19,16 @@ encoded once; only the *framing* is incremental).
 
 The assembled payload is one :mod:`repro.wire.codec` value.  Readers
 reject wrong magic, unknown versions, oversized payloads, and
-truncated frames with :class:`~repro.errors.ProtocolError` — the same
-typed error the NDJSON layer uses, so transport error paths stay
-uniform across protocol versions.
+truncated frames with :class:`~repro.errors.ProtocolError`, the typed
+error the server answers malformed requests with.
 
-Schema-3 cache entries reuse the exact same layout: a cache file is
-one logical framed message whose payload is the entry dict.  The
-leading ``R`` byte (0x52) is the per-entry magic that tells a
-schema-3 binary entry apart from a schema-2 JSON entry (which always
-starts with ``{``).
+The magic is also what the server reads a connection's framing from:
+a first byte other than ``{`` starts the frame loop, while ``{`` marks
+a protocol-2 NDJSON peer, which is refused (:mod:`repro.service.transport`).
+
+Schema-3 cache entries, the only cache format, reuse the exact same
+layout: a cache file is one logical framed message whose payload is
+the entry dict.
 """
 
 from __future__ import annotations

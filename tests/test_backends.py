@@ -83,8 +83,7 @@ def test_remote_backend_matches_local_byte_for_byte(tmp_path):
     shard = Session(name="shard-test",
                     cache=ResultCache(directory=tmp_path / "shard"))
     server = make_server(("127.0.0.1", 0),
-                         lambda m: handle_request(shard, m),
-                         server_name="shard-test")
+                         lambda m: handle_request(shard, m))
     serve_in_thread(server, "backend-parity")
     backend = RemoteBackend(f"127.0.0.1:{server.address[1]}")
     try:
@@ -93,10 +92,6 @@ def test_remote_backend_matches_local_byte_for_byte(tmp_path):
             jobs=2, backend=backend)
         take_failures()
         assert _canon(via_remote) == _canon(via_threads)
-        # the connection really negotiated the binary protocol
-        assert backend.protocol() >= 3
-        info = backend.server_info()
-        assert info and info.get("server") == "shard-test"
         assert backend.healthy()
     finally:
         backend.close()
@@ -150,8 +145,7 @@ def test_remote_isolates_inexpressible_cells_per_cell(tmp_path):
     shard = Session(name="shard-iso",
                     cache=ResultCache(directory=tmp_path / "shard"))
     server = make_server(("127.0.0.1", 0),
-                         lambda m: handle_request(shard, m),
-                         server_name="shard-iso")
+                         lambda m: handle_request(shard, m))
     serve_in_thread(server, "backend-iso")
     backend = RemoteBackend(f"127.0.0.1:{server.address[1]}")
     spec = longs()

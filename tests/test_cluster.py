@@ -2,10 +2,11 @@
 
 The load-bearing cluster promises:
 
-* The NDJSON transport survives hostile clients — malformed lines,
-  oversized lines, unknown ops, and mid-stream disconnects answer with
-  typed wire codes (or end that connection only) and the daemon stays
-  up for the next client.
+* The frame transport survives hostile clients — malformed or
+  oversized frames, non-object messages, unknown ops, protocol-2
+  NDJSON peers and mid-stream disconnects answer with typed wire codes
+  (or end that connection only) and the daemon stays up for the next
+  client.
 * A stale socket file from a crashed daemon is reclaimed; a live
   daemon on the same path is never clobbered.
 * Rendezvous hashing gives every content address a stable home shard
@@ -36,17 +37,16 @@ from repro.cluster import (
     trace_from_ledger,
 )
 from repro.service import Session
-from repro.service.daemon import TcpServiceServer, request_over_socket
-from repro.service.protocol import encode_line
+from repro.service.daemon import TcpServiceServer
 from repro.service.transport import (
-    MAX_LINE_BYTES,
-    TcpNdjsonServer,
+    TcpFrameServer,
     format_address,
     parse_address,
     prepare_unix_socket,
     request,
     serve_in_thread,
 )
+from repro.wire import frames
 
 FAST_STREAM = {"workload": "stream", "system": "tiger", "ntasks": 2,
                "scheme": "default", "tier": "fast"}
@@ -114,7 +114,7 @@ def test_serve_rebinds_over_stale_socket(tmp_path):
         server = ServiceServer(str(path), session)
         serve_in_thread(server, "rebind-test")
         try:
-            reply = request_over_socket(str(path), {"op": "ping"})
+            reply = request(str(path), {"op": "ping"})
             assert reply["status"] == "ok"
         finally:
             server.shutdown()
@@ -122,7 +122,7 @@ def test_serve_rebinds_over_stale_socket(tmp_path):
     assert not os.path.exists(path)
 
 
-# -- NDJSON protocol error paths --------------------------------------------
+# -- frame protocol error paths ---------------------------------------------
 
 
 @pytest.fixture
@@ -140,40 +140,23 @@ def daemon(tmp_path):
         session.close()
 
 
-def test_malformed_json_line_answers_typed_and_keeps_connection(daemon):
+@pytest.mark.parametrize("header, complaint", [
+    (b"XW\x03\x00\x00\x00\x00\x00", "magic"),
+    (b"RW\x09\x00\x00\x00\x00\x00", "version"),
+    (b"RW\x03\x00\xff\xff\xff\xff", "exceeds"),
+], ids=["magic", "version", "oversized"])
+def test_bad_frame_header_answers_typed_and_drops_connection(
+        daemon, header, complaint):
     with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        stream = sock.makefile("rwb")
-        stream.write(b'{"op": nope}\n')
-        stream.flush()
-        reply = json.loads(stream.readline())
+        sock.sendall(header)
+        stream = sock.makefile("rb")
+        reply = frames.read_frame_message(stream)
         assert reply["status"] == "error"
         assert reply["code"] == "protocol_error"
-        # the connection survives a garbage line: framing is intact
-        stream.write(encode_line({"op": "ping"}))
-        stream.flush()
-        assert json.loads(stream.readline())["status"] == "ok"
-
-
-def test_oversized_line_rejected_and_connection_dropped(daemon):
-    with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        sock.sendall(b"x" * (MAX_LINE_BYTES + 16) + b"\n")
-        buffer = b""
-        while not buffer.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-        reply = json.loads(buffer)
-        assert reply["status"] == "error"
-        assert reply["code"] == "protocol_error"
-        assert "exceeds" in reply["message"]
-        # past an unterminated line the stream cannot be re-framed:
-        # the server must drop this connection
-        try:
-            leftover = sock.recv(65536)
-        except OSError:
-            leftover = b""
-        assert leftover == b""
+        assert complaint in reply["message"]
+        # past a bad header the stream cannot be re-framed: the server
+        # drops this connection...
+        assert stream.read() == b""
     # ...but only this connection — the daemon still serves
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
 
@@ -187,26 +170,66 @@ def test_unknown_op_answers_protocol_error(daemon):
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
 
 
-def test_non_object_line_answers_protocol_error(daemon):
+def test_non_object_frame_answers_protocol_error_and_keeps_connection(
+        daemon):
     with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        stream = sock.makefile("rwb")
-        stream.write(b"[1, 2, 3]\n")
-        stream.flush()
-        reply = json.loads(stream.readline())
+        stream = sock.makefile("rb")
+        frames.write_frame_message(sock, [1, 2, 3])
+        reply = frames.read_frame_message(stream)
         assert reply["status"] == "error"
         assert reply["code"] == "protocol_error"
+        # the framing is intact, so the connection survives
+        frames.write_frame_message(sock, {"op": "ping"})
+        assert frames.read_frame_message(stream)["status"] == "ok"
 
 
 def test_midstream_disconnect_leaves_daemon_up(daemon):
-    # half a request line, then vanish
+    # half a request frame, then vanish
     sock = socket.create_connection(daemon.address, timeout=5.0)
-    sock.sendall(b'{"op": "pi')
+    sock.sendall(frames.pack_frames({"op": "ping"})[:5])
     sock.close()
     # a full request, then vanish before reading the reply
     sock = socket.create_connection(daemon.address, timeout=5.0)
-    sock.sendall(encode_line({"op": "stats"}))
+    frames.write_frame_message(sock, {"op": "stats"})
     sock.close()
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
+
+
+def test_ndjson_peer_gets_one_protocol_error_line_and_is_closed(daemon):
+    with socket.create_connection(daemon.address, timeout=5.0) as sock:
+        sock.sendall(b'{"op": "ping"}\n')
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break  # the server closed the connection
+            received += chunk
+    lines = received.splitlines()
+    assert len(lines) == 1 and received.endswith(b"\n")
+    reply = json.loads(lines[0])
+    assert reply["status"] == "error"
+    assert reply["code"] == "protocol_error"
+    assert reply["protocol"] == 3 and "protocol 3" in reply["message"]
+    assert request(daemon.address, {"op": "ping"})["status"] == "ok"
+
+
+def test_request_raises_connection_error_when_server_closes_silently():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def read_then_hang_up():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+
+    thread = threading.Thread(target=read_then_hang_up, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ConnectionError):
+            request(listener.getsockname()[:2], {"op": "ping"},
+                    timeout=5.0)
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
 
 
 # -- rendezvous hashing ------------------------------------------------------
@@ -252,7 +275,7 @@ class FakeShard:
     def __init__(self, name):
         self.name = name
         self.served = 0
-        self.server = TcpNdjsonServer(("127.0.0.1", 0), self.handle)
+        self.server = TcpFrameServer(("127.0.0.1", 0), self.handle)
         serve_in_thread(self.server, name)
 
     @property
@@ -456,7 +479,7 @@ def test_replay_preserves_coalescing_cluster_wide(tmp_path):
         shards.append((f"shard-{i}", server.address))
     router = Router(shards, retries=1, backoff_s=0.02,
                     request_timeout_s=60.0)
-    front = TcpNdjsonServer(("127.0.0.1", 0), router.handle_message)
+    front = TcpFrameServer(("127.0.0.1", 0), router.handle_message)
     serve_in_thread(front, "router-front")
     try:
         trace = [{"t": 0.0, "cell": dict(cell)}

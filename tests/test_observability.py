@@ -32,7 +32,7 @@ from repro.cluster import Router
 from repro.service import Session
 from repro.service.daemon import TcpServiceServer
 from repro.service.protocol import handle_request
-from repro.service.transport import TcpNdjsonServer, serve_in_thread
+from repro.service.transport import TcpFrameServer, serve_in_thread
 from repro.telemetry import ledger, metrics, tracecmd, tracing
 from repro.telemetry.ledger import RunRecorder
 from repro.telemetry.regress import evaluate
@@ -201,7 +201,7 @@ class FakeMetricsShard:
     def __init__(self, name, metrics_reply):
         self.name = name
         self.metrics_reply = metrics_reply
-        self.server = TcpNdjsonServer(("127.0.0.1", 0), self.handle)
+        self.server = TcpFrameServer(("127.0.0.1", 0), self.handle)
         serve_in_thread(self.server, name)
 
     @property

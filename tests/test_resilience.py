@@ -43,7 +43,7 @@ from repro.core.cache import ResultCache
 from repro.errors import QueueFullError
 from repro.machine import tiger
 from repro.service import RunRequest, Session
-from repro.service.transport import TcpNdjsonServer, serve_in_thread
+from repro.service.transport import TcpFrameServer, serve_in_thread
 from repro.workloads.lmbench import StreamTriad
 from repro.workloads.nas import NasCG
 
@@ -162,7 +162,7 @@ class LocalShard:
                 "stats": {}, "gauges": {}}
 
     def revive(self, address=None):
-        self.server = TcpNdjsonServer(address or self.address, self.handle)
+        self.server = TcpFrameServer(address or self.address, self.handle)
         serve_in_thread(self.server, self.name)
 
     def kill(self):
@@ -489,7 +489,7 @@ class RejectOnceShard:
     def __init__(self):
         self.seen = set()
         self.submits = 0
-        self.server = TcpNdjsonServer(("127.0.0.1", 0), self.handle)
+        self.server = TcpFrameServer(("127.0.0.1", 0), self.handle)
         serve_in_thread(self.server, "reject-once")
 
     def handle(self, message):

@@ -14,6 +14,7 @@ The load-bearing service promises:
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -34,13 +35,9 @@ from repro.errors import (
 )
 from repro.machine import dmz, longs, tiger
 from repro.service import RunRequest, RunResult, Session
-from repro.service.daemon import ServiceServer, request_over_socket
-from repro.service.protocol import (
-    cell_from_wire,
-    decode_line,
-    encode_line,
-    handle_request,
-)
+from repro.service.daemon import ServiceServer
+from repro.service.protocol import cell_from_wire, handle_request
+from repro.service.transport import request
 
 
 class TinyCompute(Workload):
@@ -270,6 +267,28 @@ def test_session_scaling_study_unknown_metric(tmp_path):
                                   (2,), metric="bogus")
 
 
+def test_session_api_is_warning_free(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with _session(tmp_path) as session:
+            result = session.run(RunRequest(system=longs(),
+                                            workload=TinyCompute(4)))
+            session.scheme_sweep(dmz(), lambda n: TinyCompute(n), (2,))
+    assert result.ok
+
+
+def test_experiment_routes_through_session():
+    from repro.core import AffinityScheme, Experiment
+
+    experiment = Experiment(longs(), TinyCompute(4),
+                            AffinityScheme.INTERLEAVE)
+    assert experiment.to_request().key() == experiment.request().key()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = experiment.run()  # session-routed
+    assert result.wall_time > 0
+
+
 def test_session_memo_and_clear(tmp_path):
     calls = []
     with _session(tmp_path) as session:
@@ -338,14 +357,6 @@ def test_run_result_wire_round_trip(tmp_path):
     assert back.job.to_dict() == result.job.to_dict()
 
 
-def test_decode_line_rejects_garbage():
-    with pytest.raises(ProtocolError):
-        decode_line(b"not json\n")
-    with pytest.raises(ProtocolError):
-        decode_line(b"[1, 2, 3]\n")
-    assert decode_line(encode_line({"op": "ping"})) == {"op": "ping"}
-
-
 def test_cell_from_wire_resolves_names():
     request = cell_from_wire({"system": "longs", "workload": "stream",
                               "ntasks": 4, "scheme": "interleave"})
@@ -392,18 +403,17 @@ def test_daemon_round_trip_coalesces_and_drains(tmp_path):
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        pong = request_over_socket(socket_path, {"op": "ping"}, timeout=30)
+        pong = request(socket_path, {"op": "ping"}, timeout=30)
         assert pong["status"] == "ok"
         cells = [{"system": "longs", "workload": "stream", "ntasks": 4,
                   "scheme": "interleave"} for _ in range(5)]
-        response = request_over_socket(
+        response = request(
             socket_path, {"op": "batch", "cells": cells}, timeout=120)
         assert response["status"] == "ok"
         payloads = {json.dumps(r["result"], sort_keys=True)
                     for r in response["results"]}
         assert len(payloads) == 1
-        shutdown = request_over_socket(socket_path, {"op": "shutdown"},
-                                       timeout=120)
+        shutdown = request(socket_path, {"op": "shutdown"}, timeout=120)
         assert shutdown["status"] == "ok"
         assert shutdown["stats"]["coalesced"] >= 1
         thread.join(timeout=10)
@@ -416,8 +426,8 @@ def test_daemon_round_trip_coalesces_and_drains(tmp_path):
 # -- submit client retries ---------------------------------------------------
 
 def _reject_then_accept_server(rejections=1):
-    """An NDJSON server whose first N submits answer queue_full."""
-    from repro.service.transport import TcpNdjsonServer, serve_in_thread
+    """A frame server whose first N submits answer queue_full."""
+    from repro.service.transport import TcpFrameServer, serve_in_thread
 
     calls = {"submit": 0}
 
@@ -431,7 +441,7 @@ def _reject_then_accept_server(rejections=1):
                     "retry_after": 0.01}
         return {"status": "ok", "op": "submit", "source": "computed"}
 
-    server = TcpNdjsonServer(("127.0.0.1", 0), handle)
+    server = TcpFrameServer(("127.0.0.1", 0), handle)
     serve_in_thread(server, "retry-test")
     return server, calls
 
@@ -472,7 +482,7 @@ def test_submit_client_gives_up_after_budget():
 
 def test_submit_client_never_retries_non_retryable_errors():
     from repro.service.daemon import _request_with_retries
-    from repro.service.transport import TcpNdjsonServer, serve_in_thread
+    from repro.service.transport import TcpFrameServer, serve_in_thread
 
     calls = {"n": 0}
 
@@ -481,7 +491,7 @@ def test_submit_client_never_retries_non_retryable_errors():
         return {"status": "error", "op": "submit",
                 "code": "unknown_name", "message": "no such workload"}
 
-    server = TcpNdjsonServer(("127.0.0.1", 0), handle)
+    server = TcpFrameServer(("127.0.0.1", 0), handle)
     serve_in_thread(server, "no-retry-test")
     try:
         reply = _request_with_retries(

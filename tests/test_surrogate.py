@@ -20,9 +20,7 @@ from repro.core.parallel import (JobRequest, default_tier, set_default_tier)
 from repro.errors import SurrogateUnsupportedError
 from repro.faults import CoreSlowdown, FaultPlan
 from repro.machine import dmz, longs
-from repro.surrogate import (HAVE_NUMPY, SurrogateEvaluator,
-                             evaluate_workload, unsupported_reason)
-from repro.surrogate import evaluator as surrogate_evaluator
+from repro.surrogate import SurrogateEvaluator, unsupported_reason
 from repro.surrogate.calibration import spearman
 from repro.workloads.hpcc import HpccDgemm, HpccRandomAccess, HpccStream
 from repro.workloads.nas import NasCG, NasFT
@@ -160,21 +158,6 @@ def test_set_default_tier_materializes_and_validates():
         set_default_tier(None)
     with pytest.raises(ValueError):
         set_default_tier("warp")
-
-
-# -- availability: the pure-python fallback agrees with numpy -----------
-
-
-def test_pure_python_fallback_matches_numpy(monkeypatch):
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable; the fallback is the only path")
-    with_numpy = evaluate_workload(longs(), HpccStream(4))
-    monkeypatch.setattr(surrogate_evaluator, "_np", None)
-    without_numpy = evaluate_workload(longs(), HpccStream(4))
-    assert without_numpy.wall_time == pytest.approx(
-        with_numpy.wall_time, rel=1e-9)
-    assert without_numpy.messages == with_numpy.messages
-    assert without_numpy.bytes_sent == with_numpy.bytes_sent
 
 
 def test_evaluator_handles_fully_occupied_machine():

@@ -1,8 +1,8 @@
-"""The binary wire layer: codec, frames, and the mixed-schema cache.
+"""The binary wire layer: codec, frames, and schema-3 cache entries.
 
 Protocol v3 and cache schema 3 share one invariant: a binary round
-trip must be observationally identical to the JSON round trip it
-replaces — same values, same checksums, same cache keys.  These tests
+trip must be observationally identical to a JSON round trip — same
+values, same checksums, same cache keys.  These tests
 pin that equivalence for every wire shape the service speaks, plus
 the rejection paths (truncated frames, wrong magic, unknown tags).
 """
@@ -15,7 +15,6 @@ import struct
 import pytest
 
 from repro.core.cache import (
-    CACHE_SCHEMA,
     CACHE_STORE_SCHEMA,
     ResultCache,
     parse_entry,
@@ -24,12 +23,7 @@ from repro.core.cache import (
 from repro.core.parallel import JobRequest, run_request
 from repro.errors import ProtocolError
 from repro.machine import tiger
-from repro.service.protocol import (
-    PROTOCOL_VERSIONS,
-    cell_from_wire,
-    handle_request,
-    hello_response,
-)
+from repro.service.protocol import cell_from_wire, handle_request
 from repro.service.session import Session
 from repro.wire import codec, frames
 
@@ -180,8 +174,6 @@ def test_service_wire_shapes_survive_binary_identically(tmp_path):
     try:
         shapes = [
             handle_request(session, {"op": "ping"}),
-            hello_response({"op": "hello", "protocol": 3})[0],
-            hello_response({"op": "hello", "protocol": 99})[0],
             handle_request(session, {"op": "stats"}),
             handle_request(session, {"op": "nonsense"}),  # protocol_error
             {"status": "ok", "op": "submit", "source": "executed",
@@ -201,17 +193,6 @@ def test_service_wire_shapes_survive_binary_identically(tmp_path):
         assert framed == via_json
 
 
-def test_hello_reports_versions_and_downgrade_path():
-    response, selected = hello_response({"op": "hello", "protocol": 3})
-    assert response["status"] == "ok" and selected == 3
-    assert response["protocol_versions"] == list(PROTOCOL_VERSIONS)
-    response, selected = hello_response({"op": "hello", "protocol": 99})
-    assert response["status"] == "error"
-    assert response["code"] == "protocol_error"
-    assert selected == 2  # server keeps speaking NDJSON
-    assert response["protocol_versions"] == list(PROTOCOL_VERSIONS)
-
-
 def test_wire_cell_round_trips_through_cell_from_wire():
     cell = {"system": "tiger", "workload": "stream", "ntasks": 4,
             "scheme": "interleave", "tier": "exact"}
@@ -219,50 +200,38 @@ def test_wire_cell_round_trips_through_cell_from_wire():
     assert request.to_job().key() == cell_from_wire(cell).to_job().key()
 
 
-# -- mixed-schema cache directories ------------------------------------------
+# -- schema-3 cache entries ---------------------------------------------------
 
-def test_cache_mixes_schema2_json_and_schema3_binary(tmp_path):
+def test_schema2_json_entry_is_quarantined_recomputed_and_fixed(tmp_path):
+    """A schema-2 JSON file at a key's path is a corrupt entry."""
     from repro.bench.chaos import _QuickWorkload
-
-    json_cache = ResultCache(directory=tmp_path, binary=False)
-    request = JobRequest(spec=tiger(), workload=_QuickWorkload())
-    original = run_request(request, cache=json_cache)
-    path_v2 = json_cache._path(request.key())
-    assert path_v2.read_bytes()[:1] == b"{"  # schema-2 JSON on disk
-
-    binary_cache = ResultCache(directory=tmp_path)
-    request_fast = JobRequest(spec=tiger(), workload=_QuickWorkload(),
-                              tier="fast")
-    run_request(request_fast, cache=binary_cache)
-    path_v3 = binary_cache._path(request_fast.key())
-    assert path_v3.read_bytes()[:2] == frames.FRAME_MAGIC
-
-    # one directory, both formats: a fresh cache reads both as hits
-    fresh = ResultCache(directory=tmp_path)
-    assert fresh.get(request.key()).to_dict() == original.to_dict()
-    assert fresh.get(request_fast.key()) is not None
-    assert fresh.stats.disk_hits == 2 and fresh.stats.corrupt == 0
-
-    # entry parsing agrees on schema numbers and checksums
-    entry_v2 = parse_entry(path_v2.read_bytes())
-    entry_v3 = parse_entry(path_v3.read_bytes())
-    assert entry_v2["schema"] == CACHE_SCHEMA
-    assert entry_v3["schema"] == CACHE_STORE_SCHEMA
-    for entry in (entry_v2, entry_v3):
-        assert entry["check"] == result_checksum(entry["result"])
-
-
-def test_cache_format_is_storage_only_never_in_the_key(tmp_path):
-    """Schema 3 must not invalidate a warm schema-2 cache."""
-    from repro.bench.chaos import _QuickWorkload
+    from repro.telemetry.doctor import check_cache_dir
 
     request = JobRequest(spec=tiger(), workload=_QuickWorkload())
-    json_cache = ResultCache(directory=tmp_path, binary=False)
-    original = run_request(request, cache=json_cache)
+    original = run_request(request,
+                           cache=ResultCache(directory=tmp_path / "fresh"))
+    result_data = original.to_dict()
+    legacy = {"schema": 2, "check": result_checksum(result_data),
+              "result": result_data}
+    cache = ResultCache(directory=tmp_path / "cache")
+    path = cache._path(request.key())
+    path.parent.mkdir(parents=True)
 
-    warm = ResultCache(directory=tmp_path)  # binary-writing reader
-    assert warm.get(request.key()).to_dict() == original.to_dict()
-    assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
+    # doctor --fix moves it aside
+    path.write_text(json.dumps(legacy))
+    report = check_cache_dir(tmp_path / "cache", fix=True)
+    assert report["entries"] == 1 and len(report["corrupt"]) == 1
+    assert not path.exists()
+    assert path.with_suffix(".json.corrupt").exists()
+
+    # a read quarantines it and the cell recomputes into schema 3
+    path.write_text(json.dumps(legacy))
+    recomputed = run_request(request, cache=cache)
+    assert cache.stats.corrupt == 1 and cache.stats.disk_hits == 0
+    assert recomputed.to_dict() == result_data
+    entry = parse_entry(path.read_bytes())
+    assert entry["schema"] == CACHE_STORE_SCHEMA
+    assert entry["check"] == result_checksum(result_data)
 
 
 def test_parse_entry_rejects_malformed_input():
