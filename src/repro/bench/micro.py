@@ -8,8 +8,12 @@ execution tiers are built from:
   hot loop, isolated from any workload model (pure timeout churn).
 * ``engine-cell`` — one exact-tier cell end to end (STREAM on longs),
   i.e. the event loop plus the machine/MPI model on top.
-* ``surrogate-batch`` — the same cell through the fast tier's batch
+* ``surrogate-batch`` — the same cell through the fast tier's
   evaluator, which is the number the ≥10× speedup claim rests on.
+  STREAM sends almost no messages, so this mostly times compute costing.
+* ``surrogate-comm`` — POP on 16 ranks of longs through the fast tier:
+  thousands of halo and allreduce messages, so this times the virtual-
+  clock scheduler (message matching and message costing).
 * ``surrogate-build`` — :class:`~repro.surrogate.SurrogateEvaluator`
   construction (topology/coefficient precompute), the fixed cost paid
   once per (spec, affinity) pair.
@@ -69,6 +73,15 @@ def _bench_engine_cell() -> Callable[[], None]:
 
 def _bench_surrogate_batch() -> Callable[[], None]:
     request = _cell_request("fast")
+    return lambda: request.execute()
+
+
+def _bench_surrogate_comm() -> Callable[[], None]:
+    from ..apps.pop.model import Pop
+    from ..core.parallel import JobRequest
+    from ..machine import longs
+
+    request = JobRequest(spec=longs(), workload=Pop(16), tier="fast")
     return lambda: request.execute()
 
 
@@ -154,6 +167,7 @@ BENCHMARKS: List[Tuple[str, Callable[[], Callable[[], None]], int]] = [
     ("engine-event-loop", _bench_engine_event_loop, 5),
     ("engine-cell", _bench_engine_cell, 1),
     ("surrogate-batch", _bench_surrogate_batch, 5),
+    ("surrogate-comm", _bench_surrogate_comm, 3),
     ("surrogate-build", _bench_surrogate_build, 20),
     ("wire-encode", _bench_wire_encode, 50),
     ("wire-decode", _bench_wire_decode, 50),
@@ -193,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench micro",
         description="microbenchmark the engine event loop and the "
-                    "surrogate batch evaluator")
+                    "surrogate evaluator")
     parser.add_argument("--repeat", type=int, default=5,
                         help="timeit repeats per benchmark (default 5; "
                              "best repeat is reported)")

@@ -147,14 +147,18 @@ class JobRequest:
         if self.effective_tier() == "fast":
             from ..surrogate import (SurrogateUnsupportedError,
                                      evaluate_request, unsupported_reason)
-            reason = unsupported_reason(self.workload, self.profile,
-                                        self.faults)
-            if reason:  # explicit tier="fast" on an unsupported cell
+            # explicit tier="fast" on an unsupported cell: profiling and
+            # fault plans refuse here, program checks inside the run
+            try:
+                if self.profile or self.faults:
+                    raise SurrogateUnsupportedError(unsupported_reason(
+                        self.workload, self.profile, self.faults))
+                return evaluate_request(self.spec, self.workload, affinity,
+                                        impl=self.impl or OPENMPI,
+                                        lock=self.lock)
+            except SurrogateUnsupportedError as exc:
                 raise SurrogateUnsupportedError(
-                    f"{self.label()}: {reason}")
-            return evaluate_request(self.spec, self.workload, affinity,
-                                    impl=self.impl or OPENMPI,
-                                    lock=self.lock)
+                    f"{self.label()}: {exc}") from None
         runner = JobRunner(self.spec, affinity, impl=self.impl or OPENMPI,
                            lock=self.lock, profile=self.profile,
                            faults=self.faults)

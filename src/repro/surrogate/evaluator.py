@@ -26,10 +26,21 @@ predictable enough to compute directly:
   byte counts match the exact tier exactly and the timing inherits the
   algorithms' log/linear shapes.
 
-Cross-rank coupling is honoured by a lightweight per-rank virtual-clock
+Cross-rank coupling is honoured by a scalar per-rank virtual-clock
 scheduler with FIFO message matching — not a discrete-event engine,
 just ``max()`` over a handful of closed-form completion times per
-message.
+message.  :meth:`SurrogateEvaluator.run` walks each rank's program once:
+that pass is also the fast tier's only support check (wildcard receives
+and unknown ops raise there, through the same per-op classifier as
+:func:`unsupported_reason`), and it flattens the program into step
+tuples, costing each unique ``(Compute op, rank)`` and expanding each
+unique ``(collective, rank)`` once.  Each message shape ``(src, dst,
+nbytes)`` is costed once per run into its clock-free pieces (half the
+protocol overhead, eager flag, copy-in, wire latency, and the receive
+tail: eager copy-out, or fragment locks plus bulk transfer).  The
+scheduler then adds those pieces to the clocks in one fixed order —
+e.g. ``((t0 + oh2) + lock) + copy`` — and never pre-sums two pieces,
+so every float rounds the same way however often a shape recurs.
 """
 
 from __future__ import annotations
@@ -70,17 +81,34 @@ __all__ = [
     "unsupported_reason",
 ]
 
+_COLLECTIVES = (Barrier, Allreduce, Alltoall, Allgather, Bcast, Reduce)
 _KNOWN_OPS = (Compute, MarkerStart, MarkerStop, Send, Recv, SendRecv,
-              Barrier, Allreduce, Alltoall, Allgather, Bcast, Reduce)
+              *_COLLECTIVES)
+
+
+def _op_reason(op: Op) -> Optional[str]:
+    """Why the fast tier cannot run this op, or ``None`` if it can.
+
+    The one per-op support check: :func:`unsupported_reason` and
+    :meth:`SurrogateEvaluator.run` both report its text.
+    """
+    if isinstance(op, Recv) and op.src is None:
+        return ("wildcard Recv(src=None) needs the exact tier's "
+                "arrival-order matching")
+    if not isinstance(op, _KNOWN_OPS):
+        return f"unknown operation {type(op).__name__}"
+    return None
 
 
 def unsupported_reason(workload: Workload, profile: bool = False,
                        faults=None) -> Optional[str]:
     """Why the fast tier cannot evaluate this cell, or ``None`` if it can.
 
-    The checks are static and cheap (one pass over the materialized
-    programs), so ``tier="auto"`` can call this before cache keying:
-    cells routed to the exact tier keep exact-tier content addresses.
+    The checks are static (one pass over the materialized programs), so
+    ``tier="auto"`` can call this before cache keying: cells routed to
+    the exact tier keep exact-tier content addresses.  Explicit
+    ``tier="fast"`` cells skip the program pass here; ``run`` makes the
+    same per-op check while it builds the schedule.
     """
     if profile:
         return "marker profiling needs the exact event-driven tier"
@@ -88,28 +116,30 @@ def unsupported_reason(workload: Workload, profile: bool = False,
         return "fault plans need the exact event-driven tier"
     for rank in range(workload.ntasks):
         for op in workload.program(rank):
-            if isinstance(op, Recv) and op.src is None:
-                return ("wildcard Recv(src=None) needs the exact tier's "
-                        "arrival-order matching")
-            if not isinstance(op, _KNOWN_OPS):
-                return f"unknown operation {type(op).__name__}"
+            reason = _op_reason(op)
+            if reason:
+                return reason
     return None
 
 
-# -- sub-operation vocabulary the scheduler runs ---------------------------
-# ('compute', op) | ('send', dst, nbytes, tag) | ('recv', src, tag)
-# | ('sendrecv', to, frm, nbytes, tag)
+# -- the step tuples the scheduler runs ------------------------------------
+# (kind, dst, src, nbytes, tag, end): a _SEND uses dst/nbytes/tag, a
+# _RECV src/tag, a _SENDRECV all four; a _COMPUTE step carries its cost
+# in the dst slot; unused slots are 0.  ``end`` is ``(category, phase)``
+# on an op's last step and ``None`` on the others.
+_COMPUTE, _SEND, _RECV, _SENDRECV, _NOOP = range(5)
 
 
 def _expand_collective(op: Op, rank: int, p: int) -> List[tuple]:
-    """Mirror the MpiWorld algorithm of one collective as sub-ops."""
+    """Mirror the MpiWorld algorithm of one collective as
+    ``(kind, dst, src, nbytes, tag)`` sub-steps."""
     subops: List[tuple] = []
     if isinstance(op, Barrier):
         if p == 1:
             return subops
         step, round_no = 1, 0
         while step < p:
-            subops.append(("sendrecv", (rank + step) % p, (rank - step) % p,
+            subops.append((_SENDRECV, (rank + step) % p, (rank - step) % p,
                            0, MpiWorld._TAG_BARRIER + round_no))
             step *= 2
             round_no += 1
@@ -123,20 +153,20 @@ def _expand_collective(op: Op, rank: int, p: int) -> List[tuple]:
         extra = p - p2
         tag0 = MpiWorld._TAG_ALLREDUCE
         if rank >= p2:
-            subops.append(("send", rank - p2, op.nbytes, tag0))
-            subops.append(("recv", rank - p2, tag0 + 99))
+            subops.append((_SEND, rank - p2, 0, op.nbytes, tag0))
+            subops.append((_RECV, 0, rank - p2, 0, tag0 + 99))
             return subops
         if rank < extra:
-            subops.append(("recv", rank + p2, tag0))
+            subops.append((_RECV, 0, rank + p2, 0, tag0))
         step, round_no = 1, 1
         while step < p2:
             partner = rank ^ step
-            subops.append(("sendrecv", partner, partner, op.nbytes,
+            subops.append((_SENDRECV, partner, partner, op.nbytes,
                            tag0 + round_no))
             step *= 2
             round_no += 1
         if rank < extra:
-            subops.append(("send", rank + p2, op.nbytes, tag0 + 99))
+            subops.append((_SEND, rank + p2, 0, op.nbytes, tag0 + 99))
         return subops
     if isinstance(op, Bcast):
         if p == 1:
@@ -147,24 +177,25 @@ def _expand_collective(op: Op, rank: int, p: int) -> List[tuple]:
         while mask < p:
             if vrank & mask:
                 parent = ((vrank ^ mask) + op.root) % p
-                subops.append(("recv", parent, tag))
+                subops.append((_RECV, 0, parent, 0, tag))
                 break
             mask *= 2
         mask //= 2
         while mask >= 1:
             child = vrank + mask
             if child < p:
-                subops.append(("send", (child + op.root) % p, op.nbytes, tag))
+                subops.append((_SEND, (child + op.root) % p, 0,
+                               op.nbytes, tag))
             mask //= 2
         return subops
     if isinstance(op, Alltoall):
         for i in range(1, p):
-            subops.append(("sendrecv", (rank + i) % p, (rank - i) % p,
+            subops.append((_SENDRECV, (rank + i) % p, (rank - i) % p,
                            op.nbytes, MpiWorld._TAG_ALLTOALL + i))
         return subops
     if isinstance(op, Allgather):
         for i in range(p - 1):
-            subops.append(("sendrecv", (rank + 1) % p, (rank - 1) % p,
+            subops.append((_SENDRECV, (rank + 1) % p, (rank - 1) % p,
                            op.nbytes, MpiWorld._TAG_ALLGATHER + i))
         return subops
     if isinstance(op, Reduce):
@@ -176,11 +207,12 @@ def _expand_collective(op: Op, rank: int, p: int) -> List[tuple]:
         while mask < p:
             if vrank & mask:
                 parent = (vrank & ~mask)
-                subops.append(("send", (parent + op.root) % p, op.nbytes, tag))
+                subops.append((_SEND, (parent + op.root) % p, 0,
+                               op.nbytes, tag))
                 return subops
             child = vrank | mask
             if child < p:
-                subops.append(("recv", (child + op.root) % p, tag))
+                subops.append((_RECV, 0, (child + op.root) % p, 0, tag))
             mask *= 2
         return subops
     raise TypeError(f"not a collective: {op!r}")  # pragma: no cover
@@ -361,47 +393,78 @@ class SurrogateEvaluator:
             t = max(t, nbytes / link)
         return t
 
-    def _post_send(self, src: int, dst: int, nbytes: int, tag: int,
-                   t0: float) -> dict:
-        """Sender-side costs; returns the in-flight message record.
+    def _message_pieces(self, src: int, dst: int, nbytes: int) -> tuple:
+        """The clock-free cost pieces of one ``src -> dst`` message.
 
-        ``avail`` is when the receiver can match it; ``send_end`` is when
-        the *sender* unblocks (filled in by the receiver for rendezvous).
+        ``(eager, oh2, copy_in, wire, tail_a, tail_b)``: half the
+        protocol overhead (paid by each side), the sender's eager copy-in
+        (0.0 under rendezvous), the HT wire latency, and the receive
+        tail — the eager copy-out, or the extra fragments' queue locks
+        and the pipelined bulk transfer.
         """
         oh2 = self.impl.protocol_overhead(nbytes) / 2.0 * self.om
-        if self.impl.is_eager(nbytes):
-            avail = (t0 + oh2 + self.lock_cost
-                     + self._copy_time(self.socket_of[src],
-                                       self.buffer_nodes[src], nbytes))
-            return {"src": src, "tag": tag, "nbytes": nbytes,
-                    "avail": avail, "eager": True, "send_end": avail}
-        header = t0 + oh2 + self.lock_cost
-        return {"src": src, "tag": tag, "nbytes": nbytes,
-                "avail": header, "eager": False, "send_end": None}
-
-    def _complete_recv(self, dst: int, msg: dict, t0: float) -> float:
-        """Receiver-side completion; fills ``msg['send_end']``."""
-        nbytes = msg["nbytes"]
-        matched = max(t0 + self.lock_cost, msg["avail"])
-        oh2 = self.impl.protocol_overhead(nbytes) / 2.0 * self.om
-        src_sock = self.socket_of[msg["src"]]
+        src_sock = self.socket_of[src]
         dst_sock = self.socket_of[dst]
+        buffer = self.buffer_nodes[src]
         wire = self.hops[src_sock][dst_sock] * self.params.ht_link_latency
-        t = matched + oh2 + wire
-        if msg["eager"]:
-            return t + self._copy_time(dst_sock,
-                                       self.buffer_nodes[msg["src"]], nbytes)
+        if self.impl.is_eager(nbytes):
+            return (True, oh2, self._copy_time(src_sock, buffer, nbytes),
+                    wire, self._copy_time(dst_sock, buffer, nbytes), 0.0)
         fragment = self.params.shm_fragment_bytes
         extra_fragments = max(0, -(-nbytes // fragment) - 1)
-        done = (t + extra_fragments * self.lock_cost
-                + self._bulk_time(src_sock, dst_sock, msg["src"], nbytes))
-        msg["send_end"] = done
-        return done
+        return (False, oh2, 0.0, wire, extra_fragments * self.lock_cost,
+                self._bulk_time(src_sock, dst_sock, src, nbytes))
 
     # -- the virtual-clock scheduler -----------------------------------
 
+    def _program_steps(self, workload: Workload, rank: int,
+                       n: int) -> List[tuple]:
+        """One pass over a rank's program: check, cost and flatten it."""
+        steps: List[tuple] = []
+        memo: Dict[Op, object] = {}  # Compute -> step, collective -> steps
+        for op in workload.program(rank):
+            if isinstance(op, Compute):
+                step = memo.get(op)
+                if step is None:
+                    self._check_thread_team(op, rank)
+                    step = memo[op] = (
+                        _COMPUTE, self._compute_cost_scalar(op, rank),
+                        0, 0, 0, ("compute", op.phase))
+                steps.append(step)
+            elif isinstance(op, SendRecv):
+                steps.append((_SENDRECV, op.send_to, op.recv_from,
+                              op.nbytes, op.tag, ("comm", op.phase)))
+            elif isinstance(op, _COLLECTIVES):
+                expanded = memo.get(op)
+                if expanded is None:
+                    end = ("comm", op.phase)
+                    subops = _expand_collective(op, rank, n)
+                    if not subops:  # e.g. a collective at p == 1
+                        subops = [(_NOOP, 0, 0, 0, 0)]
+                    expanded = memo[op] = [sub + (None,)
+                                           for sub in subops[:-1]]
+                    expanded.append(subops[-1] + (end,))
+                steps.extend(expanded)
+            elif isinstance(op, Send):
+                if op.nbytes < 0:
+                    raise ValueError("message size must be non-negative")
+                steps.append((_SEND, op.dst, 0, op.nbytes, op.tag,
+                              ("comm", op.phase)))
+            elif isinstance(op, Recv) and op.src is not None:
+                steps.append((_RECV, 0, op.src, 0, op.tag,
+                              ("comm", op.phase)))
+            elif not isinstance(op, (MarkerStart, MarkerStop)):
+                raise SurrogateUnsupportedError(_op_reason(op))
+            # markers are zero-cost observability brackets
+        return steps
+
     def run(self, workload: Workload) -> JobResult:
-        """Evaluate the workload; mirrors ``JobRunner.run`` accounting."""
+        """Evaluate the workload; mirrors ``JobRunner.run`` accounting.
+
+        Raises :class:`SurrogateUnsupportedError` for a cell the fast
+        tier cannot honour (wildcard receive, unknown op, unmatched
+        point-to-point traffic).
+        """
         workload.validate()
         if workload.ntasks != self.affinity.ntasks:
             raise ValueError(
@@ -409,162 +472,114 @@ class SurrogateEvaluator:
                 f"provides {self.affinity.ntasks}"
             )
         n = workload.ntasks
+        programs = [self._program_steps(workload, rank, n)
+                    for rank in range(n)]
 
-        # Phase 1: materialize and expand every rank's program.
-        programs: List[List[Tuple[Op, str, List[tuple]]]] = []
-        #: unique (Compute op, rank) pairs, in first-seen order
-        compute_keys: Dict[Tuple[Compute, int], None] = {}
-        for rank in range(n):
-            items: List[Tuple[Op, str, List[tuple]]] = []
-            for op in workload.program(rank):
-                if isinstance(op, (MarkerStart, MarkerStop)):
-                    continue  # zero-cost observability brackets
-                if isinstance(op, Compute):
-                    self._check_thread_team(op, rank)
-                    compute_keys[(op, rank)] = None
-                    items.append((op, "compute", [("compute", op)]))
-                elif isinstance(op, Send):
-                    if op.nbytes < 0:
-                        raise ValueError("message size must be non-negative")
-                    items.append((op, "comm",
-                                  [("send", op.dst, op.nbytes, op.tag)]))
-                elif isinstance(op, Recv):
-                    if op.src is None:
-                        raise SurrogateUnsupportedError(
-                            "wildcard Recv(src=None) needs the exact tier")
-                    items.append((op, "comm", [("recv", op.src, op.tag)]))
-                elif isinstance(op, SendRecv):
-                    items.append((op, "comm",
-                                  [("sendrecv", op.send_to, op.recv_from,
-                                    op.nbytes, op.tag)]))
-                elif isinstance(op, _KNOWN_OPS):
-                    items.append((op, "comm",
-                                  _expand_collective(op, rank, n)))
-                else:
-                    raise SurrogateUnsupportedError(
-                        f"unknown operation {type(op).__name__}")
-            programs.append(items)
-
-        # Phase 2: cost each unique compute entry once.
-        compute_cost = {key: self._compute_cost_scalar(*key)
-                        for key in compute_keys}
-
-        # Phase 3: advance per-rank virtual clocks to completion.
+        # Advance per-rank virtual clocks to completion.  A rank runs
+        # until it blocks: on an unmatched receive, or on its own
+        # rendezvous send (``out``) until the receiver fills in the
+        # record's send end.  ``rend`` is a sendrecv's receive end while
+        # its rendezvous half is still in flight.
+        lock = self.lock_cost
+        pieces_of = self._message_pieces
+        costs: Dict[Tuple[int, int, int], tuple] = {}
+        #: inboxes[dst][src]: FIFO of [tag, avail, send_end, pieces]
+        inboxes = [[[] for _ in range(n)] for _ in range(n)]
+        positions = [0] * n
         clocks = [0.0] * n
-        item_pos = [0] * n
-        sub_pos = [0] * n
-        op_start = [0.0] * n
-        # rank wait states: ("send", msg) | ("sendrecv", recv_end, msg)
-        waiting: List[Optional[tuple]] = [None] * n
-        pending_out: List[Optional[dict]] = [None] * n
-        queues: Dict[Tuple[int, int], List[dict]] = {}
+        starts = [0.0] * n  # when each rank's current op began
+        outs: List[Optional[list]] = [None] * n
+        rends: List[Optional[float]] = [None] * n
         messages = 0
         bytes_sent = 0
         category_times: List[Dict[str, float]] = [dict() for _ in range(n)]
         phase_times: List[Dict[str, float]] = [dict() for _ in range(n)]
 
-        def finish_item(rank: int) -> None:
-            op, category, _subops = programs[rank][item_pos[rank]]
-            elapsed = clocks[rank] - op_start[rank]
-            bucket = category_times[rank]
-            bucket[category] = bucket.get(category, 0.0) + elapsed
-            if op.phase:
-                pbucket = phase_times[rank]
-                pbucket[op.phase] = pbucket.get(op.phase, 0.0) + elapsed
-            item_pos[rank] += 1
-            sub_pos[rank] = 0
-
-        def take_match(src: int, dst: int, tag: Optional[int]
-                       ) -> Optional[dict]:
-            queue = queues.get((src, dst))
-            if not queue:
-                return None
-            for i, msg in enumerate(queue):
-                if tag is None or msg["tag"] == tag:
-                    return queue.pop(i)
-            return None
-
-        def advance_one(rank: int) -> bool:
-            """Advance one sub-op (or resume from a wait); False = stuck."""
-            nonlocal messages, bytes_sent
-            state = waiting[rank]
-            if state is not None:
-                msg = state[-1]
-                if msg["send_end"] is None:
-                    return False
-                if state[0] == "send":
-                    clocks[rank] = msg["send_end"]
-                else:
-                    clocks[rank] = max(state[1], msg["send_end"])
-                waiting[rank] = None
-                sub_pos[rank] += 1
-                if sub_pos[rank] >= len(programs[rank][item_pos[rank]][2]):
-                    finish_item(rank)
-                return True
-            if item_pos[rank] >= len(programs[rank]):
-                return False  # rank done
-            op, _category, subops = programs[rank][item_pos[rank]]
-            if sub_pos[rank] == 0 and pending_out[rank] is None:
-                op_start[rank] = clocks[rank]
-            if not subops:  # e.g. a collective at p == 1
-                finish_item(rank)
-                return True
-            sub = subops[sub_pos[rank]]
-            kind = sub[0]
-            if kind == "compute":
-                clocks[rank] += compute_cost[(sub[1], rank)]
-            elif kind == "send":
-                _, dst, nbytes, tag = sub
-                messages += 1
-                bytes_sent += nbytes
-                msg = self._post_send(rank, dst, nbytes, tag, clocks[rank])
-                queues.setdefault((rank, dst), []).append(msg)
-                if msg["send_end"] is None:
-                    clocks[rank] = msg["avail"]
-                    waiting[rank] = ("send", msg)
-                    return True
-                clocks[rank] = msg["send_end"]
-            elif kind == "recv":
-                _, src, tag = sub
-                msg = take_match(src, rank, tag)
-                if msg is None:
-                    return False
-                clocks[rank] = self._complete_recv(rank, msg, clocks[rank])
-            else:  # sendrecv: the send is concurrent (isend semantics)
-                _, to, frm, nbytes, tag = sub
-                out = pending_out[rank]
-                if out is None:
-                    messages += 1
-                    bytes_sent += nbytes
-                    out = self._post_send(rank, to, nbytes, tag, clocks[rank])
-                    queues.setdefault((rank, to), []).append(out)
-                    pending_out[rank] = out
-                msg = take_match(frm, rank, tag)
-                if msg is None:
-                    return False
-                recv_end = self._complete_recv(rank, msg, clocks[rank])
-                pending_out[rank] = None
-                if out["send_end"] is None:
-                    clocks[rank] = recv_end
-                    waiting[rank] = ("sendrecv", recv_end, out)
-                    return True
-                clocks[rank] = max(recv_end, out["send_end"])
-            sub_pos[rank] += 1
-            if sub_pos[rank] >= len(subops):
-                finish_item(rank)
-            return True
-
         progressed = True
         while progressed:
             progressed = False
             for rank in range(n):
-                while advance_one(rank):
+                steps = programs[rank]
+                nsteps = len(steps)
+                pos = positions[rank]
+                if pos >= nsteps:
+                    continue
+                clock = clocks[rank]
+                start = starts[rank]
+                out = outs[rank]
+                rend = rends[rank]
+                inbox = inboxes[rank]
+                buckets = category_times[rank]
+                phases = phase_times[rank]
+                while pos < nsteps:
+                    kind, dst, src, nbytes, tag, end = steps[pos]
+                    if kind == _COMPUTE:
+                        clock += dst  # the dst slot holds the cost
+                    elif kind != _NOOP:
+                        if kind != _RECV and out is None:
+                            # post the outgoing message
+                            messages += 1
+                            bytes_sent += nbytes
+                            key = (rank, dst, nbytes)
+                            pieces = costs.get(key)
+                            if pieces is None:
+                                pieces = costs[key] = pieces_of(rank, dst,
+                                                                nbytes)
+                            avail = clock + pieces[1] + lock
+                            if pieces[0]:
+                                avail = avail + pieces[2]
+                                out = [tag, avail, avail, pieces]
+                            else:
+                                out = [tag, avail, None, pieces]
+                            inboxes[dst][rank].append(out)
+                            progressed = True
+                        if kind != _SEND and rend is None:
+                            queue = inbox[src]
+                            for i, msg in enumerate(queue):
+                                if tag is None or msg[0] == tag:
+                                    break
+                            else:
+                                break  # no match yet
+                            del queue[i]
+                            eager, oh2, _, wire, tail_a, tail_b = msg[3]
+                            matched = clock + lock
+                            if msg[1] > matched:
+                                matched = msg[1]
+                            rend = matched + oh2 + wire
+                            if eager:
+                                rend = rend + tail_a
+                            else:
+                                rend = rend + tail_a + tail_b
+                                msg[2] = rend
+                            progressed = True
+                        if kind == _RECV:
+                            clock = rend
+                        else:
+                            send_end = out[2]
+                            if send_end is None:
+                                break  # rendezvous: wait for the receiver
+                            if kind == _SEND or send_end > rend:
+                                clock = send_end
+                            else:
+                                clock = rend
+                        out = rend = None
+                    pos += 1
                     progressed = True
-        if any(item_pos[r] < len(programs[r]) or waiting[r] is not None
-               for r in range(n)):
-            stuck = [r for r in range(n)
-                     if item_pos[r] < len(programs[r])
-                     or waiting[r] is not None]
+                    if end is not None:
+                        elapsed = clock - start
+                        category, phase = end
+                        buckets[category] = (buckets.get(category, 0.0)
+                                             + elapsed)
+                        if phase:
+                            phases[phase] = phases.get(phase, 0.0) + elapsed
+                        start = clock
+                positions[rank] = pos
+                clocks[rank] = clock
+                starts[rank] = start
+                outs[rank] = out
+                rends[rank] = rend
+        stuck = [r for r in range(n) if positions[r] < len(programs[r])]
+        if stuck:
             raise SurrogateUnsupportedError(
                 f"{workload.name}: ranks {stuck} never complete under "
                 "analytic matching (unmatched point-to-point traffic)")
