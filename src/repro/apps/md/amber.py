@@ -135,27 +135,29 @@ class AmberSander(Workload):
                        working_set=16.0 * self.benchmark.natoms,
                        reuse=0.5, flop_efficiency=0.35)
 
-    def _reciprocal_ops(self) -> Iterator[Op]:
+    def _reciprocal_ops(self) -> List[Op]:
         """PME mesh work: spread, forward+inverse 3-D FFT, gather."""
         mesh_points = self.grid ** 3
         local_points = mesh_points / self.ntasks
         atoms_local = self.benchmark.natoms / self.ntasks
         # charge spreading / force gathering (8 mesh corners per atom)
-        yield Compute(phase="mesh", flops=atoms_local * 8 * 12,
-                      dram_bytes=atoms_local * 8 * 16,
-                      working_set=16.0 * local_points, reuse=0.5,
-                      flop_efficiency=0.35)
+        ops: List[Op] = [Compute(phase="mesh", flops=atoms_local * 8 * 12,
+                                 dram_bytes=atoms_local * 8 * 16,
+                                 working_set=16.0 * local_points, reuse=0.5,
+                                 flop_efficiency=0.35)]
         # forward + inverse 3-D FFT, each with a transpose exchange
         fft_flops = 2.0 * fft_kernels.fft_flops(mesh_points) / self.ntasks
+        fft = Compute(phase="fft", flops=fft_flops / 2,
+                      dram_bytes=32.0 * local_points,
+                      working_set=16.0 * local_points, reuse=0.55,
+                      flop_efficiency=0.2)
+        transpose = Alltoall(nbytes=int(16 * local_points / self.ntasks),
+                             phase="fft")
         for _ in range(2):
-            yield Compute(phase="fft", flops=fft_flops / 2,
-                          dram_bytes=32.0 * local_points,
-                          working_set=16.0 * local_points, reuse=0.55,
-                          flop_efficiency=0.2)
+            ops.append(fft)
             if self.ntasks > 1:
-                yield Alltoall(
-                    nbytes=int(16 * local_points / self.ntasks), phase="fft"
-                )
+                ops.append(transpose)
+        return ops
 
     def _gb_pairs(self) -> Compute:
         """This rank's slice of the O(N^2) GB double sum."""
@@ -169,23 +171,29 @@ class AmberSander(Workload):
             reuse=0.92, flop_efficiency=0.42,
         )
 
+    def _step_ops(self) -> List[Op]:
+        """One MD time step, the same on every rank and every step."""
+        ops: List[Op] = [self._replicated()]
+        if self.benchmark.technique == "PME":
+            ops.append(self._direct_space())
+            ops.extend(self._reciprocal_ops())
+        else:
+            ops.append(self._gb_pairs())
+        if self.ntasks > 1:
+            # sander's replicated-data force reduction
+            ops.append(Allreduce(nbytes=int(24 * self.benchmark.natoms),
+                                 phase="forces"))
+        # integration update over the local atoms
+        atoms_local = self.benchmark.natoms / self.ntasks
+        ops.append(Compute(phase="integrate", flops=atoms_local * 18,
+                           dram_bytes=atoms_local * 72,
+                           working_set=atoms_local * 72, reuse=0.3,
+                           flop_efficiency=0.5))
+        return ops
+
     def program(self, rank: int) -> Iterator[Op]:
+        step = self._step_ops()
         yield Barrier()
-        force_bytes = int(24 * self.benchmark.natoms)
         for _ in range(self.simulated_steps):
-            yield self._replicated()
-            if self.benchmark.technique == "PME":
-                yield self._direct_space()
-                yield from self._reciprocal_ops()
-            else:
-                yield self._gb_pairs()
-            if self.ntasks > 1:
-                # sander's replicated-data force reduction
-                yield Allreduce(nbytes=force_bytes, phase="forces")
-            # integration update over the local atoms
-            atoms_local = self.benchmark.natoms / self.ntasks
-            yield Compute(phase="integrate", flops=atoms_local * 18,
-                          dram_bytes=atoms_local * 72,
-                          working_set=atoms_local * 72, reuse=0.3,
-                          flop_efficiency=0.5)
+            yield from step
         yield Barrier()

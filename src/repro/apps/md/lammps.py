@@ -130,25 +130,34 @@ class LammpsBench(Workload):
             * self.GHOST_BYTES
         )
 
-    def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
+    def _step_ops(self, rank: int) -> List[Op]:
+        """One time step: halo exchange and pair forces per force pass,
+        then integration and the thermo reduction."""
         p = self.ntasks
         local = self.natoms / p
+        force_pass: List[Op] = []
+        if p > 1:
+            # forward halo exchange along the decomposition dims
+            halo_bytes = self._halo_bytes()
+            for axis in range(max(1, decomposition_faces(p) // 2)):
+                step = axis + 1
+                force_pass.append(SendRecv(
+                    send_to=(rank + step) % p,
+                    recv_from=(rank - step) % p,
+                    nbytes=halo_bytes, phase="halo"))
+        force_pass.append(self._pair_compute())
+        ops = force_pass * self.potential.force_passes
+        # integration + thermo
+        ops.append(Compute(phase="integrate", flops=local * 15,
+                           dram_bytes=local * 72, working_set=local * 72,
+                           reuse=0.3, flop_efficiency=0.5))
+        if p > 1:
+            ops.append(Allreduce(nbytes=16, phase="thermo"))
+        return ops
+
+    def program(self, rank: int) -> Iterator[Op]:
+        step = self._step_ops(rank)
+        yield Barrier()
         for _ in range(self.simulated_steps):
-            for _pass in range(self.potential.force_passes):
-                if p > 1:
-                    # forward halo exchange along the decomposition dims
-                    for axis in range(max(1, decomposition_faces(p) // 2)):
-                        step = axis + 1
-                        yield SendRecv(
-                            send_to=(rank + step) % p,
-                            recv_from=(rank - step) % p,
-                            nbytes=self._halo_bytes(), phase="halo")
-                yield self._pair_compute()
-            # integration + thermo
-            yield Compute(phase="integrate", flops=local * 15,
-                          dram_bytes=local * 72, working_set=local * 72,
-                          reuse=0.3, flop_efficiency=0.5)
-            if p > 1:
-                yield Allreduce(nbytes=16, phase="thermo")
+            yield from step
         yield Barrier()

@@ -17,7 +17,7 @@ Chronopoulos–Gear CG variant POP can use).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List
 
 from ...core.ops import Allreduce, Barrier, Compute, Op, SendRecv
 from ...core.workload import Workload
@@ -54,10 +54,11 @@ class Pop(Workload):
         self.time_scale = steps / simulated_steps
         self.name = f"pop-x1[p={ntasks}]"
 
-    def _baroclinic_ops(self, rank: int) -> Iterator[Op]:
+    def _baroclinic_ops(self, rank: int) -> List[Op]:
+        """One step's baroclinic sweep plus its two halo exchanges."""
         points_local = self.grid.points / self.ntasks
         traffic = self.BAROCLINIC_BYTES_PER_POINT * points_local
-        yield Compute(
+        ops: List[Op] = [Compute(
             phase="baroclinic",
             flops=self.BAROCLINIC_FLOPS_PER_POINT * points_local,
             dram_bytes=traffic,
@@ -65,43 +66,48 @@ class Pop(Workload):
             reuse=0.88,
             flop_efficiency=0.25,
             stream_bandwidth=0.8e9,  # blocked sweeps, never link-bound
-        )
+        )]
         if self.ntasks > 1:
             bx, by = block_shape(self.grid, self.ntasks)
             halo_bytes = int((bx + by) * self.grid.nz * 8 * 3)  # 3 fields
             p = self.ntasks
             for axis in range(2):
-                yield SendRecv(send_to=(rank + axis + 1) % p,
-                               recv_from=(rank - axis - 1) % p,
-                               nbytes=halo_bytes, phase="baroclinic")
+                ops.append(SendRecv(send_to=(rank + axis + 1) % p,
+                                    recv_from=(rank - axis - 1) % p,
+                                    nbytes=halo_bytes, phase="baroclinic"))
+        return ops
 
-    def _barotropic_ops(self, rank: int) -> Iterator[Op]:
+    def _barotropic_iteration(self, rank: int) -> List[Op]:
+        """One (coarsened) CG iteration of the barotropic solve."""
         hpoints_local = self.grid.horizontal_points / self.ntasks
-        bx, by = block_shape(self.grid, self.ntasks)
-        halo_bytes = int((bx + by) * 8)
+        ops: List[Op] = [Compute(
+            phase="barotropic",
+            flops=(self.SOLVER_FLOPS_PER_POINT * hpoints_local
+                   * self.solver_coarsening),
+            dram_bytes=48.0 * hpoints_local * self.solver_coarsening,
+            working_set=48.0 * hpoints_local,
+            reuse=0.6,
+            flop_efficiency=0.3,
+            stream_bandwidth=1.2e9,
+        )]
         p = self.ntasks
-        iterations = self.SOLVER_ITERATIONS // self.solver_coarsening
-        for _ in range(iterations):
-            yield Compute(
-                phase="barotropic",
-                flops=(self.SOLVER_FLOPS_PER_POINT * hpoints_local
-                       * self.solver_coarsening),
-                dram_bytes=48.0 * hpoints_local * self.solver_coarsening,
-                working_set=48.0 * hpoints_local,
-                reuse=0.6,
-                flop_efficiency=0.3,
-                stream_bandwidth=1.2e9,
-            )
-            if p > 1:
-                yield SendRecv(send_to=(rank + 1) % p,
-                               recv_from=(rank - 1) % p,
-                               nbytes=halo_bytes, phase="barotropic")
-                # fused dot-product reduction (the latency-critical op)
-                yield Allreduce(nbytes=16, phase="barotropic")
+        if p > 1:
+            bx, by = block_shape(self.grid, self.ntasks)
+            ops.append(SendRecv(send_to=(rank + 1) % p,
+                                recv_from=(rank - 1) % p,
+                                nbytes=int((bx + by) * 8),
+                                phase="barotropic"))
+            # fused dot-product reduction (the latency-critical op)
+            ops.append(Allreduce(nbytes=16, phase="barotropic"))
+        return ops
 
     def program(self, rank: int) -> Iterator[Op]:
+        baroclinic = self._baroclinic_ops(rank)
+        solver = self._barotropic_iteration(rank)
+        iterations = self.SOLVER_ITERATIONS // self.solver_coarsening
         yield Barrier()
         for _ in range(self.simulated_steps):
-            yield from self._baroclinic_ops(rank)
-            yield from self._barotropic_ops(rank)
+            yield from baroclinic
+            for _ in range(iterations):
+                yield from solver
         yield Barrier()

@@ -13,7 +13,9 @@ execution tiers are built from:
   STREAM sends almost no messages, so this mostly times compute costing.
 * ``surrogate-comm`` — POP on 16 ranks of longs through the fast tier:
   thousands of halo and allreduce messages, so this times the virtual-
-  clock scheduler (message matching and message costing).
+  clock scheduler (message matching and message costing), and also
+  program generation: the POP generators and their flattening into
+  steps by :meth:`SurrogateEvaluator._program_steps`.
 * ``surrogate-build`` — :class:`~repro.surrogate.SurrogateEvaluator`
   construction (topology/coefficient precompute), the fixed cost paid
   once per (spec, affinity) pair.

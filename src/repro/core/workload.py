@@ -32,7 +32,14 @@ class Workload(ABC):
 
     @abstractmethod
     def program(self, rank: int) -> Iterator[Op]:
-        """The operation stream executed by ``rank``."""
+        """The operation stream executed by ``rank``.
+
+        Ops are immutable: a repeated op should be built once and
+        yielded as one object on every iteration.  Each program call
+        may build its objects anew; results never depend on op
+        identity, but the fast tier checks and costs each distinct
+        object only once.
+        """
 
     def validate(self) -> None:
         """Sanity-check the workload configuration (override to extend)."""

@@ -32,15 +32,22 @@ just ``max()`` over a handful of closed-form completion times per
 message.  :meth:`SurrogateEvaluator.run` walks each rank's program once:
 that pass is also the fast tier's only support check (wildcard receives
 and unknown ops raise there, through the same per-op classifier as
-:func:`unsupported_reason`), and it flattens the program into step
-tuples, costing each unique ``(Compute op, rank)`` and expanding each
-unique ``(collective, rank)`` once.  Each message shape ``(src, dst,
-nbytes)`` is costed once per run into its clock-free pieces (half the
-protocol overhead, eager flag, copy-in, wire latency, and the receive
-tail: eager copy-out, or fragment locks plus bulk transfer).  The
-scheduler then adds those pieces to the clocks in one fixed order —
-e.g. ``((t0 + oh2) + lock) + copy`` — and never pre-sums two pieces,
-so every float rounds the same way however often a shape recurs.
+:func:`unsupported_reason`; malformed messages raise the exact tier's
+``ValueError``), and it flattens the program into step tuples.
+Workloads yield a repeated op as one shared object, so the pass keeps
+an identity memo: ``id(op)`` maps to the op and the steps it produced,
+and a repeat extends the rank's steps with that stored slice without
+rebuilding, rechecking or rehashing the op.  Only a new object is
+checked and costed; behind the identity memo an equality memo costs
+each unique ``(Compute op, rank)`` and expands each unique
+``(collective, rank)`` once for programs that yield fresh but equal
+objects.  Each message shape ``(src, dst, nbytes)`` is costed once per
+run into its clock-free pieces (half the protocol overhead, eager flag,
+copy-in, wire latency, and the receive tail: eager copy-out, or
+fragment locks plus bulk transfer).  The scheduler then adds those
+pieces to the clocks in one fixed order — e.g.
+``((t0 + oh2) + lock) + copy`` — and never pre-sums two pieces, so
+every float rounds the same way however often a shape recurs.
 """
 
 from __future__ import annotations
@@ -114,12 +121,24 @@ def unsupported_reason(workload: Workload, profile: bool = False,
         return "marker profiling needs the exact event-driven tier"
     if faults:
         return "fault plans need the exact event-driven tier"
+    seen: Dict[int, Op] = {}  # id -> op: holding it keeps the id unique
     for rank in range(workload.ntasks):
         for op in workload.program(rank):
+            if id(op) in seen:
+                continue
+            seen[id(op)] = op
             reason = _op_reason(op)
             if reason:
                 return reason
     return None
+
+
+def _check_message(dst: int, nbytes: int, size: int) -> None:
+    """Refuse a malformed message as ``MpiWorld.send`` does, same texts."""
+    if not 0 <= dst < size:
+        raise ValueError(f"rank {dst} outside world of size {size}")
+    if nbytes < 0:
+        raise ValueError("message size must be non-negative")
 
 
 # -- the step tuples the scheduler runs ------------------------------------
@@ -419,44 +438,61 @@ class SurrogateEvaluator:
 
     def _program_steps(self, workload: Workload, rank: int,
                        n: int) -> List[tuple]:
-        """One pass over a rank's program: check, cost and flatten it."""
+        """One pass over a rank's program: check, cost and flatten it.
+
+        Each distinct op object is checked and turned into steps once.
+        ``seen`` maps ``id(op)`` to ``(op, its steps)``; holding ``op``
+        keeps the object alive, so its id cannot be reused during the
+        pass.  Behind it, ``memo`` shares the steps of equal Compute and
+        collective ops that a generator yields as fresh objects.
+        """
         steps: List[tuple] = []
-        memo: Dict[Op, object] = {}  # Compute -> step, collective -> steps
+        seen: Dict[int, Tuple[Op, List[tuple]]] = {}
+        memo: Dict[Op, List[tuple]] = {}
+        lookup, extend = seen.get, steps.extend
         for op in workload.program(rank):
-            if isinstance(op, Compute):
-                step = memo.get(op)
-                if step is None:
-                    self._check_thread_team(op, rank)
-                    step = memo[op] = (
-                        _COMPUTE, self._compute_cost_scalar(op, rank),
-                        0, 0, 0, ("compute", op.phase))
-                steps.append(step)
-            elif isinstance(op, SendRecv):
-                steps.append((_SENDRECV, op.send_to, op.recv_from,
-                              op.nbytes, op.tag, ("comm", op.phase)))
-            elif isinstance(op, _COLLECTIVES):
-                expanded = memo.get(op)
-                if expanded is None:
-                    end = ("comm", op.phase)
-                    subops = _expand_collective(op, rank, n)
-                    if not subops:  # e.g. a collective at p == 1
-                        subops = [(_NOOP, 0, 0, 0, 0)]
-                    expanded = memo[op] = [sub + (None,)
-                                           for sub in subops[:-1]]
-                    expanded.append(subops[-1] + (end,))
-                steps.extend(expanded)
-            elif isinstance(op, Send):
-                if op.nbytes < 0:
-                    raise ValueError("message size must be non-negative")
-                steps.append((_SEND, op.dst, 0, op.nbytes, op.tag,
-                              ("comm", op.phase)))
-            elif isinstance(op, Recv) and op.src is not None:
-                steps.append((_RECV, 0, op.src, 0, op.tag,
-                              ("comm", op.phase)))
-            elif not isinstance(op, (MarkerStart, MarkerStop)):
-                raise SurrogateUnsupportedError(_op_reason(op))
-            # markers are zero-cost observability brackets
+            hit = lookup(id(op))
+            if hit is None:
+                hit = seen[id(op)] = (op, self._op_steps(op, rank, n, memo))
+            extend(hit[1])
         return steps
+
+    def _op_steps(self, op: Op, rank: int, n: int,
+                  memo: Dict[Op, List[tuple]]) -> List[tuple]:
+        """Check one op and build its steps (none for a marker)."""
+        if isinstance(op, Compute):
+            own = memo.get(op)
+            if own is None:
+                self._check_thread_team(op, rank)
+                own = memo[op] = [(
+                    _COMPUTE, self._compute_cost_scalar(op, rank),
+                    0, 0, 0, ("compute", op.phase))]
+            return own
+        if isinstance(op, _COLLECTIVES):
+            own = memo.get(op)
+            if own is None:
+                subops = _expand_collective(op, rank, n)
+                for kind, dst, _, nbytes, _ in subops:
+                    if kind != _RECV:
+                        _check_message(dst, nbytes, n)
+                if not subops:  # e.g. a collective at p == 1
+                    subops = [(_NOOP, 0, 0, 0, 0)]
+                own = memo[op] = [sub + (None,) for sub in subops[:-1]]
+                own.append(subops[-1] + (("comm", op.phase),))
+            return own
+        if isinstance(op, SendRecv):
+            _check_message(op.send_to, op.nbytes, n)
+            return [(_SENDRECV, op.send_to, op.recv_from, op.nbytes,
+                     op.tag, ("comm", op.phase))]
+        if isinstance(op, Send):
+            _check_message(op.dst, op.nbytes, n)
+            return [(_SEND, op.dst, 0, op.nbytes, op.tag,
+                     ("comm", op.phase))]
+        if isinstance(op, Recv) and op.src is not None:
+            return [(_RECV, 0, op.src, 0, op.tag, ("comm", op.phase))]
+        if isinstance(op, (MarkerStart, MarkerStop)):
+            return []  # markers are zero-cost observability brackets
+        raise SurrogateUnsupportedError(_op_reason(op))
 
     def run(self, workload: Workload) -> JobResult:
         """Evaluate the workload; mirrors ``JobRunner.run`` accounting.

@@ -13,9 +13,10 @@ NUMA-placement interactions.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, List
 
-from ..core.ops import Allreduce, Alltoall, Barrier, Bcast, Compute, Op, SendRecv
+from ..core.ops import (Allreduce, Alltoall, Barrier, Bcast, Compute, Op,
+                        Recv, Send, SendRecv)
 from ..core.workload import Workload
 from ..kernels import blas, fft, hpl, ptrans, randomaccess, stream
 
@@ -154,10 +155,12 @@ class HpccRandomAccess(_HpccWorkload):
             return
         per_round = self.updates // self.rounds
         bucket = max(1, 8 * per_round // max(1, self.ntasks))
+        updates = randomaccess.randomaccess_model(
+            per_round, self.table_bytes, phase="ra")
+        exchange = Alltoall(nbytes=bucket, phase="ra-exchange")
         for _ in range(self.rounds):
-            yield randomaccess.randomaccess_model(
-                per_round, self.table_bytes, phase="ra")
-            yield Alltoall(nbytes=bucket, phase="ra-exchange")
+            yield updates
+            yield exchange
 
 
 class HpccPtrans(Workload):
@@ -211,6 +214,7 @@ class HpccHpl(Workload):
     def program(self, rank: int) -> Iterator[Op]:
         yield Barrier()
         panels = self.n // self.nb
+        pivot = Allreduce(nbytes=8, phase="pivot")
         for k in range(panels):
             remaining = self.n - k * self.nb
             owner = k % self.ntasks
@@ -228,7 +232,7 @@ class HpccHpl(Workload):
             yield Compute(phase="update", flops=update_flops,
                           dram_bytes=share_bytes, working_set=share_bytes,
                           reuse=0.93, flop_efficiency=0.8)
-            yield Allreduce(nbytes=8, phase="pivot")
+            yield pivot
         yield Barrier()
 
 
@@ -246,15 +250,15 @@ class PingPong(Workload):
         self.name = f"pingpong[{nbytes}B]"
 
     def program(self, rank: int) -> Iterator[Op]:
+        rep: List[Op] = []
+        if rank < 2:
+            partner = 1 - rank
+            send = Send(dst=partner, nbytes=self.nbytes, phase="pingpong")
+            recv = Recv(src=partner, phase="pingpong")
+            rep = [send, recv] if rank == 0 else [recv, send]
         yield Barrier()
-        from ..core.ops import Recv, Send
         for _ in range(self.reps):
-            if rank == 0:
-                yield Send(dst=1, nbytes=self.nbytes, phase="pingpong")
-                yield Recv(src=1, phase="pingpong")
-            elif rank == 1:
-                yield Recv(src=0, phase="pingpong")
-                yield Send(dst=0, nbytes=self.nbytes, phase="pingpong")
+            yield from rep
         yield Barrier()
 
 
@@ -272,9 +276,10 @@ class RingExchange(Workload):
         self.name = f"ring[{nbytes}B,p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
         p = self.ntasks
+        shift = SendRecv(send_to=(rank + 1) % p, recv_from=(rank - 1) % p,
+                         nbytes=self.nbytes, phase="ring")
+        yield Barrier()
         for _ in range(self.reps):
-            yield SendRecv(send_to=(rank + 1) % p, recv_from=(rank - 1) % p,
-                           nbytes=self.nbytes, phase="ring")
+            yield shift
         yield Barrier()

@@ -16,7 +16,7 @@ corresponding placement, and the ablation bench
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator
+from typing import Dict, Iterator, Tuple
 
 from ..core.affinity import AffinityScheme, ResolvedAffinity, resolve_scheme
 from ..core.ops import Compute, Op
@@ -67,9 +67,16 @@ class HybridWorkload(Workload):
         self.inner.validate()
 
     def program(self, rank: int) -> Iterator[Op]:
+        # id(op) -> (op, widened op): a repeated inner op is widened
+        # once and stays one object; holding it keeps its id unique
+        widened: Dict[int, Tuple[Op, Op]] = {}
         for op in self.inner.program(rank):
             if isinstance(op, Compute):
-                yield replace(op, threads=self.threads)
+                hit = widened.get(id(op))
+                if hit is None:
+                    hit = widened[id(op)] = (
+                        op, replace(op, threads=self.threads))
+                yield hit[1]
             else:
                 yield op
 

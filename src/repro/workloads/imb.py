@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..core.ops import Barrier, Op, Recv, Send, SendRecv
+from ..core.ops import Allreduce, Barrier, Bcast, Op, SendRecv
 from ..core.workload import Workload
 from .hpcc import PingPong
 
@@ -53,15 +53,16 @@ class ImbExchange(Workload):
         self.name = f"imb-exchange[{nbytes}B,p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
         p = self.ntasks
         left, right = (rank - 1) % p, (rank + 1) % p
+        # send right / recv left, then send left / recv right
+        rep = [SendRecv(send_to=right, recv_from=left,
+                        nbytes=self.nbytes, tag=1, phase="exchange"),
+               SendRecv(send_to=left, recv_from=right,
+                        nbytes=self.nbytes, tag=2, phase="exchange")]
+        yield Barrier()
         for _ in range(self.reps):
-            # send right / recv left, then send left / recv right
-            yield SendRecv(send_to=right, recv_from=left,
-                           nbytes=self.nbytes, tag=1, phase="exchange")
-            yield SendRecv(send_to=left, recv_from=right,
-                           nbytes=self.nbytes, tag=2, phase="exchange")
+            yield from rep
         yield Barrier()
 
 
@@ -83,11 +84,12 @@ class ImbSendRecv(Workload):
         self.name = f"imb-sendrecv[{nbytes}B,p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
         p = self.ntasks
+        shift = SendRecv(send_to=(rank + 1) % p, recv_from=(rank - 1) % p,
+                         nbytes=self.nbytes, phase="sendrecv")
+        yield Barrier()
         for _ in range(self.reps):
-            yield SendRecv(send_to=(rank + 1) % p, recv_from=(rank - 1) % p,
-                           nbytes=self.nbytes, phase="sendrecv")
+            yield shift
         yield Barrier()
 
 
@@ -105,10 +107,10 @@ class ImbAllreduce(Workload):
         self.name = f"imb-allreduce[{nbytes}B,p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
+        reduce = Allreduce(nbytes=self.nbytes, phase="allreduce")
         yield Barrier()
-        from ..core.ops import Allreduce
         for _ in range(self.reps):
-            yield Allreduce(nbytes=self.nbytes, phase="allreduce")
+            yield reduce
         yield Barrier()
 
 
@@ -130,10 +132,10 @@ class ImbBcast(Workload):
         self.name = f"imb-bcast[{nbytes}B,p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
+        bcast = Bcast(root=self.root, nbytes=self.nbytes, phase="bcast")
         yield Barrier()
-        from ..core.ops import Bcast
         for _ in range(self.reps):
-            yield Bcast(root=self.root, nbytes=self.nbytes, phase="bcast")
+            yield bcast
         yield Barrier()
 
 

@@ -19,7 +19,7 @@ Long homogeneous loops are simulated at reduced length with
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List
 
 from ..core.ops import (
     Allgather,
@@ -63,20 +63,22 @@ class NasCG(Workload):
         self.name = f"nas-cg-B[p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
+        iteration: List[Op] = [
+            cg_kernels.spmv_model(self.counts, phase="spmv"),
+            cg_kernels.cg_vector_model(self.counts, phase="vectors"),
+        ]
+        if self.ntasks > 1:
+            # assemble the shared vector for the next SpMV; NAS CG's
+            # 2-D decomposition moves roughly two local-vector volumes
+            # per iteration (transpose + row-sum exchange)
+            gather = Allgather(nbytes=8 * self.na // self.ntasks,
+                               phase="gather")
+            # the two dot-product reductions
+            dot = Allreduce(nbytes=8, phase="dots")
+            iteration += [gather, gather, dot, dot]
         yield Barrier()
-        gather_bytes = 8 * self.na // self.ntasks
         for _ in range(self.simulated_iters):
-            yield cg_kernels.spmv_model(self.counts, phase="spmv")
-            yield cg_kernels.cg_vector_model(self.counts, phase="vectors")
-            if self.ntasks > 1:
-                # assemble the shared vector for the next SpMV; NAS CG's
-                # 2-D decomposition moves roughly two local-vector
-                # volumes per iteration (transpose + row-sum exchange)
-                yield Allgather(nbytes=gather_bytes, phase="gather")
-                yield Allgather(nbytes=gather_bytes, phase="gather")
-                # the two dot-product reductions
-                yield Allreduce(nbytes=8, phase="dots")
-                yield Allreduce(nbytes=8, phase="dots")
+            yield from iteration
         yield Barrier()
 
 
@@ -108,22 +110,24 @@ class NasFT(Workload):
         )
 
     def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
         n_local = self.n_points // self.ntasks
+        fft_half = self._fft_half()
+        # evolve step: one streaming multiply over the local slab
+        iteration: List[Op] = [
+            Compute(phase="evolve", flops=2.0 * n_local,
+                    dram_bytes=32.0 * n_local, working_set=16.0 * n_local,
+                    reuse=0.0, flop_efficiency=0.5),
+            fft_half]
+        if self.ntasks > 1:
+            iteration.append(Alltoall(nbytes=16 * n_local // self.ntasks,
+                                      phase="transpose"))
+        iteration.append(fft_half)
+        if self.ntasks > 1:
+            # checksum reduction closing the iteration
+            iteration.append(Allreduce(nbytes=16, phase="checksum"))
+        yield Barrier()
         for _ in range(self.simulated_iters):
-            # evolve step: one streaming multiply over the local slab
-            yield Compute(phase="evolve", flops=2.0 * n_local,
-                          dram_bytes=32.0 * n_local,
-                          working_set=16.0 * n_local, reuse=0.0,
-                          flop_efficiency=0.5)
-            yield self._fft_half()
-            if self.ntasks > 1:
-                yield Alltoall(nbytes=16 * n_local // self.ntasks,
-                               phase="transpose")
-            yield self._fft_half()
-            if self.ntasks > 1:
-                # checksum reduction closing the iteration
-                yield Allreduce(nbytes=16, phase="checksum")
+            yield from iteration
         yield Barrier()
 
 
@@ -177,32 +181,36 @@ class NasMG(Workload):
         self.time_scale = CLASS_B_MG["iters"] / simulated_iters
         self.name = f"nas-mg-B[p={ntasks}]"
 
-    def _level_ops(self, rank: int, level: int) -> Iterator[Op]:
+    def _level_ops(self, rank: int, level: int) -> List[Op]:
         """Smooth + residual at one level (level 0 = finest)."""
         points = (self.grid >> level) ** 3
         local = max(1.0, points / self.ntasks)
         # 4 sweeps of a 27-point stencil per level visit; stencils are
         # memory-bound (cache-blocked reads ~24 B/point per sweep)
-        yield Compute(phase=f"level{level}" if level < 2 else "coarse",
-                      flops=4.0 * 30.0 * local,
-                      dram_bytes=4.0 * 24.0 * local,
-                      working_set=16.0 * local,
-                      reuse=0.6, flop_efficiency=0.45,
-                      stream_bandwidth=1.2e9)
+        ops: List[Op] = [Compute(
+            phase=f"level{level}" if level < 2 else "coarse",
+            flops=4.0 * 30.0 * local,
+            dram_bytes=4.0 * 24.0 * local,
+            working_set=16.0 * local,
+            reuse=0.6, flop_efficiency=0.45,
+            stream_bandwidth=1.2e9)]
         if self.ntasks > 1:
             face = max(1, int((local ** (2.0 / 3.0)) * 8))
             p = self.ntasks
-            yield SendRecv(send_to=(rank + 1) % p, recv_from=(rank - 1) % p,
-                           nbytes=face, phase="halo")
+            ops.append(SendRecv(send_to=(rank + 1) % p,
+                                recv_from=(rank - 1) % p,
+                                nbytes=face, phase="halo"))
+        return ops
 
     def program(self, rank: int) -> Iterator[Op]:
+        levels = [self._level_ops(rank, level)
+                  for level in range(self.levels)]
+        # one V-cycle: down-sweep to the coarsest level and back up
+        order = [*range(self.levels), *reversed(range(self.levels - 1))]
+        cycle = [op for level in order for op in levels[level]]
+        if self.ntasks > 1:
+            cycle.append(Allreduce(nbytes=8, phase="norm"))
         yield Barrier()
         for _ in range(self.simulated_iters):
-            # down-sweep to the coarsest level and back up
-            for level in range(self.levels):
-                yield from self._level_ops(rank, level)
-            for level in reversed(range(self.levels - 1)):
-                yield from self._level_ops(rank, level)
-            if self.ntasks > 1:
-                yield Allreduce(nbytes=8, phase="norm")
+            yield from cycle
         yield Barrier()

@@ -127,12 +127,11 @@ class SyntheticWorkload(Workload):
         raise ValueError(f"unknown op kind {kind!r}")
 
     def program(self, rank: int) -> Iterator[Op]:
-        yield Barrier()
         comm_kinds = {"halo", "send", "allreduce", "alltoall", "allgather",
                       "bcast", "barrier"}
+        step = [self._build_op(spec, rank) for spec in self.ops_spec
+                if self.ntasks > 1 or spec.get("kind") not in comm_kinds]
+        yield Barrier()
         for _ in range(self.simulated_steps):
-            for spec in self.ops_spec:
-                if self.ntasks == 1 and spec.get("kind") in comm_kinds:
-                    continue
-                yield self._build_op(spec, rank)
+            yield from step
         yield Barrier()

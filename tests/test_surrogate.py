@@ -13,6 +13,7 @@ Three properties matter and each gets its own section below:
   of the evaluator that changes one float's rounding fails here.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.md.amber import AmberSander
+from repro.apps.md.lammps import LammpsBench
 from repro.apps.pop.model import Pop
 from repro.core.affinity import AffinityScheme, resolve_scheme
 from repro.core.ops import (Allgather, Allreduce, Alltoall, Barrier, Bcast,
@@ -40,7 +42,7 @@ from repro.workloads.hpcc import (HpccDgemm, HpccHpl, HpccRandomAccess,
 from repro.workloads.hybrid import HybridNasCG, HybridNasFT, hybrid_affinity
 from repro.workloads.imb import (ImbAllreduce, ImbBcast, ImbExchange,
                                  ImbPingPong, ImbSendRecv)
-from repro.workloads.nas import NasCG, NasFT
+from repro.workloads.nas import NasCG, NasFT, NasMG
 
 
 def _cell(workload, scheme=AffinityScheme.DEFAULT, spec=None, **kwargs):
@@ -204,6 +206,70 @@ def test_fast_tier_rejects_thread_oversubscription():
     with pytest.raises(ValueError, match="oversubscribe"):
         _cell(workload, AffinityScheme.TWO_MPI_LOCAL, spec=dmz(),
               tier="fast").execute()
+
+
+MALFORMED = [
+    ("sendrecv-negative-size",
+     [SendRecv(send_to=1, recv_from=1, nbytes=-16)],
+     [SendRecv(send_to=0, recv_from=0, nbytes=-16)],
+     "message size must be non-negative"),
+    ("allreduce-negative-size", [Allreduce(nbytes=-16)],
+     [Allreduce(nbytes=-16)], "message size must be non-negative"),
+    ("bcast-negative-size", [Bcast(nbytes=-4)], [Bcast(nbytes=-4)],
+     "message size must be non-negative"),
+    ("send-past-world", [Send(dst=5, nbytes=8)], [],
+     "rank 5 outside world of size 2"),
+    ("send-negative-rank", [Send(dst=-1, nbytes=8)], [Recv(src=0)],
+     "rank -1 outside world of size 2"),
+    ("sendrecv-past-world", [SendRecv(send_to=5, recv_from=1, nbytes=8)],
+     [Send(dst=0, nbytes=8)], "rank 5 outside world of size 2"),
+]
+
+
+@pytest.mark.parametrize("tier", ["exact", "fast"])
+@pytest.mark.parametrize("name,rank0,rank1,message", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_both_tiers_reject_malformed_messages_alike(name, rank0, rank1,
+                                                    message, tier):
+    with pytest.raises(ValueError) as excinfo:
+        _cell(_Pair(name, rank0, rank1), tier=tier).execute()
+    assert str(excinfo.value) == message
+
+
+class _FreshOps(Workload):
+    """Yield a fresh copy of every op the wrapped workload yields."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.ntasks = inner.ntasks
+        self.time_scale = inner.time_scale
+
+    def validate(self):
+        self.inner.validate()
+
+    def program(self, rank):
+        for op in self.inner.program(rank):
+            yield copy.copy(op)
+
+
+SHARED_OP_WORKLOADS = [
+    Pop(4), AmberSander("jac", 4), LammpsBench("lj", 4),
+    NasCG(4), NasFT(4), NasMG(4),
+]
+
+
+@pytest.mark.parametrize("tier", ["exact", "fast"])
+@pytest.mark.parametrize("spec", [longs(), dmz()], ids=["longs", "dmz"])
+@pytest.mark.parametrize("workload", SHARED_OP_WORKLOADS,
+                         ids=[w.name for w in SHARED_OP_WORKLOADS])
+def test_shared_and_fresh_op_objects_give_identical_results(workload, spec,
+                                                            tier):
+    ops = list(workload.program(0))
+    assert len({id(op) for op in ops}) < len(ops)  # repeats are shared
+    shared = _cell(workload, spec=spec, tier=tier).execute()
+    fresh = _cell(_FreshOps(workload), spec=spec, tier=tier).execute()
+    assert fresh.to_dict() == shared.to_dict()
 
 
 # -- cache keys: tiers never collide, fallback is byte-identical --------
