@@ -8,6 +8,11 @@ execution tiers are built from:
   hot loop, isolated from any workload model (pure timeout churn).
 * ``engine-cell`` — one exact-tier cell end to end (STREAM on longs),
   i.e. the event loop plus the machine/MPI model on top.
+* ``engine-comm`` — AMBER ``jac`` on 4 ranks of longs through the exact
+  tier, the mirror of ``surrogate-comm``: hundreds of messages, so this
+  times queue-lock grants, flow completions feeding ``AllOf`` and the
+  fluid pipes' wake-ups.  It should move with ``sweep-exact`` ``cold_ms``
+  of the end-to-end benchmark.
 * ``surrogate-batch`` — the same cell through the fast tier's
   evaluator, which is the number the ≥10× speedup claim rests on.
   STREAM sends almost no messages, so this mostly times compute costing.
@@ -70,6 +75,16 @@ def _cell_request(tier: str):
 
 def _bench_engine_cell() -> Callable[[], None]:
     request = _cell_request("exact")
+    return lambda: request.execute()
+
+
+def _bench_engine_comm() -> Callable[[], None]:
+    from ..apps.md.amber import AmberSander
+    from ..core.parallel import JobRequest
+    from ..machine import longs
+
+    request = JobRequest(spec=longs(), workload=AmberSander("jac", 4),
+                         tier="exact")
     return lambda: request.execute()
 
 
@@ -168,6 +183,7 @@ def _bench_json_decode() -> Callable[[], None]:
 BENCHMARKS: List[Tuple[str, Callable[[], Callable[[], None]], int]] = [
     ("engine-event-loop", _bench_engine_event_loop, 5),
     ("engine-cell", _bench_engine_cell, 1),
+    ("engine-comm", _bench_engine_comm, 1),
     ("surrogate-batch", _bench_surrogate_batch, 5),
     ("surrogate-comm", _bench_surrogate_comm, 3),
     ("surrogate-build", _bench_surrogate_build, 20),

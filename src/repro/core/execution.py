@@ -183,6 +183,7 @@ class JobRunner:
         perf = self.perf
         core_of_rank = self.affinity.placement.core_of_rank
         frequency = self.spec.socket.core.frequency_hz
+        tracer = self.machine.tracer
 
         def rank_process(rank: int):
             engine = self.machine.engine
@@ -211,15 +212,23 @@ class JobRunner:
                 if op.phase:
                     pbucket = phase_times[rank]
                     pbucket[op.phase] = pbucket.get(op.phase, 0.0) + elapsed
-                self.machine.tracer.emit(
-                    start, category, rank=rank, duration=elapsed,
-                    op=type(op).__name__, op_phase=op.phase,
-                )
+                if tracer.enabled:
+                    tracer.emit(
+                        start, category, rank=rank, duration=elapsed,
+                        op=type(op).__name__, op_phase=op.phase,
+                    )
             rank_times[rank] = engine.now
 
-        for rank in range(n):
-            self.machine.engine.process(rank_process(rank))
+        ranks = [self.machine.engine.process(rank_process(rank))
+                 for rank in range(n)]
         self.machine.engine.run()
+        # No fault interrupts a rank, so a rank still alive once the
+        # schedule has drained waits on something that never comes.
+        stuck = [rank for rank, proc in enumerate(ranks) if proc.is_alive]
+        if stuck:
+            raise ValueError(
+                f"{workload.name}: ranks {stuck} never complete: the "
+                "schedule drained while they waited (deadlock)")
 
         scale = workload.time_scale
         perf_snapshot = None

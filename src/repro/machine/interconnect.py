@@ -61,6 +61,8 @@ class Interconnect:
             for dst, path in targets.items():
                 paths[(src, dst)] = path
         self._paths = paths
+        #: path_links memo, valid until the routes change again
+        self._path_links: Dict[Tuple[int, int], List[BandwidthResource]] = {}
 
     def set_link_state(self, src: int, dst: int, bandwidth_factor: float = 1.0,
                        latency_factor: float = 1.0,
@@ -113,9 +115,18 @@ class Interconnect:
         return len(self.path(src, dst)) - 1
 
     def path_links(self, src: int, dst: int) -> List[BandwidthResource]:
-        """The directed link resources along the route."""
-        path = self.path(src, dst)
-        return [self.links[(path[i], path[i + 1])] for i in range(len(path) - 1)]
+        """The directed link resources along the route.
+
+        Memoized per ``(src, dst)`` until a link outage reroutes; the
+        list is shared, so callers must not mutate it.
+        """
+        links = self._path_links.get((src, dst))
+        if links is None:
+            path = self.path(src, dst)
+            links = [self.links[(path[i], path[i + 1])]
+                     for i in range(len(path) - 1)]
+            self._path_links[(src, dst)] = links
+        return links
 
     def path_latency(self, src: int, dst: int) -> float:
         """Pure wire/router latency of the route (seconds)."""

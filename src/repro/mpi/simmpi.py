@@ -266,6 +266,8 @@ class MpiWorld:
              tag: Optional[int] = None):
         """Blocking receive (generator); returns the matched :class:`Message`."""
         self._check_rank(dst)
+        if src is not None:
+            self._check_rank(src)
         # receiver-side software overhead + dequeue locking
         yield from self._locked(dst)
         msg: Message = yield self._match_or_wait(dst, src, tag)

@@ -1,10 +1,29 @@
 """The discrete-event engine.
 
-A minimal, deterministic event loop in the style of simpy: events are
-ordered by (time, priority, sequence number), so two events scheduled for
-the same instant are processed in scheduling order.  Determinism matters —
-the test suite and the paper-reproduction benches rely on bit-identical
-reruns.
+A minimal, deterministic event loop in the style of simpy.  Determinism
+matters -- the test suite and the paper-reproduction benches rely on
+bit-identical reruns -- so the schedule obeys one order rule:
+
+**Order rule.**  Every heap entry is a ``(time, priority, seq, target)``
+tuple, pushed by :meth:`Engine._enqueue` and nowhere else.  Entries run by time, then priority (``PRIORITY_URGENT`` before
+``PRIORITY_NORMAL``), then ``seq``: the engine's ``_seq`` counter, which
+increments once per push, so two entries for the same instant and
+priority run in the order they were scheduled.  A change that adds,
+removes or reorders an entry changes results; speed work keeps every
+entry's ``(time, priority)`` and relative ``seq``.
+
+**Heap-entry kinds.**  A target is anything with ``callbacks``, ``_ok``
+and ``_defused`` attributes; the loop pops it, sets the clock, clears
+``callbacks`` and calls each one with the target:
+
+* an :class:`~repro.sim.events.Event` -- a :class:`Timeout`, a
+  triggered event (``succeed``/``fail``, e.g. a flow completion, a
+  granted queue lock, a finished :class:`Process`), a process's boot or
+  interrupt event, or a :meth:`Engine.schedule_callback` event;
+* a bandwidth wake-up (``repro.sim.resources._Wakeup``) -- a slotted
+  urgent entry a :class:`BandwidthResource` pushes for its earliest
+  flow completion; one superseded by a later membership change is still
+  popped and dropped on a generation check.
 """
 
 from __future__ import annotations
@@ -97,7 +116,11 @@ class Engine:
 
     def _enqueue(self, event: Event, delay: float = 0.0,
                  priority: int = PRIORITY_NORMAL) -> None:
-        """Put a triggered event on the schedule ``delay`` from now."""
+        """Put a heap entry on the schedule ``delay`` from now.
+
+        The one place that pushes: every event, timeout and bandwidth
+        wake-up is scheduled here, so the order rule lives here too.
+        """
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
@@ -116,11 +139,7 @@ class Engine:
             ev = Event(self)
             ev._ok = True
             ev._value = None
-            self._seq += 1
-            heapq.heappush(
-                self._queue,
-                (self._now + delay, self.PRIORITY_URGENT, self._seq, ev),
-            )
+            self._enqueue(ev, delay, self.PRIORITY_URGENT)
         else:
             ev = Timeout(self, delay)
         ev.add_callback(callback)
@@ -141,7 +160,7 @@ class Engine:
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-        if event._ok is False and not getattr(event, "_defused", False):
+        if event._ok is False and not event._defused:
             # A failed event that nobody waited on is a programming error;
             # surface it instead of silently dropping the exception.
             raise event._value
@@ -150,10 +169,17 @@ class Engine:
         """Run until the schedule drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise ValueError(f"until={until} lies in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self.peek() > until:
-                self._now = until
-                return
-            self.step()
+        limit = float("inf") if until is None else until
+        # step() inlined: one pop-and-dispatch loop, no call per event
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] <= limit:
+            self._now, _prio, _seq, event = pop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._ok is False and not event._defused:
+                # same check as step(): surface an unhandled failure
+                raise event._value
         if until is not None:
             self._now = until

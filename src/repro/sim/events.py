@@ -120,11 +120,14 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined, so the push is the one call per timeout
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._enqueue(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        engine._enqueue(self, delay)
 
 
 class _Condition(Event):
@@ -142,18 +145,21 @@ class _Condition(Event):
         if not self.events:
             self.succeed({})
             return
+        check = self._check
         for ev in self.events:
-            ev.add_callback(self._check)
+            # add_callback inlined: a processed child is checked now
+            if ev.callbacks is None:
+                check(ev)
+            else:
+                ev.callbacks.append(check)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
     def _collect(self) -> dict:
-        return {
-            i: ev.value
-            for i, ev in enumerate(self.events)
-            if ev.triggered and ev.ok
-        }
+        # ``_ok`` is True only for triggered, successful children
+        return {i: ev._value for i, ev in enumerate(self.events)
+                if ev._ok is True}
 
 
 class AllOf(_Condition):
@@ -166,12 +172,14 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if not event.ok:
+        # slots, not the ok/triggered/value properties: a child reaches
+        # its callbacks triggered, so ``_ok`` is never None here
+        if not event._ok:
             event._defused = True  # the condition handles the failure
-        if self.triggered:
+            if self._ok is None:
+                self.fail(event._value)
             return
-        if not event.ok:
-            self.fail(event.value)
+        if self._ok is not None:
             return
         self._outstanding -= 1
         if self._outstanding == 0:
@@ -184,13 +192,13 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if not event.ok:
+        if not event._ok:
             event._defused = True  # the condition handles the failure
-        if self.triggered:
+        if self._ok is not None:
             return
-        if event.ok:
+        if event._ok:
             self.succeed(self._collect())
         else:
             self._outstanding -= 1
             if self._outstanding == 0:
-                self.fail(event.value)
+                self.fail(event._value)

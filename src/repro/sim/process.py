@@ -63,8 +63,8 @@ class Process(Event):
         interrupt_ev.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
-            return
+        if self._ok is not None:
+            return  # finished (is_alive is False)
         self._waiting_on = None
         try:
             if event._ok:
@@ -92,4 +92,9 @@ class Process(Event):
             self.fail(error)
             return
         self._waiting_on = nxt
-        nxt.add_callback(self._resume)
+        # add_callback inlined: an already-processed event resumes now
+        callbacks = nxt.callbacks
+        if callbacks is None:
+            self._resume(nxt)
+        else:
+            callbacks.append(self._resume)

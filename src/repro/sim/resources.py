@@ -12,6 +12,13 @@ Three resource kinds cover everything the machine model needs:
   the capacity, with shares recomputed whenever the set of active flows
   changes.  This is the standard fluid approximation for link and memory
   bandwidth sharing and is what produces contention effects in the model.
+
+All three obey the engine's order rule (:mod:`repro.sim.engine`): heap
+entries run by ``(time, priority, seq)``.  A granted request, a
+delivered item and a finished flow each push one ordinary event through
+``Event.succeed``; a :class:`BandwidthResource` additionally pushes one
+urgent ``_Wakeup`` entry per membership change, which runs before any
+ordinary event of the same instant.
 """
 
 from __future__ import annotations
@@ -108,13 +115,35 @@ class Store:
 
 
 class _Flow:
-    __slots__ = ("remaining", "weight", "event", "nbytes")
+    __slots__ = ("remaining", "weight", "event", "nbytes", "tolerance",
+                 "rate")
 
     def __init__(self, nbytes: float, weight: float, event: Event):
         self.remaining = float(nbytes)
         self.nbytes = float(nbytes)
         self.weight = float(weight)
         self.event = event
+        # Residual bytes below which the flow counts as delivered,
+        # relative to its size: float error accumulated over many share
+        # recomputations scales with the transfer size, so a purely
+        # absolute epsilon can strand a residual whose drain time rounds
+        # to zero on the simulation clock (a livelock).
+        self.tolerance = _FLOW_EPSILON + 1e-9 * self.nbytes
+        #: bytes/s share, set by every ``_reschedule``
+        self.rate = 0.0
+
+
+class _Wakeup:
+    """Heap entry of a pipe's urgent wake-up (see :mod:`repro.sim.engine`).
+
+    Duck-types the event attributes the engine loop reads.  Its one
+    callback is the pipe's ``_on_wakeup``, which drops the entry when a
+    later membership change has bumped the pipe's generation.
+    """
+
+    __slots__ = ("callbacks", "generation")
+    _ok = True
+    _defused = False
 
 
 class BandwidthResource:
@@ -130,6 +159,15 @@ class BandwidthResource:
     copy bandwidth; it captures the paper's core effect — two cores on one
     socket halving each other's STREAM bandwidth — without simulating
     individual cache lines.
+
+    Event order: every membership change (a transfer starting, flows
+    finishing, a capacity change) first advances all flows to ``now``,
+    then recomputes the shares once -- total weight and per-flow rate,
+    which the next advance reuses -- and pushes one urgent
+    :class:`_Wakeup` heap entry at the earliest completion.  Entries
+    pushed before the last change are superseded: still popped, then
+    dropped on the generation check.  Completions succeed in flow start
+    order, each as an ordinary event at the wake-up instant.
     """
 
     def __init__(self, engine: Engine, capacity: float, name: str = ""):
@@ -142,6 +180,7 @@ class BandwidthResource:
         self._next_flow_id = 0
         self._last_update = engine.now
         self._generation = 0
+        self._wake_callbacks = (self._on_wakeup,)
         #: cumulative bytes fully delivered (for utilization accounting)
         self.total_transferred = 0.0
 
@@ -186,64 +225,58 @@ class BandwidthResource:
 
     # -- internal fluid mechanics ---------------------------------------
 
-    def _total_weight(self) -> float:
-        return sum(f.weight for f in self._flows.values())
-
     def _advance(self) -> None:
-        """Progress every active flow from the last update instant to now."""
-        now = self.engine.now
+        """Progress every active flow from the last update instant to now.
+
+        Rates are the ones the last ``_reschedule`` computed: flows and
+        capacity only change after an advance, so they still hold.
+        """
+        now = self.engine._now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        if dt <= 0:
             return
-        total_w = self._total_weight()
         for flow in self._flows.values():
-            rate = self.capacity * flow.weight / total_w
-            moved = min(flow.remaining, rate * dt)
-            flow.remaining -= moved
-
-    @staticmethod
-    def _tolerance(flow: _Flow) -> float:
-        """Residual bytes below which a flow counts as delivered.
-
-        Relative to the flow size: float error accumulated over many
-        share recomputations scales with the transfer size, so a purely
-        absolute epsilon can strand a residual whose drain time rounds
-        to zero on the simulation clock (a livelock).
-        """
-        return _FLOW_EPSILON + 1e-9 * flow.nbytes
+            # remaining -= min(remaining, rate * dt), without the call
+            moved = flow.rate * dt
+            remaining = flow.remaining
+            flow.remaining = remaining - moved if moved < remaining else 0.0
 
     def _reschedule(self) -> None:
-        """Schedule a wake-up at the earliest flow completion."""
+        """Recompute the shares; wake up at the earliest flow completion."""
         self._generation += 1
-        if not self._flows:
+        flows = self._flows
+        if not flows:
             return
-        generation = self._generation
-        total_w = self._total_weight()
-        eta = min(
-            max(0.0, f.remaining - self._tolerance(f))
-            / (self.capacity * f.weight / total_w)
-            for f in self._flows.values()
-        )
+        total_w = sum(f.weight for f in flows.values())
+        capacity = self.capacity
+        eta = None
+        for f in flows.values():
+            rate = f.rate = capacity * f.weight / total_w
+            left = f.remaining - f.tolerance
+            until = left / rate if left > 0.0 else 0.0
+            if eta is None or until < eta:
+                eta = until
         # Round the wake-up up past the clock's float resolution so the
         # advance always makes progress (never a zero-width step).
-        now = self.engine.now
+        engine = self.engine
+        now = engine._now
         eta = eta * (1.0 + 1e-12) + 1e-15 * (1.0 + abs(now))
-        self.engine.schedule_callback(
-            eta, lambda _ev: self._on_wakeup(generation), urgent=True
-        )
+        wakeup = _Wakeup()
+        wakeup.callbacks = self._wake_callbacks
+        wakeup.generation = self._generation
+        engine._enqueue(wakeup, eta, Engine.PRIORITY_URGENT)
 
-    def _on_wakeup(self, generation: int) -> None:
-        if generation != self._generation:
+    def _on_wakeup(self, wakeup: _Wakeup) -> None:
+        if wakeup.generation != self._generation:
             return  # superseded by a later membership change
         self._advance()
-        finished = [
-            key for key, f in self._flows.items()
-            if f.remaining <= self._tolerance(f)
-        ]
-        now = self.engine.now
+        flows = self._flows
+        finished = [key for key, f in flows.items()
+                    if f.remaining <= f.tolerance]
+        now = self.engine._now
         for key in finished:
-            flow = self._flows.pop(key)
+            flow = flows.pop(key)
             self.total_transferred += flow.nbytes
             flow.event.succeed(now)
         self._reschedule()

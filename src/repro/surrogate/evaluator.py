@@ -133,10 +133,15 @@ def unsupported_reason(workload: Workload, profile: bool = False,
     return None
 
 
+def _check_rank(rank: int, size: int) -> None:
+    """Refuse a peer outside the world as ``MpiWorld`` does, same text."""
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} outside world of size {size}")
+
+
 def _check_message(dst: int, nbytes: int, size: int) -> None:
     """Refuse a malformed message as ``MpiWorld.send`` does, same texts."""
-    if not 0 <= dst < size:
-        raise ValueError(f"rank {dst} outside world of size {size}")
+    _check_rank(dst, size)
     if nbytes < 0:
         raise ValueError("message size must be non-negative")
 
@@ -481,6 +486,8 @@ class SurrogateEvaluator:
                 own.append(subops[-1] + (("comm", op.phase),))
             return own
         if isinstance(op, SendRecv):
+            # the exact tier posts the receive before the send checks run
+            _check_rank(op.recv_from, n)
             _check_message(op.send_to, op.nbytes, n)
             return [(_SENDRECV, op.send_to, op.recv_from, op.nbytes,
                      op.tag, ("comm", op.phase))]
@@ -489,6 +496,7 @@ class SurrogateEvaluator:
             return [(_SEND, op.dst, 0, op.nbytes, op.tag,
                      ("comm", op.phase))]
         if isinstance(op, Recv) and op.src is not None:
+            _check_rank(op.src, n)
             return [(_RECV, 0, op.src, 0, op.tag, ("comm", op.phase))]
         if isinstance(op, (MarkerStart, MarkerStop)):
             return []  # markers are zero-cost observability brackets

@@ -226,3 +226,27 @@ def test_compute_validation():
         Compute(reuse=2.0)
     with pytest.raises(ValueError):
         Compute(flop_efficiency=0.0)
+
+
+def test_fault_armed_mid_run_reaches_later_occurrences_of_a_shared_op():
+    """Costs are taken per occurrence: a cache-way disable armed
+    mid-run slows the later occurrences of a repeated op object."""
+    from repro.faults import CacheDegrade, FaultPlan
+
+    spec = longs()
+    work = Compute(dram_bytes=2 * MB, working_set=1 * MB, reuse=0.9)
+    affinity = resolve_scheme(AffinityScheme.DEFAULT, spec, 1)
+    base = JobRunner(spec, affinity).run(OpsWorkload([work] * 4, ntasks=1))
+    plan = FaultPlan(faults=(CacheDegrade(capacity_factor=0.1,
+                                          start=base.wall_time / 2),))
+    slowed = JobRunner(spec, affinity, faults=plan).run(
+        OpsWorkload([work] * 4, ntasks=1))
+    assert slowed.wall_time > base.wall_time
+
+
+def test_micro_engine_comm_runs(capsys):
+    from repro.bench.micro import main
+
+    assert main(["--only", "engine-comm", "--repeat", "1",
+                 "--number", "1"]) == 0
+    assert "engine-comm" in capsys.readouterr().out

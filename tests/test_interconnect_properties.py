@@ -66,3 +66,21 @@ def test_unroutable_pair_raises():
     machine = Machine(spec)
     with pytest.raises(ValueError):
         machine.net.path(0, 1)
+
+
+def test_path_links_follow_rerouting_after_link_failure():
+    """path_links is memoized, but a link outage recomputes the routes
+    and the memo with them; healing restores the original links."""
+    machine = Machine(longs())
+    net = machine.net
+    before = net.path_links(1, 2)
+    assert before == [net.links[(1, 2)]]
+    assert net.path_links(1, 2) is before  # memoized
+    net.set_link_state(1, 2, failed=True)
+    rerouted = net.path_links(1, 2)
+    assert net.links[(1, 2)] not in rerouted
+    assert len(rerouted) == net.hops(1, 2) == 3
+    path = net.path(1, 2)
+    assert rerouted == [net.links[(a, b)] for a, b in zip(path, path[1:])]
+    net.set_link_state(1, 2)
+    assert net.path_links(1, 2) == before

@@ -98,6 +98,19 @@ def test_run_until_past_raises():
         eng.run(until=1.0)
 
 
+def test_run_until_runs_due_events_and_keeps_later_ones():
+    """Events at ``until`` run, later ones stay queued for the next run,
+    and a schedule that drains early still leaves the clock at ``until``."""
+    eng = Engine()
+    log = []
+    for delay in (1.0, 2.0, 3.0):
+        eng.schedule_callback(delay, lambda ev, d=delay: log.append(d))
+    eng.run(until=2.0)
+    assert log == [1.0, 2.0] and eng.now == 2.0 and eng.peek() == 3.0
+    eng.run(until=5.0)
+    assert log == [1.0, 2.0, 3.0] and eng.now == 5.0
+
+
 def test_step_on_empty_schedule_raises():
     with pytest.raises(EmptySchedule):
         Engine().step()
@@ -334,3 +347,66 @@ def test_drained_engine_step_raises_empty_schedule():
     eng.run()
     with pytest.raises(EmptySchedule):
         eng.step()
+
+
+def test_process_yielding_processed_event_resumes_at_once():
+    """Yielding an event whose callbacks already ran resumes the process
+    immediately, with the event's value, at the current instant."""
+    eng = Engine()
+    done = eng.timeout(1.0, value="early")
+    log = []
+
+    def late(eng):
+        yield eng.timeout(2.0)
+        assert done.processed
+        value = yield done              # already processed: no wait
+        log.append((value, eng.now))
+        value = yield done              # and again
+        log.append((value, eng.now))
+        yield eng.timeout(0.5)
+        return "finished"
+
+    proc = eng.process(late(eng))
+    eng.run()
+    assert log == [("early", 2.0), ("early", 2.0)]
+    assert proc.value == "finished"
+    assert eng.now == 2.5
+
+
+def test_process_yielding_processed_failed_event_sees_exception():
+    eng = Engine()
+    failed = Event(eng)
+    failed.fail(KeyError("gone"))
+    failed._defused = True              # handled: the engine must not raise
+
+    def late(eng):
+        yield eng.timeout(1.0)
+        try:
+            yield failed
+        except KeyError:
+            return "caught"
+
+    proc = eng.process(late(eng))
+    eng.run()
+    assert proc.value == "caught"
+
+
+def test_run_dispatches_like_step():
+    """run() and repeated step() visit the same events in the same order."""
+    def build():
+        eng = Engine()
+        log = []
+        for i, delay in enumerate((0.3, 0.1, 0.1, 0.0)):
+            eng.schedule_callback(delay, lambda ev, i=i: log.append(
+                (i, eng.now)), urgent=i % 2 == 0)
+        return eng, log
+
+    eng, by_run = build()
+    eng.run()
+    eng, by_step = build()
+    while True:
+        try:
+            eng.step()
+        except EmptySchedule:
+            break
+    assert by_run == by_step == [(3, 0.0), (2, 0.1), (1, 0.1), (0, 0.3)]

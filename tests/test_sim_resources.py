@@ -271,3 +271,61 @@ def test_bandwidth_more_contention_never_faster(stagger, size):
         return result["t"]
 
     assert run(True) >= run(False) - 1e-9
+
+
+def test_bandwidth_superseded_wakeup_fires_no_callback():
+    """A wake-up pushed before a membership change is popped and
+    dropped on the generation check: it neither advances the flows nor
+    completes or reschedules anything."""
+    eng = Engine()
+    pipe = BandwidthResource(eng, capacity=100.0)
+    first = pipe.transfer(100.0)        # alone: wake-up near t=1.0
+    second = pipe.transfer(300.0)       # supersedes it: next near t=2.0
+    pipe.set_capacity(100.0)            # supersedes that one too
+    wakeups = [entry for entry in eng._queue
+               if entry[1] == Engine.PRIORITY_URGENT]
+    assert len(wakeups) == 3
+    assert [e[3].generation for e in wakeups] == [1, 2, 3]
+    advances = []
+    advance = pipe._advance
+    pipe._advance = lambda: (advances.append(eng.now), advance())[1]
+    completions = []
+    first.add_callback(lambda ev: completions.append(eng.now))
+    second.add_callback(lambda ev: completions.append(eng.now))
+    eng.run()
+    # two stale entries popped for nothing; the two live ones (the
+    # third, and the one the first completion pushed) each advance once
+    assert advances == [pytest.approx(2.0), pytest.approx(4.0)]
+    assert completions == [first.value, second.value]
+    assert first.value == pytest.approx(2.0)
+    assert second.value == pytest.approx(4.0)
+    assert pipe.active_flows == 0
+
+
+def test_bandwidth_set_capacity_mid_flow_keeps_completion_times():
+    """Completion times across two mid-flow capacity changes, pinned to
+    the float: the cached per-flow rates must advance exactly as the
+    shares recomputed afresh did."""
+    eng = Engine()
+    pipe = BandwidthResource(eng, capacity=10.0)
+    done = {}
+
+    def flow(name, delay, nbytes, weight):
+        yield eng.timeout(delay)
+        done[name] = yield pipe.transfer(nbytes, weight=weight)
+
+    def renegotiate():
+        yield eng.timeout(3.0)
+        pipe.set_capacity(4.0)
+        yield eng.timeout(5.0)
+        pipe.set_capacity(25.0)
+
+    for args in (("a", 0.0, 100.0, 1.0), ("b", 1.0, 30.0, 2.0),
+                 ("c", 2.5, 7.0, 1.0)):
+        eng.process(flow(*args))
+    eng.process(renegotiate())
+    eng.run()
+    assert done == {"a": 11.479999874523289, "b": 8.479999897920402,
+                    "c": 8.11999983888013}
+    assert pipe.total_transferred == 137.0
+    assert eng._seq == 23  # heap pushes, wake-ups included

@@ -183,6 +183,22 @@ def test_unmatched_recv_never_completes():
         _cell(workload, tier="fast").execute()
 
 
+@pytest.mark.parametrize("rank0,rank1,stuck", [
+    ([Recv(src=1)], [], "[0]"),
+    ([Recv(src=1, tag=5)], [Send(dst=0, nbytes=64, tag=4)], "[0]"),
+    ([Recv(src=1)], [Recv(src=0)], "[0, 1]"),
+    ([Barrier()], [], "[0]"),
+], ids=["orphan", "tag-mismatch", "both-wait", "half-barrier"])
+def test_exact_tier_refuses_deadlocked_program(rank0, rank1, stuck):
+    # The schedule drains while the ranks wait: that is a deadlock,
+    # not a finished job with the waiting ranks' times left at zero.
+    with pytest.raises(ValueError) as excinfo:
+        _cell(_Pair("pair", rank0, rank1), tier="exact").execute()
+    assert str(excinfo.value) == (
+        f"pair: ranks {stuck} never complete: the schedule drained "
+        "while they waited (deadlock)")
+
+
 def test_fast_tier_completes_when_a_late_post_unblocks_a_peer():
     # Rank 1's sendrecv posts its send and then waits; the post alone
     # must count as progress so rank 0's receive is retried.
@@ -223,6 +239,12 @@ MALFORMED = [
      "rank -1 outside world of size 2"),
     ("sendrecv-past-world", [SendRecv(send_to=5, recv_from=1, nbytes=8)],
      [Send(dst=0, nbytes=8)], "rank 5 outside world of size 2"),
+    ("recv-past-world", [Recv(src=5)], [], "rank 5 outside world of size 2"),
+    ("recv-negative-rank", [Recv(src=-1)], [Send(dst=0, nbytes=8)],
+     "rank -1 outside world of size 2"),
+    ("sendrecv-recv-past-world",
+     [SendRecv(send_to=1, recv_from=7, nbytes=-8)], [Recv(src=0)],
+     "rank 7 outside world of size 2"),
 ]
 
 
