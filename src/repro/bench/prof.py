@@ -213,7 +213,7 @@ def _run(args) -> int:
                   file=sys.stderr)
             return 2
 
-    from ..telemetry.spans import active_recorder
+    from ..telemetry.tracing import active_recorder
 
     recorder = active_recorder()
     if recorder is not None:

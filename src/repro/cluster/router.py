@@ -52,6 +52,7 @@ from ..service.transport import Address, format_address, parse_address, \
     request
 from ..telemetry import metrics as _metrics
 from ..telemetry import tracing
+from ..telemetry.tracing import span
 
 __all__ = ["CircuitBreaker", "Router", "ShardState", "rendezvous_order",
            "shard_for_key"]
@@ -206,6 +207,18 @@ class ShardState:
                 "failures": self.failures,
                 "last_error": self.last_error,
                 "breaker": self.breaker.as_dict()}
+
+
+def _reparent(cell: Dict[str, Any], hop: Any) -> Dict[str, Any]:
+    """``cell`` forwarded under ``hop``: the shard's hop becomes its child.
+
+    The cell is returned unchanged while the hop is untraced.
+    """
+    if hop.span_id is None:
+        return cell
+    forwarded = dict(cell)
+    forwarded["trace"] = tracing.wire_trace(hop.trace_id, hop.span_id)
+    return forwarded
 
 
 class Router:
@@ -438,16 +451,11 @@ class Router:
                 trace_id, parent = tracing.trace_from_cell(cell)
                 if trace_id is None:
                     return self._forward(key, {"op": "submit", "cell": cell})
-                with tracing.traced("router_forward", trace_id, parent,
-                                    router=self.name) as tspan:
-                    fwd = dict(cell)
-                    if tspan.span_id is not None:
-                        # re-parent the shard's hop under this forward
-                        fwd["trace"] = tracing.wire_trace(trace_id,
-                                                          tspan.span_id)
-                    response = self._forward(key,
-                                             {"op": "submit", "cell": fwd})
-                    tspan.note(shard=response.get("shard"))
+                with tracing.context(trace_id, parent), \
+                        span("router_forward", router=self.name) as hop:
+                    response = self._forward(key, {
+                        "op": "submit", "cell": _reparent(cell, hop)})
+                    hop.note(shard=response.get("shard"))
                 return response
             if op == "batch":
                 return self._batch_response(message)
@@ -504,39 +512,34 @@ class Router:
             if not good:
                 return
             sub_cells = []
-            spans: List[Tuple[Any, float, float]] = []
+            hops = []
             for i in good:
                 cell = cells[i]
                 trace_id, parent = tracing.trace_from_cell(cell)
                 if trace_id is not None:
-                    tspan = tracing.TraceSpan(
-                        "router_forward", trace_id, parent,
-                        {"router": self.name, "op": "batch"})
-                    cell = dict(cell)
-                    cell["trace"] = tracing.wire_trace(trace_id,
-                                                       tspan.span_id)
-                    spans.append((tspan, time.time(), time.perf_counter()))
+                    with tracing.context(trace_id, parent):
+                        hop = span("router_forward", router=self.name,
+                                   op="batch")
+                    hops.append(hop)
+                    cell = _reparent(cell, hop)
                 sub_cells.append(cell)
             sub = {"op": "batch", "cells": sub_cells}
 
-            def close_spans(**attrs: Any) -> None:
-                for tspan, t0_wall, t0 in spans:
-                    tracing.record_trace_span(
-                        tspan.name, tspan.trace_id, tspan.span_id,
-                        tspan.parent_span, t0_wall,
-                        time.perf_counter() - t0,
-                        dict(tspan.attrs, **attrs))
+            def close_hops(**attrs: Any) -> None:
+                for hop in hops:
+                    hop.note(**attrs)
+                    hop.end()
 
             try:
                 response = self._forward(keys[good[0]], sub)
             except ReproError as exc:
-                close_spans(error=exc.code)
+                close_hops(error=exc.code)
                 for i in good:
                     results[i] = exc.to_wire()
                 return
             answers = response.get("results", [])
             shard = response.get("shard")
-            close_spans(shard=shard)
+            close_hops(shard=shard)
             for slot, i in enumerate(good):
                 if slot < len(answers):
                     answer = dict(answers[slot])

@@ -46,7 +46,7 @@ from ..faults.plan import FaultPlan, TransportExhaustedError
 from ..machine.topology import MachineSpec
 from ..mpi import MpiImplementation, OPENMPI
 from ..telemetry import metrics as _metrics
-from ..telemetry.spans import span
+from ..telemetry.tracing import span
 from .affinity import (
     AffinityScheme,
     InfeasibleSchemeError,
@@ -692,17 +692,14 @@ def run_requests(requests: Sequence[JobRequest],
         if backend is None:
             from ..backends import default_backend
             backend = default_backend()
-        t0_batch = time.perf_counter()
-        with span("executor_batch", cells=len(requests),
-                  dispatched=len(todo), jobs=jobs,
+        with span("executor_batch", histogram="executor_batch_seconds",
+                  cells=len(requests), dispatched=len(todo), jobs=jobs,
                   backend=backend.name) as timer:
             futures = backend.submit_cells(todo, jobs=jobs,
                                            timeout=timeout,
                                            retries=retries)
             outcomes = [future.result() for future in futures]
             timer.note(parallel=jobs > 1)
-        _metrics.observe("executor_batch_seconds",
-                         time.perf_counter() - t0_batch)
         for i, (status, payload) in zip(pending, outcomes):
             if status == "infeasible":
                 stats.infeasible += 1

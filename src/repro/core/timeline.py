@@ -12,6 +12,7 @@ import json
 from typing import Dict, List
 
 from ..sim import Tracer
+from ..telemetry.tracing import chrome_trace
 
 __all__ = ["render_timeline", "to_chrome_trace", "CATEGORY_GLYPHS"]
 
@@ -85,19 +86,9 @@ def to_chrome_trace(tracer: Tracer, time_scale: float = 1.0) -> str:
     the workload phase as an argument.  Timestamps are microseconds of
     (time_scale-adjusted) simulated time.
     """
-    events = []
-    for record in tracer.records:
-        if record.rank < 0:
-            continue
-        events.append({
-            "name": record.detail.get("op", record.category),
-            "cat": record.category,
-            "ph": "X",
-            "pid": 0,
-            "tid": record.rank,
-            "ts": record.time * time_scale * 1e6,
-            "dur": record.duration * time_scale * 1e6,
-            "args": {"phase": record.detail.get("op_phase", "")},
-        })
-    return json.dumps({"traceEvents": events,
-                       "displayTimeUnit": "ms"}, indent=None)
+    return json.dumps(chrome_trace(
+        (record.detail.get("op", record.category), record.category, 0,
+         record.rank, record.time * time_scale * 1e6,
+         record.duration * time_scale * 1e6,
+         {"phase": record.detail.get("op_phase", "")})
+        for record in tracer.records if record.rank >= 0))

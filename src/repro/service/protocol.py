@@ -46,13 +46,13 @@ in the response.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, ReproError, error_code
 from ..telemetry import metrics as metrics_mod
 from ..telemetry import tracing
+from ..telemetry.tracing import span
 from .api import RunRequest, RunResult
 from .registry import resolve_scheme_name, resolve_system, resolve_workload
 from .session import Session
@@ -136,16 +136,38 @@ def metrics_response(message: Dict[str, Any],
     return response
 
 
-def _submit_traced(session: Session, request: RunRequest) -> Dict[str, Any]:
-    """One traced submit: open the service hop, thread its span down."""
-    with tracing.traced("service_submit", request.trace_id,
-                        request.parent_span, session=session.name) as tspan:
-        if tspan.span_id is not None:
-            request = replace(request, parent_span=tspan.span_id)
-        result = session.submit(request).result()
-        tspan.note(source=result.source, status=result.status)
+def _admit(session: Session, cell: Any, **attrs: Any) -> Tuple[Any, ...]:
+    """Submit one wire cell: ``(future, hop, trace_id)``.
+
+    A traced cell opens its ``service_submit`` hop here and threads the
+    hop's span down as the session's parent.  The hop closes when the
+    answer is read (:func:`_answer`) or, carrying the error code, when
+    admission itself fails: a rejected hop is still a hop.
+    """
+    request = cell_from_wire(cell)
+    hop = tracing.NULL_SPAN
+    if request.trace_id is not None:
+        with tracing.context(request.trace_id, request.parent_span):
+            hop = span("service_submit", session=session.name, **attrs)
+        if hop.span_id is not None:
+            request = replace(request, parent_span=hop.span_id)
+    try:
+        return session.submit(request), hop, request.trace_id
+    except BaseException as exc:
+        hop.note(error=error_code(exc))
+        hop.end()
+        raise
+
+
+def _answer(future: Any, hop: Any, trace_id: Optional[str]
+            ) -> Dict[str, Any]:
+    """Wait for one admitted cell and close its hop; the wire answer."""
+    with hop:
+        result = future.result()
+        hop.note(source=result.source, status=result.status)
     wire = result.to_wire()
-    wire["trace_id"] = request.trace_id
+    if trace_id is not None:
+        wire["trace_id"] = trace_id
     return wire
 
 
@@ -176,8 +198,7 @@ def handle_request(session: Session, message: Dict[str, Any]
             # process's run recorder (they only reach the ledger at
             # shutdown); lets `repro-bench trace --connect` stitch
             # traces from live daemons
-            from ..telemetry.spans import active_recorder
-            recorder = active_recorder()
+            recorder = tracing.active_recorder()
             spans = list(getattr(recorder, "trace_spans", None) or [])
             wanted = message.get("trace_id")
             if wanted is not None:
@@ -187,53 +208,22 @@ def handle_request(session: Session, message: Dict[str, Any]
                                            "trace_spans_dropped", 0) or 0),
                     "session": session.name}
         if op == "submit":
-            request = cell_from_wire(message.get("cell"))
-            if request.trace_id is not None:
-                wire = _submit_traced(session, request)
-            else:
-                wire = session.submit(request).result().to_wire()
+            wire = _answer(*_admit(session, message.get("cell")))
             wire["op"] = "submit"
             return wire
         if op == "batch":
             cells = message.get("cells")
             if not isinstance(cells, list) or not cells:
                 raise ProtocolError("'cells' must be a non-empty list")
-            futures: List[Any] = []
+            admitted: List[Any] = []
             for cell in cells:
                 try:
-                    request = cell_from_wire(cell)
-                    if request.trace_id is not None:
-                        span = tracing.TraceSpan(
-                            "service_submit", request.trace_id,
-                            request.parent_span, {"session": session.name,
-                                                  "op": "batch"})
-                        request = replace(request,
-                                          parent_span=span.span_id)
-                        futures.append((session.submit(request),
-                                        span, time.time(),
-                                        time.perf_counter()))
-                    else:
-                        futures.append(session.submit(request))
+                    admitted.append(_admit(session, cell, op="batch"))
                 except Exception as exc:
-                    futures.append(exc)
-            results = []
-            for entry in futures:
-                if isinstance(entry, BaseException):
-                    results.append(_error_wire(entry))
-                elif isinstance(entry, tuple):
-                    future, span, t0_wall, t0 = entry
-                    result = future.result()
-                    tracing.record_trace_span(
-                        span.name, span.trace_id, span.span_id,
-                        span.parent_span, t0_wall,
-                        time.perf_counter() - t0,
-                        dict(span.attrs, source=result.source,
-                             status=result.status))
-                    wire = result.to_wire()
-                    wire["trace_id"] = span.trace_id
-                    results.append(wire)
-                else:
-                    results.append(entry.result().to_wire())
+                    admitted.append(exc)
+            results = [_error_wire(entry)
+                       if isinstance(entry, BaseException)
+                       else _answer(*entry) for entry in admitted]
             return {"status": "ok", "op": "batch", "results": results}
         if op == "drain":
             session.drain()

@@ -28,10 +28,11 @@ thread (attaching to an in-flight twin when one exists) and returns the
 session-routed sweep drivers.
 
 Per-request telemetry: every batch is bracketed in a ``service_batch``
-span, and :meth:`gauges` exposes perfctr-style queue-depth /
-wait-time / coalesce counters that the ``serve`` daemon folds into its
-ledger record so ``repro-bench history``/``regress`` cover served
-traffic.
+span (which also feeds the ``service_batch_seconds`` histogram), a
+traced submit opens a ``session_job`` span closed at delivery, and
+:meth:`gauges` exposes perfctr-style queue-depth / wait-time /
+coalesce counters that the ``serve`` daemon folds into its ledger
+record so ``repro-bench history``/``regress`` cover served traffic.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..errors import (
     UnknownMetricError,
 )
 from ..telemetry import metrics, tracing
-from ..telemetry.spans import span
+from ..telemetry.tracing import span
 from .api import RunRequest, RunResult
 
 __all__ = ["ServiceStats", "Session", "default_session", "set_default_session"]
@@ -124,30 +125,26 @@ class ServiceStats:
 class _Job:
     """One accepted cell and the futures fanned out to its waiters."""
 
-    __slots__ = ("request", "job_request", "key", "futures",
-                 "submitted_at", "outcome", "trace", "traces",
-                 "span_id", "submitted_wall", "degraded")
+    __slots__ = ("request", "job_request", "key", "futures", "hops",
+                 "submitted_at", "outcome", "degraded")
 
     def __init__(self, request: RunRequest, key: Optional[str]):
         self.request = request
         self.job_request = request.to_job()
         self.key = key
         self.futures: List[Future] = []
+        #: each waiter's ``session_job`` span, parallel to ``futures``
+        self.hops: List[Any] = []
         self.submitted_at = time.perf_counter()
         #: resolved inline via the surrogate by load shedding
         self.degraded = False
         #: terminal ("ok"|"infeasible"|"failed", payload) once delivered
         self.outcome: Optional[Tuple[str, Any]] = None
-        #: distributed-trace context; everything below stays None/empty
-        #: on the untraced path (no clock reads, no id minting)
-        self.trace: Optional[Tuple[str, Optional[str]]] = None
-        self.traces: List[Optional[Tuple[str, Optional[str]]]] = []
-        self.span_id: Optional[str] = None
-        self.submitted_wall = 0.0
-        if request.trace_id is not None:
-            self.trace = (request.trace_id, request.parent_span)
-            self.span_id = tracing.new_span_id()
-            self.submitted_wall = time.time()
+
+    def attach(self, future: Future, hop: Any) -> None:
+        """Attach one waiter and its ``session_job`` span."""
+        self.futures.append(future)
+        self.hops.append(hop)
 
 
 class Session:
@@ -310,6 +307,13 @@ class Session:
 
     # -- the async plane -------------------------------------------------
 
+    def _hop(self, request: RunRequest) -> Any:
+        """A traced waiter's ``session_job`` span, submit to delivery."""
+        if request.trace_id is None:
+            return tracing.NULL_SPAN
+        with tracing.context(request.trace_id, request.parent_span):
+            return span("session_job", session=self.name)
+
     def submit(self, request: RunRequest) -> "Future[RunResult]":
         """Queue one cell; the future resolves to its :class:`RunResult`.
 
@@ -328,6 +332,7 @@ class Session:
         rejected with a live ``retry_after``.
         """
         future: "Future[RunResult]" = Future()
+        hop = self._hop(request)
         degrade: Optional[_Job] = None
         with self._cond:
             if self._closed or self._draining:
@@ -344,22 +349,15 @@ class Session:
                 if twin is not None and twin.outcome is None:
                     self.stats.coalesced += 1
                     metrics.inc("service_coalesce_hits_total")
-                    twin.futures.append(future)
-                    twin.traces.append(
-                        (request.trace_id, request.parent_span)
-                        if request.trace_id is not None else None)
+                    twin.attach(future, hop)
                     return future
                 hit = self.cache.get(key)
                 if hit is not None:
                     self.stats.cache_hits += 1
                     self.stats.completed += 1
                     metrics.inc("service_admission_cache_hits_total")
-                    if request.trace_id is not None:
-                        tracing.record_trace_span(
-                            "session_job", request.trace_id,
-                            tracing.new_span_id(), request.parent_span,
-                            time.time(), 0.0,
-                            {"session": self.name, "source": "cache"})
+                    hop.note(source="cache")
+                    hop.end()
                     future.set_result(RunResult(
                         status="ok", job=hit, key=key, source="cache",
                         tag=request.tag))
@@ -370,8 +368,7 @@ class Session:
                     and self._degradable(request):
                 job = _Job(request, key)
                 job.degraded = True
-                job.futures.append(future)
-                job.traces.append(job.trace)
+                job.attach(future, hop)
                 if key is not None:
                     self._inflight[key] = job
                 self._outstanding += 1
@@ -395,8 +392,7 @@ class Session:
                     retry_after=retry_after)
             else:
                 job = _Job(request, key)
-                job.futures.append(future)
-                job.traces.append(job.trace)
+                job.attach(future, hop)
                 if key is not None:
                     self._inflight[key] = job
                 self._queue.append(job)
@@ -501,8 +497,7 @@ class Session:
                 self.stats.coalesced += 1
                 metrics.inc("service_coalesce_hits_total")
                 future: "Future[RunResult]" = Future()
-                twin.futures.append(future)
-                twin.traces.append(None)
+                twin.attach(future, tracing.NULL_SPAN)
             else:
                 future = None
         if future is not None:
@@ -538,13 +533,21 @@ class Session:
     def _execute(self, batch: List[_Job],
                  jobs: Optional[int] = None) -> List[Tuple[str, Any]]:
         """Run a batch through the executor; fold outcomes to data."""
-        t0 = time.perf_counter()
-        traced_jobs = [job for job in batch if job.trace is not None]
-        wall0 = time.time() if traced_jobs else 0.0
-        with _EXEC_LOCK:
-            take_failures()  # drop stale records from other flows
-            with span("service_batch", session=self.name,
-                      cells=len(batch)) as batch_span:
+        # the executor hop of each traced job; the whole batch shares one
+        # pool flight, so every such span covers the same interval
+        workers = []
+        for job in batch:
+            if job.request.trace_id is not None:
+                owner = job.hops[0].span_id if job.hops else None
+                with tracing.context(job.request.trace_id,
+                                     owner or job.request.parent_span):
+                    workers.append(span("worker_batch", session=self.name,
+                                        cells=len(batch)))
+        with span("service_batch", histogram="service_batch_seconds",
+                  timed=True, session=self.name,
+                  cells=len(batch)) as batch_span:
+            with _EXEC_LOCK:
+                take_failures()  # drop stale records from other flows
                 results = run_requests(
                     [job.job_request for job in batch],
                     jobs=jobs if jobs is not None else self.jobs,
@@ -552,18 +555,12 @@ class Session:
                     retries=self.retries, backend=self.backend)
                 failures = {f.index: f for f in take_failures()}
                 batch_span.note(failed=len(failures))
-        elapsed = time.perf_counter() - t0
-        metrics.observe("service_batch_seconds", elapsed)
+        elapsed = batch_span.elapsed
         metrics.observe("service_batch_cells", len(batch),
                         bounds=metrics.COUNT_BUCKETS)
-        for job in traced_jobs:
-            # the executor hop of each traced job; the whole batch shares
-            # one pool flight, so every span covers the same interval
-            tracing.record_trace_span(
-                "worker_batch", job.trace[0], tracing.new_span_id(),
-                job.span_id, wall0, elapsed,
-                {"session": self.name, "cells": len(batch),
-                 "failed": len(failures)})
+        for worker in workers:
+            worker.note(failed=len(failures))
+            worker.end()
         with self._lock:
             self.stats.busy_s_total += elapsed
             # EWMA over per-cell service time feeds retry-after hints
@@ -629,19 +626,10 @@ class Session:
         metrics.observe("service_wait_seconds", wait_s)
         metrics.set_gauge("service_queue_depth", self.stats.queue_depth)
         self._outstanding -= 1
-        for i, future in enumerate(job.futures):
+        for i, (future, hop) in enumerate(zip(job.futures, job.hops)):
             source = "computed" if i == 0 else "coalesced"
-            trace = job.traces[i] if i < len(job.traces) else None
-            if trace is not None:
-                # the session hop: from submit to delivery, one span per
-                # waiter (the owner reuses the id the executor parented to)
-                span_id = job.span_id if i == 0 and job.span_id is not None \
-                    else tracing.new_span_id()
-                tracing.record_trace_span(
-                    "session_job", trace[0], span_id, trace[1],
-                    job.submitted_wall or time.time() - wait_s, wait_s,
-                    {"session": self.name, "source": source,
-                     "status": outcome[0]})
+            hop.note(source=source, status=outcome[0])
+            hop.end()
             result = self._result_for(job, outcome, wait_s=wait_s,
                                       source=source)
             if not future.set_running_or_notify_cancel():

@@ -1,17 +1,17 @@
-"""Structured telemetry: run ledger, spans, metrics, and tracing.
+"""Structured telemetry: run ledger, spans and traces, and metrics.
 
-Five layers, all zero-overhead until a CLI opts in:
+Four layers, all zero-overhead until a CLI opts in:
 
 * :mod:`~repro.telemetry.log` — the ``repro.*`` stdlib-logging
   hierarchy (``--verbose``/``--quiet`` map onto it);
-* :mod:`~repro.telemetry.spans` — ``span("sweep", ...)`` wall-time
-  brackets that aggregate into the active run's record;
+* :mod:`~repro.telemetry.tracing` — the one ``span("sweep", ...)``
+  primitive: it aggregates into the active run's record, or, under a
+  trace context carried across router/shard/session/executor hops,
+  records an id-carrying hop that ``repro-bench trace`` exports; it
+  also feeds a metrics histogram when given one;
 * :mod:`~repro.telemetry.metrics` — the live counters/gauges/histogram
   registry behind the ``{"op": "metrics"}`` protocol op and
   ``repro-bench top``;
-* :mod:`~repro.telemetry.tracing` — distributed trace-id propagation
-  across router/shard/session/executor hops, exported by
-  ``repro-bench trace``;
 * :mod:`~repro.telemetry.ledger` — one append-only JSONL record per
   instrumented ``repro-bench``/``repro-prof`` invocation, consumed by
   ``repro-bench history`` (:mod:`~repro.telemetry.history`) and the
@@ -30,7 +30,7 @@ from .ledger import (
     read_records,
 )
 from .log import configure_logging, get_logger
-from .spans import active_recorder, set_recorder, span
+from .tracing import active_recorder, set_recorder, span
 
 __all__ = [
     "RunRecorder",

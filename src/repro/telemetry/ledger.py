@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .spans import active_recorder, set_recorder
+from .tracing import active_recorder, set_recorder
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -264,7 +264,7 @@ class RunRecorder:
 
     def record_span(self, name: str, elapsed: float,
                     attrs: Dict[str, Any]) -> None:
-        """Aggregate one finished span (called by :func:`~.spans.span`)."""
+        """Aggregate one finished span (called by :func:`~.tracing.span`)."""
         entry = self.spans.get(name)
         if entry is None:
             entry = self.spans[name] = {"count": 0, "total_s": 0.0,
@@ -281,7 +281,7 @@ class RunRecorder:
     def record_trace_span(self, name: str, trace_id: str, span_id: str,
                           parent_span: Optional[str], t0: float, dur_s: float,
                           attrs: Optional[Dict[str, Any]] = None) -> None:
-        """Keep one per-request trace span (called by :mod:`.tracing`).
+        """Keep one per-request trace span (a traced :func:`~.tracing.span`).
 
         Unlike :meth:`record_span`'s lossy aggregation, trace spans keep
         per-occurrence identity (``count`` is 1) so a request can be

@@ -3,7 +3,7 @@
 The live half of the observability plane (the ledger is the post-hoc
 half).  Instrumented call sites go through the module-level helpers
 :func:`inc` / :func:`set_gauge` / :func:`observe`, which follow the
-``spans.py`` null-path idiom: when no registry has been enabled the
+``tracing.py`` null-path idiom: when no registry has been enabled the
 helpers return after a single global read, so plain bench runs pay
 nothing.  Daemons (``repro-bench serve``, ``repro-bench cluster up``)
 call :func:`enable` at startup and expose the snapshot through the

@@ -3,9 +3,9 @@
 ``trace export <trace_id>`` gathers every ``trace_spans`` entry with
 that id across all recorded runs — the router's ``tool="cluster"``
 record, each shard's ``tool="serve"`` record, a client's ``replay``
-record — and merges them into one Chrome trace-event JSON (the same
-``chrome://tracing`` / Perfetto format :mod:`repro.core.timeline`
-emits for simulated ranks), so a single request can be read hop by
+record — and merges them into one Chrome trace-event JSON (built by
+:func:`~.tracing.chrome_trace`, which also renders the simulated ranks
+of :mod:`repro.core.timeline`), so a single request can be read hop by
 hop: ``router_forward`` → ``service_submit`` → ``session_job`` →
 ``worker_batch``.  ``trace list`` inventories the trace ids the ledger
 knows about.
@@ -26,7 +26,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from ..service import cliargs
-from . import ledger
+from . import ledger, tracing
 
 __all__ = ["collect_live_record", "collect_spans", "list_traces", "main",
            "to_chrome_trace"]
@@ -120,10 +120,10 @@ def to_chrome_trace(trace_id: str,
     timestamps are wall-clock microseconds relative to the earliest
     span, durations complete ``ph: "X"`` slices.
     """
-    events: List[Dict[str, Any]] = []
     t_base = min((s["t0"] for s in spans if s.get("t0") is not None),
                  default=0.0)
     procs: Dict[str, int] = {}
+    slices = []
     for span in spans:
         proc = str(span.get("proc") or "unknown")
         pid = procs.setdefault(proc, len(procs))
@@ -133,22 +133,13 @@ def to_chrome_trace(trace_id: str,
                      "run_id": span.get("run_id")})
         if span.get("count", 1) > 1:
             args["aggregated_count"] = span["count"]
-        events.append({
-            "name": str(span.get("name") or "span"),
-            "cat": str(span.get("record_tool") or "trace"),
-            "ph": "X",
-            "pid": pid,
-            "tid": 0,
-            "ts": round(((span.get("t0") or t_base) - t_base) * 1e6, 3),
-            "dur": max(round((span.get("dur_s") or 0.0) * 1e6, 3), 1.0),
-            "args": args,
-        })
-    for proc, pid in procs.items():
-        events.append({"name": "process_name", "ph": "M", "pid": pid,
-                       "tid": 0, "args": {"name": proc}})
-    events.sort(key=lambda e: (e.get("ph") == "M", e.get("ts", 0.0)))
-    return {"traceEvents": events, "displayTimeUnit": "ms",
-            "otherData": {"trace_id": trace_id}}
+        slices.append((
+            str(span.get("name") or "span"),
+            str(span.get("record_tool") or "trace"), pid, 0,
+            round(((span.get("t0") or t_base) - t_base) * 1e6, 3),
+            max(round((span.get("dur_s") or 0.0) * 1e6, 3), 1.0), args))
+    slices.sort(key=lambda s: s[4])
+    return tracing.chrome_trace(slices, procs, trace_id=trace_id)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -31,7 +31,7 @@ from repro.core.cache import ResultCache
 from repro.cluster import Router
 from repro.service import Session
 from repro.service.daemon import TcpServiceServer
-from repro.service.protocol import handle_request
+from repro.service.protocol import cell_from_wire, handle_request
 from repro.service.transport import TcpFrameServer, serve_in_thread
 from repro.telemetry import ledger, metrics, tracecmd, tracing
 from repro.telemetry.ledger import RunRecorder
@@ -269,7 +269,8 @@ def _spans_by_name(recorder, trace_id):
     return spans
 
 
-def test_trace_round_trip_router_to_worker(tmp_path, recorder):
+@pytest.mark.parametrize("op", ["submit", "batch"])
+def test_trace_round_trip_router_to_worker(tmp_path, recorder, op):
     """One trace_id crosses router → shard → session → executor."""
     session = Session(cache=ResultCache(directory=tmp_path / "cache"),
                       jobs=1)
@@ -281,7 +282,12 @@ def test_trace_round_trip_router_to_worker(tmp_path, recorder):
     try:
         cell = dict(FAST_STREAM)
         cell["trace"] = tracing.wire_trace(trace_id)
-        reply = router.handle_message({"op": "submit", "cell": cell})
+        if op == "submit":
+            reply = router.handle_message({"op": "submit", "cell": cell})
+        else:
+            reply = router.handle_message({"op": "batch", "cells": [cell]})
+            assert reply["status"] == "ok"
+            reply = reply["results"][0]
         assert reply["status"] == "ok"
         assert reply["trace_id"] == trace_id
     finally:
@@ -331,6 +337,28 @@ def test_batch_traced_cells_record_spans_per_cell(session, recorder):
         assert "session_job" in spans
         assert spans["session_job"][0]["parent"] == \
             spans["service_submit"][0]["span"]
+
+
+@pytest.mark.parametrize("op", ["submit", "batch"])
+def test_traced_cell_rejected_at_admission_records_its_hop(
+        tmp_path, recorder, op):
+    """A rejected traced cell still records ``service_submit``, with the
+    rejection's code: a failed hop is still a hop."""
+    with Session(cache=ResultCache(directory=tmp_path / "cache"), jobs=1,
+                 max_pending=1, paused=True) as session:
+        session.submit(cell_from_wire(FAST_CG))  # fills the queue
+        trace_id = tracing.new_trace_id()
+        cell = dict(FAST_STREAM, trace=tracing.wire_trace(trace_id))
+        if op == "submit":
+            reply = handle_request(session, {"op": "submit", "cell": cell})
+        else:
+            reply = handle_request(session, {"op": "batch",
+                                             "cells": [cell]})
+            reply = reply["results"][0]
+        assert reply["code"] == "queue_full"
+        spans = _spans_by_name(recorder, trace_id)
+        assert list(spans) == ["service_submit"]
+        assert spans["service_submit"][0]["attrs"]["error"] == "queue_full"
 
 
 def test_malformed_trace_envelope_degrades_to_untraced(session, recorder):

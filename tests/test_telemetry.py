@@ -19,7 +19,7 @@ from repro.telemetry import ledger
 from repro.telemetry.history import metric_series, render_history
 from repro.telemetry.ledger import RunRecorder
 from repro.telemetry.regress import evaluate, run_class
-from repro.telemetry.spans import active_recorder, set_recorder, span
+from repro.telemetry.tracing import active_recorder, set_recorder, span
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +62,59 @@ def test_span_aggregates_into_recorder():
     assert entry["cells"] == 30  # numeric attrs sum
     assert entry["kind"] == "scheme_sweep"  # descriptive attrs keep latest
     assert entry["total_s"] >= entry["max_s"] >= 0.0
+
+
+def test_span_reads_no_clock_without_recorder_or_registry(monkeypatch):
+    import time
+
+    from repro.telemetry import metrics, tracing
+
+    def no_clock():
+        raise AssertionError("the null span read a clock")
+
+    metrics.disable()
+    assert active_recorder() is None
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    monkeypatch.setattr(time, "time", no_clock)
+    with tracing.context("feedbeefcafef00d"), \
+            span("executor_batch", histogram="executor_batch_seconds",
+                 cells=2) as s:
+        s.note(parallel=False)
+    later = span("session_job", session="s")
+    later.end()
+    assert s.elapsed is None and later.span_id is None
+
+
+def test_batch_histograms_observe_once_per_batch(tmp_path):
+    """Each batch's span feeds its histogram: one observation, no second
+    timer."""
+    from repro.core.cache import ResultCache
+    from repro.core.parallel import run_requests
+    from repro.service import Session
+    from repro.service.protocol import cell_from_wire
+    from repro.telemetry import metrics
+
+    cell = {"workload": "stream", "system": "tiger", "ntasks": 2,
+            "scheme": "default", "tier": "fast"}
+
+    def counts():
+        snap = metrics.snapshot()
+        return [(metrics.histogram_entry(snap, name) or {}).get("count", 0)
+                for name in ("executor_batch_seconds",
+                             "service_batch_seconds")]
+
+    metrics.enable()
+    try:
+        run_requests([cell_from_wire(cell).to_job()], jobs=1,
+                     cache=ResultCache(directory=tmp_path / "a"))
+        assert counts() == [1, 0]
+        with Session(cache=ResultCache(directory=tmp_path / "b"),
+                     jobs=1) as session:
+            session.submit(cell_from_wire(cell)).result()
+        # the session batch runs one executor batch inside it
+        assert counts() == [2, 1]
+    finally:
+        metrics.disable()
 
 
 def test_recorder_stop_uninstalls_itself():
