@@ -5,8 +5,9 @@ executor, the service :class:`~repro.service.session.Session`, the
 cluster router's shards — schedules cells through one contract,
 :class:`~repro.backends.base.ExecutionBackend`:
 
-* :class:`~repro.backends.local.ProcessBackend` (the default) — the
-  crash-isolated worker-process pool with stall watchdog and retries;
+* :class:`~repro.backends.local.ProcessBackend` (the default) — a
+  crash-isolated worker-process pool with stall watchdog and retries,
+  owned by the backend instance;
 * :class:`~repro.backends.local.ThreadBackend` — an in-process thread
   pool, zero setup, no isolation;
 * :class:`~repro.backends.remote.RemoteBackend` — cells forwarded to a
@@ -22,6 +23,9 @@ across all three.
 CLI spellings (``repro-bench --backend`` / ``serve --backend``) are
 resolved by :func:`resolve_backend`: ``threads``, ``processes``, or
 ``remote:<addr>`` where ``<addr>`` is a ``host:port`` or socket path.
+A :class:`~repro.service.session.Session` holds the backend it was
+given; a session without one, and a bare ``run_requests`` call, use
+:func:`default_backend`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .remote import RemoteBackend
 
 __all__ = ["ExecutionBackend", "Outcome", "ProcessBackend",
            "RemoteBackend", "ThreadBackend", "default_backend",
-           "resolve_backend", "set_default_backend"]
+           "resolve_backend"]
 
 _DEFAULT_LOCK = threading.Lock()
 _DEFAULT: Optional[ExecutionBackend] = None
@@ -74,20 +78,9 @@ def resolve_backend(spec: Union[str, ExecutionBackend, None]
 
 
 def default_backend() -> ExecutionBackend:
-    """The process-wide backend (a :class:`ProcessBackend` unless
-    :func:`set_default_backend` — e.g. the CLIs' ``--backend`` — said
-    otherwise)."""
+    """The process-wide :class:`ProcessBackend`, created on first use."""
     global _DEFAULT
     with _DEFAULT_LOCK:
         if _DEFAULT is None:
             _DEFAULT = ProcessBackend()
         return _DEFAULT
-
-
-def set_default_backend(backend: Union[str, ExecutionBackend, None]
-                        ) -> None:
-    """Install (or with ``None`` reset) the process-wide backend."""
-    global _DEFAULT
-    resolved = None if backend is None else resolve_backend(backend)
-    with _DEFAULT_LOCK:
-        _DEFAULT = resolved

@@ -35,7 +35,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, List, Union
 
 from ..core import SeriesResult, TableResult
 from ..core import cache as result_cache
@@ -86,21 +86,20 @@ def _render(name: str, result: Result, csv_dir: str | None,
         print(f"[csv written to {path}]")
 
 
-def _prefetch(names, jobs: int) -> None:
+def _prefetch(session, names) -> List[parallel.TargetFailure]:
     """Warm the result cache for the requested targets in parallel.
 
     Table cells and figure cells are enumerated up front and fanned over
     the worker pool; the serial target builders then run entirely from
     cache hits.  Only worth the enumeration cost when several targets
-    share cells or ``jobs > 1``.
+    share cells or ``jobs > 1``.  Returns the cells that failed.
     """
     requests = []
     if any(n.startswith("tab") or n == "fidelity" for n in names):
         requests.extend(tables.sweep_requests())
     if any(n.startswith("fig") for n in names):
         requests.extend(figures.figure_requests())
-    if requests:
-        parallel.run_requests(requests, jobs=jobs)
+    return session.prefetch(requests) if requests else []
 
 
 def _timings_payload(timings) -> Dict:
@@ -247,24 +246,9 @@ def main(argv=None) -> int:
     configure_logging(-1 if args.quiet else args.verbose)
     if args.no_cache:
         result_cache.configure(enabled=False)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
-        parallel.set_default_jobs(args.jobs)
-    if args.backend is not None:
-        from ..backends import set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except ValueError as exc:
-            print(f"--backend: {exc}", file=sys.stderr)
-            return 2
-    if args.timeout is not None:
-        parallel.set_default_timeout(args.timeout if args.timeout > 0
-                                     else None)
-    if args.retries is not None:
-        parallel.set_default_retries(args.retries)
+    if args.jobs is not None and args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
     fault_plan = None
     if args.faults:
         from ..faults import FaultPlan
@@ -275,9 +259,6 @@ def main(argv=None) -> int:
             print(f"--faults: cannot load {args.faults}: {exc}",
                   file=sys.stderr)
             return 2
-        parallel.set_default_faults(fault_plan)
-    if args.tier is not None:
-        parallel.set_default_tier(args.tier)
 
     if not args.targets or "list" in args.targets:
         print("available targets:")
@@ -291,9 +272,22 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown targets: {', '.join(unknown)}", file=sys.stderr)
         return 2
+
+    from ..errors import JobFailedError
+    from ..service.session import Session, set_default_session
+
+    try:
+        # the run's one execution context; the bench builders reach it
+        # as the default session
+        session = Session(jobs=args.jobs, timeout=args.timeout,
+                          retries=args.retries, backend=args.backend,
+                          tier=args.tier, faults=fault_plan, name="bench")
+    except ValueError as exc:
+        print(f"--backend: {exc}", file=sys.stderr)
+        return 2
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
-    jobs = parallel.default_jobs()
+    jobs = args.jobs or parallel.default_jobs()
 
     from ..sim.trace import reset_dropped, total_dropped
 
@@ -311,15 +305,24 @@ def main(argv=None) -> int:
 
     results = {}
     timings = []
+    failures: List[parallel.TargetFailure] = []
     stats = result_cache.default_cache().stats
+    previous_session = set_default_session(session)
     try:
         if jobs > 1:
-            _prefetch(names, jobs)
-        for name in names:
+            failures.extend(_prefetch(session, names))
+        for index, name in enumerate(names):
             start = time.perf_counter()
             hits0 = stats.memory_hits + stats.disk_hits
             misses0 = stats.misses
-            results[name] = TARGETS[name]()
+            try:
+                results[name] = TARGETS[name]()
+            except JobFailedError as exc:
+                # a failed cell skips its target, not the whole run
+                failures.append(parallel.TargetFailure(
+                    index=index, kind=exc.kind, message=str(exc),
+                    attempts=1, label=f"target {name}"))
+                continue
             timings.append((name, time.perf_counter() - start,
                             stats.memory_hits + stats.disk_hits - hits0,
                             stats.misses - misses0))
@@ -342,19 +345,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return 130
     finally:
+        set_default_session(previous_session)
+        session.close()
         parallel.shutdown_pool()
-        if args.backend is not None:
-            from ..backends import set_default_backend
-
-            set_default_backend(None)
-        if fault_plan is not None:
-            parallel.set_default_faults(None)
-        if args.tier is not None:
-            parallel.set_default_tier(None)
         if recorder is not None:
             recorder.stop()
 
-    failures = parallel.take_failures()
     if failures:
         print(f"{len(failures)} sweep cell(s) failed and were skipped:",
               file=sys.stderr)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.parallel import run_requests
 from ..core.report import TableResult
 from ..surrogate.calibration import spearman
 from . import paper_data, tables
@@ -132,7 +131,9 @@ def fidelity_table() -> TableResult:
     # Warm the content-addressed cache for every table cell up front;
     # with --jobs > 1 the cells simulate in parallel and the serial
     # builders below assemble their rows entirely from cache hits.
-    run_requests(tables.sweep_requests())
+    from ..service.session import default_session
+
+    default_session().prefetch(tables.sweep_requests())
     out = TableResult(
         title="fidelity: model vs paper, per table",
         headers=["Paper table", "cells", "rank corr", "median ratio",

@@ -31,7 +31,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..service import cliargs
-from ..service.transport import format_address, parse_address, request
+from ..service.transport import (format_address, parse_address, request,
+                                 request_with_retries)
 from ..telemetry import tracing
 
 __all__ = ["load_trace", "main", "percentile", "run_replay",
@@ -124,10 +125,6 @@ def run_replay(address, trace: List[Dict[str, Any]],
     error; the report's ``retries`` counter is what lets zero-loss
     gating distinguish "lost" from "retried".
     """
-    import random
-
-    from ..errors import RETRYABLE_CODES
-
     resolved = parse_address(address)
     lock = threading.Lock()
     latencies: List[float] = []
@@ -140,13 +137,9 @@ def run_replay(address, trace: List[Dict[str, Any]],
     next_index = [0]
     start = time.perf_counter()
 
-    def send_once(cell: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            return request(resolved, {"op": "submit", "cell": cell},
-                           timeout=timeout)
-        except (OSError, ValueError) as exc:
-            return {"status": "error", "code": "transport",
-                    "message": str(exc)}
+    def count_retry() -> None:
+        with lock:
+            retries_total[0] += 1
 
     def worker() -> None:
         nonlocal rerouted_hint
@@ -170,21 +163,14 @@ def run_replay(address, trace: List[Dict[str, Any]],
                     trace_ids.append(trace_id)
             sent = time.perf_counter()
             outcome: Dict[str, Any]
-            response = send_once(cell)
-            attempt = 0
-            while (response.get("status") != "ok"
-                   and response.get("code") in RETRYABLE_CODES
-                   and attempt < retries):
-                attempt += 1
-                hint = response.get("retry_after")
-                backoff = float(hint) if hint is not None \
-                    else 0.05 * (2 ** (attempt - 1))
-                time.sleep(min(retry_max_sleep, backoff)
-                           * (1.0 + random.uniform(0, 0.25)))
-                response = send_once(cell)
-            if attempt:
-                with lock:
-                    retries_total[0] += attempt
+            try:
+                response = request_with_retries(
+                    resolved, {"op": "submit", "cell": cell},
+                    timeout=timeout, retries=retries,
+                    max_sleep=retry_max_sleep, on_retry=count_retry)
+            except (OSError, ValueError) as exc:
+                response = {"status": "error", "code": "transport",
+                            "message": str(exc)}
             elapsed = time.perf_counter() - sent
             outcome = {"latency_s": elapsed,
                        "status": response.get("status"),

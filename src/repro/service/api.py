@@ -53,7 +53,7 @@ class RunRequest:
     parked: int = 0
     profile: bool = False
     faults: Any = None          # FaultPlan
-    #: "fast" | "exact" | "auto"; None defers to the executor default
+    #: "fast" | "exact" | "auto"; None defers to the session's tier
     tier: Optional[str] = None
     tag: Optional[str] = None
     #: distributed-trace identity (see telemetry.tracing); like ``tag``,
@@ -62,23 +62,21 @@ class RunRequest:
     parent_span: Optional[str] = None
 
     def to_job(self) -> JobRequest:
-        """The executor/cache form of this request.
+        """The executor/cache form of this request, taken as written.
 
-        A ``tier`` of ``None`` materializes the process-wide default
-        (the CLIs' ``--tier``) here, so session-level coalescing keys
-        agree with the tier the executor will actually run.
+        A :class:`~.session.Session` fills its own ``tier`` and fault
+        plan into a cell that leaves them ``None``; see
+        :meth:`~.session.Session.cell`.
         """
         from ..core.affinity import AffinityScheme
-        from ..core.parallel import default_tier
 
         scheme = self.scheme if self.scheme is not None \
             else AffinityScheme.DEFAULT
-        tier = self.tier if self.tier is not None else default_tier()
         return JobRequest(spec=self.system, workload=self.workload,
                           scheme=scheme, affinity=self.affinity,
                           impl=self.impl, lock=self.lock,
                           parked=self.parked, profile=self.profile,
-                          faults=self.faults, tier=tier)
+                          faults=self.faults, tier=self.tier)
 
     def key(self) -> Optional[str]:
         """Content address of the cell, or ``None`` when uncacheable."""

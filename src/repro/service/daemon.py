@@ -39,7 +39,7 @@ from .transport import (
     UnixFrameServer,
     format_address,
     parse_address,
-    request,
+    request_with_retries,
     serve_in_thread,
 )
 
@@ -47,6 +47,9 @@ __all__ = ["ServiceFrontend", "ServiceServer", "TcpServiceServer",
            "main", "submit_main"]
 
 _LOG = logging.getLogger("repro.service.daemon")
+
+#: the ``submit`` client's retry loop, shared with ``replay``
+_request_with_retries = request_with_retries
 
 #: bounded traffic-log length folded into the serve ledger record
 TRAFFIC_LOG_LIMIT = 512
@@ -297,48 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         shutdown_pool()
     return 0
-
-
-def _request_with_retries(address, message: Dict[str, Any],
-                          timeout: float, retries: int,
-                          max_sleep: float = 5.0) -> Dict[str, Any]:
-    """One request with bounded retries on retryable rejections.
-
-    A ``queue_full``/``shard_unavailable`` reply (both pre-acceptance:
-    nothing was admitted, so a retry cannot duplicate work) is retried
-    after sleeping the server's ``retry_after`` hint — jittered, capped
-    at ``max_sleep`` — falling back to exponential backoff when no hint
-    came.  Transport errors retry on the same schedule; the last
-    attempt's outcome (or transport exception) is surfaced as-is.
-    """
-    import random
-
-    from ..errors import RETRYABLE_CODES
-
-    last_exc: Optional[BaseException] = None
-    for attempt in range(retries + 1):
-        if attempt:
-            base = 0.1 * (2 ** (attempt - 1))
-            if last_exc is None and response.get("retry_after") is not None:
-                base = float(response["retry_after"])
-            sleep = min(max_sleep, base) * (1.0 + random.uniform(0, 0.25))
-            time.sleep(sleep)
-        try:
-            response = request(address, message, timeout=timeout)
-            last_exc = None
-        except (OSError, ValueError) as exc:
-            last_exc = exc
-            if attempt == retries:
-                raise
-            continue
-        if response.get("status") == "error" \
-                and response.get("code") in RETRYABLE_CODES \
-                and attempt < retries:
-            continue
-        return response
-    if last_exc is not None:  # pragma: no cover - raised above
-        raise last_exc
-    return response
 
 
 def _print_result(wire: Dict[str, Any], as_json: bool) -> None:

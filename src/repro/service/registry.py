@@ -187,7 +187,7 @@ def wire_cell_for(request: Any) -> Dict[str, Any]:
                             "workload": workload_name,
                             "ntasks": ntasks, "scheme": scheme_name,
                             # explicit tier: the remote side must never
-                            # substitute its own process-wide default
+                            # substitute its own session tier
                             "tier": request.tier or "exact"}
     if params:
         cell["params"] = params

@@ -1,14 +1,16 @@
 """The :class:`Session` facade: characterization as a long-running service.
 
-A session owns everything the old free functions kept in module
-globals — the result cache, the ad-hoc memo table the bench generators
-use, and the executor configuration — plus an **async job queue**:
+A session is the execution context of every cell it runs.  It owns
+the result cache, the ad-hoc memo table the bench generators use, and
+the executor settings — worker count, stall timeout, retry budget,
+backend, execution tier and fault plan — plus an **async job queue**:
 
 * ``submit(request)`` returns a ``concurrent.futures.Future`` that
   resolves to a :class:`~.api.RunResult`; a background dispatcher
-  drains the queue in **batches** through the crash-isolated worker
-  pool of :mod:`repro.core.parallel` (stall watchdog, bounded retry,
-  and worker-crash isolation all apply to served jobs).
+  drains the queue in **batches** through the executor of
+  :mod:`repro.core.parallel` on the session's backend (on the default
+  process backend the stall watchdog, bounded retry, and worker-crash
+  isolation all apply to served jobs).
 * concurrent submits of **identical cells coalesce**: the first keyed
   submit owns the simulation, later twins attach as waiters and every
   future resolves to the same (byte-identical) payload — one
@@ -41,12 +43,13 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.cache import ResultCache, default_cache
+from ..core.cache import ResultCache, Uncacheable, default_cache
 from ..core.metrics import parallel_efficiency
-from ..core.parallel import run_requests, take_failures
+from ..core.parallel import (JobRequest, TargetFailure, run_requests,
+                             take_failures)
 from ..core.report import TableResult
 from ..errors import (
     NoFeasibleSchemeError,
@@ -65,9 +68,9 @@ DEFAULT_MAX_PENDING = 256
 #: default cap on cells dispatched to the pool as one batch
 DEFAULT_MAX_BATCH = 64
 
-#: one executor flight at a time: `run_requests` + `take_failures` share
-#: process-wide state (pool, failure list), so concurrent sessions and
-#: sync runs serialize their batches around this lock
+#: guards only the process-wide failure list, which `run_requests` fills
+#: and `take_failures` drains: one flight at a time holds it, so each
+#: flight reads back exactly its own failures
 _EXEC_LOCK = threading.Lock()
 
 
@@ -128,9 +131,10 @@ class _Job:
     __slots__ = ("request", "job_request", "key", "futures", "hops",
                  "submitted_at", "outcome", "degraded")
 
-    def __init__(self, request: RunRequest, key: Optional[str]):
+    def __init__(self, request: RunRequest, job_request: JobRequest,
+                 key: Optional[str]):
         self.request = request
-        self.job_request = request.to_job()
+        self.job_request = job_request
         self.key = key
         self.futures: List[Future] = []
         #: each waiter's ``session_job`` span, parallel to ``futures``
@@ -153,15 +157,19 @@ class Session:
     ``cache=None`` shares the process-wide content-addressed cache;
     pass an explicit :class:`~repro.core.cache.ResultCache` for an
     isolated (e.g. per-tenant or per-test) session.  ``jobs``,
-    ``timeout`` and ``retries`` default to the executor's process-wide
-    resolution (CLI flags / environment).  ``paused=True`` holds the
-    dispatcher so tests and batch clients can stage submits — staging
-    is also what makes coalescing deterministic to observe.
+    ``timeout`` and ``retries`` left ``None`` resolve from the
+    ``REPRO_BENCH_*`` environment; ``timeout=0`` disables the stall
+    watchdog.  ``paused=True`` holds the dispatcher so tests and batch
+    clients can stage submits — staging is also what makes coalescing
+    deterministic to observe.
     ``backend`` picks the execution plane every batch is scheduled on
     (an :class:`~repro.backends.ExecutionBackend` or its CLI spelling:
     ``threads``, ``processes``, ``remote:<addr>``); the default is the
     process-wide crash-isolated worker pool, and since backends never
     touch the cache the choice cannot change a single result byte.
+    ``tier`` (``fast``/``exact``/``auto``) and ``faults`` (a
+    :class:`~repro.faults.FaultPlan`) apply to every cell that leaves
+    its own ``None``; :meth:`cell` is where they are filled in.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
@@ -174,7 +182,12 @@ class Session:
                  name: str = "session",
                  paused: bool = False,
                  shed_threshold: Optional[float] = None,
-                 backend=None):
+                 backend=None,
+                 tier: Optional[str] = None,
+                 faults=None):
+        if tier not in (None, "fast", "exact", "auto"):
+            raise ValueError(
+                f"tier must be 'fast', 'exact' or 'auto', got {tier!r}")
         self._cache = cache
         self.jobs = jobs
         #: the ExecutionBackend every batch is scheduled on (``None``
@@ -189,6 +202,9 @@ class Session:
         self.batch_window = max(0.0, batch_window)
         self.timeout = timeout
         self.retries = retries
+        self.tier = tier
+        #: a FaultPlan; an empty plan counts as none
+        self.faults = faults if faults else None
         self.name = name
         #: queue-wait p99 (seconds) beyond which submits are shed:
         #: rejected with a live retry-after, or — for ``tier="auto"``
@@ -234,13 +250,41 @@ class Session:
                 name=f"repro-session-{self.name}", daemon=True)
             self._dispatcher.start()
 
+    def cell(self, job: JobRequest) -> JobRequest:
+        """The cell this session runs for ``job``.
+
+        The session's ``tier`` and ``faults`` fill in whatever the cell
+        leaves ``None``.  This is the one place they apply: submit and
+        coalescing keys, the shedding check, and the cells sent to the
+        executor all come from here, so fault-injected or fast-tier
+        cells live under their own cache addresses and worker processes
+        receive the settings by value.
+        """
+        tier = job.tier if job.tier is not None else self.tier
+        faults = job.faults if job.faults is not None else self.faults
+        if tier is job.tier and faults is job.faults:
+            return job
+        return replace(job, tier=tier, faults=faults)
+
+    def _job(self, request: RunRequest) -> _Job:
+        """A job for ``request``: its cell and content address."""
+        cell = self.cell(request.to_job())
+        try:
+            key = cell.key()
+        except Uncacheable:
+            key = None
+        return _Job(request, cell, key)
+
     def _retry_after(self) -> float:
         """Backpressure hint: when the backlog should have drained."""
-        from ..core.parallel import default_jobs
+        from ..backends import default_backend
 
-        workers = self.jobs if self.jobs is not None else default_jobs()
+        backend = self.backend if self.backend is not None \
+            else default_backend()
+        # a sized backend runs that many workers whatever jobs= says
+        workers = max(self.jobs or 1, backend.capacity())
         backlog = len(self._queue) + 1
-        return max(0.05, self._cell_s * backlog / max(1, workers))
+        return max(0.05, self._cell_s * backlog / workers)
 
     def wait_p99(self) -> float:
         """p99 of recent queue waits (0 until samples accumulate)."""
@@ -267,18 +311,18 @@ class Session:
         return p99 > self.shed_threshold
 
     @staticmethod
-    def _degradable(request: RunRequest) -> bool:
-        """May this request be shed to the surrogate fast path?
+    def _degradable(job: _Job) -> bool:
+        """May this job be shed to the surrogate fast path?
 
         Only ``tier="auto"`` cells the surrogate supports: their
         effective tier is already ``fast`` (resolved *before* cache
         keying), so the inline surrogate answer is byte- and
         key-identical to what the queued path would have produced.
         """
-        if request.tier != "auto":
+        if job.job_request.tier != "auto":
             return False
         try:
-            return request.to_job().effective_tier() == "fast"
+            return job.job_request.effective_tier() == "fast"
         except Exception:
             return False
 
@@ -343,7 +387,8 @@ class Session:
                     f"{'closed' if self._closed else 'draining'}")
             self.stats.submitted += 1
             metrics.inc("service_submitted_total")
-            key = request.key()
+            job = self._job(request)
+            key = job.key
             if key is not None:
                 twin = self._inflight.get(key)
                 if twin is not None and twin.outcome is None:
@@ -365,8 +410,7 @@ class Session:
             overloaded = len(self._queue) >= self.max_pending
             shedding = overloaded or self._should_shed_locked()
             if shedding and self.shed_threshold is not None \
-                    and self._degradable(request):
-                job = _Job(request, key)
+                    and self._degradable(job):
                 job.degraded = True
                 job.attach(future, hop)
                 if key is not None:
@@ -391,7 +435,6 @@ class Session:
                     f"session {self.name!r} {reason}",
                     retry_after=retry_after)
             else:
-                job = _Job(request, key)
                 job.attach(future, hop)
                 if key is not None:
                     self._inflight[key] = job
@@ -491,7 +534,8 @@ class Session:
             if self._closed:
                 raise SessionClosedError(f"session {self.name!r} is closed")
             self.stats.submitted += 1
-            key = request.key()
+            job = self._job(request)
+            key = job.key
             twin = self._inflight.get(key) if key is not None else None
             if twin is not None and twin.outcome is None:
                 self.stats.coalesced += 1
@@ -502,7 +546,6 @@ class Session:
                 future = None
         if future is not None:
             return future.result()
-        job = _Job(request, key)
         outcome = self._execute([job])[0]
         with self._cond:
             self._account(job, outcome)
@@ -517,7 +560,7 @@ class Session:
         than raising.  Duplicate cells within the batch are computed
         once by the executor.
         """
-        batch = [_Job(request, request.key()) for request in requests]
+        batch = [self._job(request) for request in requests]
         outcomes = self._execute(batch, jobs=jobs)
         results = []
         with self._cond:
@@ -528,7 +571,32 @@ class Session:
             results.append(self._result_for(job, outcome, wait_s=0.0))
         return results
 
+    def prefetch(self, requests: Sequence[JobRequest]) -> List[TargetFailure]:
+        """Warm the cache for a batch of cells; returns the failed ones.
+
+        The bench builders keep their readable serial loops; calling
+        this first (with ``jobs > 1``) simulates their cells in parallel
+        so every later :meth:`run` is a cache hit.  Each cell is keyed
+        once, inside the executor.
+        """
+        return self._flight([self.cell(request) for request in requests])[1]
+
     # -- execution core ---------------------------------------------------
+
+    def _flight(self, cells: List[JobRequest], jobs: Optional[int] = None
+                ) -> Tuple[List[Any], List[TargetFailure]]:
+        """One executor flight under this session's settings.
+
+        Returns the executor's results and exactly this flight's
+        failures.
+        """
+        with _EXEC_LOCK:
+            take_failures()  # drop stale records of bare executor calls
+            results = run_requests(
+                cells, jobs=jobs if jobs is not None else self.jobs,
+                cache=self.cache, timeout=self.timeout,
+                retries=self.retries, backend=self.backend)
+            return results, take_failures()
 
     def _execute(self, batch: List[_Job],
                  jobs: Optional[int] = None) -> List[Tuple[str, Any]]:
@@ -546,15 +614,10 @@ class Session:
         with span("service_batch", histogram="service_batch_seconds",
                   timed=True, session=self.name,
                   cells=len(batch)) as batch_span:
-            with _EXEC_LOCK:
-                take_failures()  # drop stale records from other flows
-                results = run_requests(
-                    [job.job_request for job in batch],
-                    jobs=jobs if jobs is not None else self.jobs,
-                    cache=self.cache, timeout=self.timeout,
-                    retries=self.retries, backend=self.backend)
-                failures = {f.index: f for f in take_failures()}
-                batch_span.note(failed=len(failures))
+            results, failed = self._flight(
+                [job.job_request for job in batch], jobs=jobs)
+            failures = {f.index: f for f in failed}
+            batch_span.note(failed=len(failures))
         elapsed = batch_span.elapsed
         metrics.observe("service_batch_cells", len(batch),
                         bounds=metrics.COUNT_BUCKETS)

@@ -21,21 +21,24 @@ the router only implement ``handle_message``:
   with a clear error), a leftover socket from a crashed daemon is
   removed and reclaimed;
 * **client side**: the persistent :class:`Connection` used by the
-  remote execution backend and the router, and one-shot ``request()``
-  (open a connection, one request, close) used by the CLI clients and
-  the replay load generator.
+  remote execution backend and the router, one-shot ``request()``
+  (open a connection, one request, close), and
+  ``request_with_retries()``, the one retry loop of the ``submit`` CLI
+  client and the replay load generator.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import random
 import socket
 import socketserver
 import threading
+import time
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from ..errors import ProtocolError
+from ..errors import RETRYABLE_CODES, ProtocolError
 from ..telemetry import metrics as _metrics
 from ..wire import frames as _frames
 from .protocol import PROTOCOL_VERSION, encode_line
@@ -48,10 +51,14 @@ __all__ = [
     "parse_address",
     "prepare_unix_socket",
     "request",
+    "request_with_retries",
     "serve_in_thread",
 ]
 
 _LOG = logging.getLogger("repro.service.transport")
+
+#: client retry backoff without a server hint: 0.05 s, doubling per retry
+RETRY_BACKOFF_S = 0.05
 
 #: a Unix socket path, or a (host, port) TCP endpoint
 Address = Union[str, Tuple[str, int]]
@@ -291,6 +298,45 @@ def request(address: Union[str, Address], message: Dict[str, Any],
     """
     with Connection(address, timeout=timeout) as conn:
         return conn.request(message)
+
+
+def request_with_retries(address: Union[str, Address],
+                         message: Dict[str, Any], timeout: float,
+                         retries: int, max_sleep: float = 5.0,
+                         on_retry: Optional[Callable[[], None]] = None,
+                         ) -> Dict[str, Any]:
+    """One request with bounded retries on retryable rejections.
+
+    A reply whose ``code`` is in :data:`~repro.errors.RETRYABLE_CODES`
+    (``queue_full``, ``shard_unavailable``: pre-acceptance, so nothing
+    was admitted and a retry cannot duplicate work) and a transport
+    error are retried up to ``retries`` times.  Each retry first sleeps
+    the server's ``retry_after`` hint, or :data:`RETRY_BACKOFF_S`
+    doubled per retry when no hint came, capped at ``max_sleep`` and
+    jittered by up to 25%; ``on_retry`` is called once per retry.  The
+    last reply is returned as-is, and a transport error on the last
+    attempt is raised.
+    """
+    response: Dict[str, Any] = {}
+    for attempt in range(retries + 1):
+        if attempt:
+            if on_retry is not None:
+                on_retry()
+            hint = response.get("retry_after")
+            base = float(hint) if hint is not None \
+                else RETRY_BACKOFF_S * 2 ** (attempt - 1)
+            time.sleep(min(max_sleep, base) * (1.0 + random.uniform(0, 0.25)))
+        try:
+            response = request(address, message, timeout=timeout)
+        except (OSError, ValueError):
+            if attempt == retries:
+                raise
+            response = {}
+            continue
+        if response.get("status") == "ok" \
+                or response.get("code") not in RETRYABLE_CODES:
+            return response
+    return response
 
 
 class Connection:

@@ -16,7 +16,6 @@ from repro.backends import (
     RemoteBackend,
     ThreadBackend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.core.affinity import AffinityScheme
 from repro.core.cache import ResultCache
@@ -32,10 +31,8 @@ from repro.service.transport import make_server, serve_in_thread
 @pytest.fixture(autouse=True)
 def _clean_state():
     take_failures()
-    set_default_backend(None)
     yield
     take_failures()
-    set_default_backend(None)
 
 
 def _cells():
@@ -218,3 +215,64 @@ def test_backend_accounting_counts_failures():
         assert gauges["backend_inflight"] == 0
     finally:
         backend.close()
+
+
+def test_closing_one_process_backend_keeps_anothers_workers(tmp_path):
+    """Each ProcessBackend owns its pool: close() reaps only its own."""
+    import multiprocessing
+
+    def workers():
+        return {proc.pid for proc in multiprocessing.active_children()}
+
+    before = workers()
+    first, second = ProcessBackend(jobs=2), ProcessBackend(jobs=2)
+    try:
+        run_requests(_cells(), cache=ResultCache(directory=tmp_path / "a"),
+                     jobs=2, backend=first)
+        first_pids = workers() - before
+        run_requests(_cells(), cache=ResultCache(directory=tmp_path / "b"),
+                     jobs=2, backend=second)
+        second_pids = workers() - before - first_pids
+        assert first_pids and second_pids
+        first.close()
+        alive = workers()
+        assert not first_pids & alive
+        assert second_pids <= alive
+        # the surviving pool still serves, on the same workers
+        again = run_requests(_cells(),
+                             cache=ResultCache(directory=tmp_path / "c"),
+                             jobs=2, backend=second)
+        assert _canon(again) == _canon(_run_with(ThreadBackend(), tmp_path,
+                                                 "threads"))
+        assert second_pids <= workers()
+    finally:
+        first.close()
+        second.close()
+        take_failures()
+
+
+def test_concurrent_flights_share_one_process_backend(tmp_path):
+    """Threads dispatching to one ProcessBackend each get their own bytes."""
+    import threading
+
+    backend = ProcessBackend(jobs=2)
+    expected = _canon(_run_with(ThreadBackend(), tmp_path, "threads"))
+    got = {}
+
+    def flight(name):
+        got[name] = _canon(run_requests(
+            _cells(), cache=ResultCache(directory=tmp_path / name),
+            jobs=2, backend=backend))
+
+    threads = [threading.Thread(target=flight, args=(f"flight-{i}",))
+               for i in range(3)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {f"flight-{i}": expected for i in range(3)}
+    finally:
+        backend.close()
+        take_failures()

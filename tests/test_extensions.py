@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.md import lj_forces, neighbor_pairs, steepest_descent
 from repro.bench.extensions import ext_hybrid_scaling
-from repro.core import AffinityScheme, parallel, run_workload
+from repro.core import AffinityScheme, run_workload
 from repro.core import cache as result_cache
 from repro.machine import describe, distance_table, dmz, hypothetical, longs
 from repro.numa import (
@@ -17,7 +17,7 @@ from repro.numa import (
     PageTable,
     numastat,
 )
-from repro.service import default_session
+from repro.service import Session, default_session, set_default_session
 from repro.sim.engine import Engine
 from repro.workloads import ImbAllreduce, ImbBcast, ImbSendRecv
 
@@ -187,7 +187,8 @@ def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
     cache = result_cache.default_cache()
     saved = (cache.enabled, cache.directory, cache.disk)
     result_cache.configure(enabled=True, directory=tmp_path, disk=True)
-    parallel.set_default_tier("fast")  # hybrid cells stay exact regardless
+    # hybrid cells stay exact regardless of the session's tier
+    previous = set_default_session(Session(name="default", tier="fast"))
     try:
         default_session().clear()
         table = ext_hybrid_scaling()
@@ -205,7 +206,7 @@ def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
         assert warm == cold
         assert cache.stats.misses == misses
     finally:
-        parallel.set_default_tier(None)
+        set_default_session(previous)
         default_session().clear()
         result_cache.configure(enabled=saved[0], directory=saved[1],
                                disk=saved[2])

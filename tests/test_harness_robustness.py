@@ -12,6 +12,8 @@ from repro.core.cache import (
     CACHE_SCHEMA,
     CACHE_STORE_SCHEMA,
     ResultCache,
+    configure,
+    default_cache,
     parse_entry,
     result_checksum,
 )
@@ -51,7 +53,6 @@ def _clean_executor_state():
     reset_pool_stats()
     take_failures()
     yield
-    parallel.set_default_faults(None)
     parallel.shutdown_pool()
     take_failures()
     reset_pool_stats()
@@ -227,43 +228,54 @@ def test_take_failures_drains():
 
 
 def test_default_faults_materialize_into_requests(tmp_path):
+    from repro.service import RunRequest, Session
+
     cache = ResultCache(directory=tmp_path)
-    request = JobRequest(spec=tiger(), workload=_QuickWorkload())
-    healthy = run_request(request, cache=cache)
+    request = RunRequest(system=tiger(), workload=_QuickWorkload())
+    healthy = Session(cache=cache).run(request).require()
     assert healthy.faults is None
 
     plan = FaultPlan(faults=(CacheDegrade(capacity_factor=0.5),))
-    parallel.set_default_faults(plan)
-    try:
-        faulted = run_request(request, cache=cache)
-    finally:
-        parallel.set_default_faults(None)
+    faulted = Session(cache=cache, faults=plan).run(request).require()
     # the plan reached the simulation and the cell keyed separately
     assert faulted.faults is not None
     assert cache.stats.stores == 2
 
-    again = run_request(request, cache=cache)
-    assert again.faults is None  # default cleared; healthy key hits
+    again = Session(cache=cache).run(request).require()
+    assert again.faults is None  # no session plan; healthy key hits
     assert again.to_dict() == healthy.to_dict()
+    # a bare executor call never sees a session's plan
+    bare = run_request(JobRequest(spec=tiger(), workload=_QuickWorkload()),
+                       cache=cache)
+    assert bare.to_dict() == healthy.to_dict()
 
 
-def test_timeout_and_retry_knobs_round_trip(monkeypatch):
+def test_timeout_and_retry_knobs_round_trip(monkeypatch, tmp_path):
+    from repro.backends import ThreadBackend
+    from repro.service import Session
+
+    seen = []
+
+    class Recording(ThreadBackend):
+        def submit_cells(self, batch, jobs=None, timeout=None, retries=None):
+            seen.append((timeout, retries))
+            return super().submit_cells(batch, jobs, timeout, retries)
+
+    def limits(**settings):
+        """(timeout, retries) a session's flight hands its backend."""
+        cache = ResultCache(directory=tmp_path / str(len(seen)))
+        Session(cache=cache, backend=Recording(), **settings).prefetch(
+            [JobRequest(spec=tiger(), workload=_QuickWorkload())])
+        return seen[-1]
+
     monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "12.5")
     monkeypatch.setenv("REPRO_BENCH_RETRIES", "3")
-    parallel.set_default_timeout(None)  # explicit None beats the env
-    assert parallel.default_timeout() is None
-    parallel.set_default_timeout(2.0)
-    assert parallel.default_timeout() == 2.0
-    parallel.set_default_retries(None)  # back to the environment
-    assert parallel.default_retries() == 3
-    parallel.set_default_retries(0)
-    assert parallel.default_retries() == 0
-    parallel.set_default_retries(None)
+    assert limits(timeout=0) == (None, 3)  # 0 beats the env: no watchdog
+    assert limits(timeout=2.0, retries=0) == (2.0, 0)
+    assert limits() == (12.5, 3)  # unset: back to the environment
+    monkeypatch.delenv("REPRO_BENCH_TIMEOUT")
     monkeypatch.delenv("REPRO_BENCH_RETRIES")
-    assert parallel.default_retries() == 1  # shipped default
-    # restore the unset-env default for the rest of the suite
-    parallel._DEFAULT_TIMEOUT_SET = False
-    parallel._DEFAULT_TIMEOUT = None
+    assert limits() == (None, 1)  # shipped defaults
 
 
 # -- regression-gate exclusions --------------------------------------------
@@ -273,3 +285,46 @@ def test_excluded_from_baseline_reasons():
     assert excluded_from_baseline({"faults": {"seed": 1}}) == "fault-injected"
     assert excluded_from_baseline({"status": "ok"}) is None
     assert excluded_from_baseline({"faults": None}) is None
+
+
+# -- a failed cell in a repro-bench run --------------------------------------
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_failed_cell_skips_its_target_and_records_the_run(
+        tmp_path, monkeypatch, capsys, jobs):
+    """A cell lost to an exhausted transport fault skips its target;
+    the remaining targets run, the summary lists the failure, the run
+    exits 1 and the ledger record carries ``failures``."""
+    from repro.bench import cli
+    from repro.core.report import TableResult
+
+    def ok_target():
+        table = TableResult(title="still runs", headers=["a"])
+        table.add_row(1)
+        return table
+
+    monkeypatch.setitem(cli.TARGETS, "oktab", ok_target)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 3, "faults": [
+        {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]}))
+    ledger_dir = tmp_path / "ledger"
+    cache = default_cache()
+    saved = (cache.enabled, cache.directory, cache.disk)
+    configure(enabled=True, directory=tmp_path / "cache", disk=True)
+    try:
+        code = cli.main(["fig14", "oktab", "--jobs", jobs, "--faults",
+                         str(plan), "--ledger-dir", str(ledger_dir)])
+    finally:
+        configure(enabled=saved[0], directory=saved[1], disk=saved[2])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "still runs" in out
+    assert "failed and were skipped" in err
+    assert "target fig14" in err
+    records = ledger.read_records(ledger_dir)
+    assert len(records) == 1
+    failures = records[0]["failures"]
+    assert any(f["label"] == "target fig14" for f in failures)
+    assert all(f["kind"] == "fault_exhausted" for f in failures)
+    if jobs == "2":  # the prefetch's own cell failures are kept too
+        assert any(f["label"] != "target fig14" for f in failures)

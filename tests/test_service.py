@@ -503,3 +503,63 @@ def test_submit_client_never_retries_non_retryable_errors():
     assert reply["status"] == "error"
     assert reply["code"] == "unknown_name"
     assert calls["n"] == 1  # rejected by the session, not backpressure
+
+
+# -- the session as execution context ----------------------------------------
+
+def test_two_sessions_keep_their_own_tier_and_faults(tmp_path):
+    """Concurrent sessions with different settings never share them."""
+    from repro.core.parallel import JobRequest
+    from repro.faults import CacheDegrade, FaultPlan
+    from repro.service.registry import resolve_workload
+
+    plan = FaultPlan(faults=(CacheDegrade(capacity_factor=0.5),))
+    request = RunRequest(system=tiger(),
+                         workload=resolve_workload("stream", 2))
+    cell = request.to_job()
+    expected = {
+        "fast": JobRequest(spec=cell.spec, workload=cell.workload,
+                           tier="fast"),
+        "faulted": JobRequest(spec=cell.spec, workload=cell.workload,
+                              faults=plan),
+    }
+    cache = ResultCache(directory=tmp_path / "cache")
+    sessions = {"fast": Session(cache=cache, tier="fast", name="fast",
+                                paused=True),
+                "faulted": Session(cache=cache, faults=plan,
+                                   name="faulted", paused=True)}
+    for name, session in sessions.items():
+        assert session.cell(cell).key() == expected[name].key()
+    assert len({cell.key()} | {c.key() for c in expected.values()}) == 3
+
+    futures = {name: session.submit(request)
+               for name, session in sessions.items()}
+    for session in sessions.values():
+        session.resume()
+    served = {name: future.result(timeout=120)
+              for name, future in futures.items()}
+    for session in sessions.values():
+        session.close()
+    bare = parallel.run_requests([cell], cache=cache)[0]
+
+    reference = ResultCache(directory=tmp_path / "reference")
+    for name, result in served.items():
+        assert result.ok and result.key == expected[name].key()
+        assert result.job.to_dict() == parallel.run_request(
+            expected[name], cache=reference).to_dict()
+    assert served["faulted"].job.faults is not None
+    assert served["fast"].job.faults is None
+    # the bare executor call ran the cell exactly as written
+    assert bare.faults is None
+    assert bare.to_dict() == parallel.run_request(
+        cell, cache=reference).to_dict()
+    assert cache.stats.stores == 3
+
+
+@pytest.mark.parametrize("backend,hint", [("processes:4", 0.25),
+                                          ("threads:8", 0.125)])
+def test_retry_after_divides_by_the_backends_workers(tmp_path, backend,
+                                                     hint):
+    with _session(tmp_path, backend=backend) as session:
+        session._cell_s = 1.0
+        assert session._retry_after() == pytest.approx(hint)

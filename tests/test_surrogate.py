@@ -29,12 +29,13 @@ from repro.core.affinity import AffinityScheme, resolve_scheme
 from repro.core.ops import (Allgather, Allreduce, Alltoall, Barrier, Bcast,
                             Compute, MarkerStart, MarkerStop, Recv, Reduce,
                             Send, SendRecv)
-from repro.core.parallel import (JobRequest, default_tier, set_default_tier)
+from repro.core.parallel import JobRequest
 from repro.core.workload import Workload
 from repro.errors import SurrogateUnsupportedError
 from repro.faults import CoreSlowdown, FaultPlan
 from repro.machine import dmz, longs
 from repro.mpi.implementations import LAM, MPICH2
+from repro.service.session import Session
 from repro.surrogate import SurrogateEvaluator, unsupported_reason
 from repro.surrogate.calibration import spearman
 from repro.workloads.hpcc import (HpccDgemm, HpccHpl, HpccRandomAccess,
@@ -318,15 +319,16 @@ def test_auto_key_matches_resolved_tier():
     assert profiled_auto.key() == profiled_exact.key()
 
 
-def test_set_default_tier_materializes_and_validates():
-    assert default_tier() is None
-    set_default_tier("fast")
-    try:
-        assert default_tier() == "fast"
-    finally:
-        set_default_tier(None)
+def test_session_tier_materializes_and_validates():
+    cell = _cell(HpccStream(4))
+    assert Session().cell(cell).tier is None
+    fast = Session(tier="fast")
+    assert fast.cell(cell).tier == "fast"
+    assert fast.cell(cell).key() == _cell(HpccStream(4), tier="fast").key()
+    # a cell's own tier wins over the session's
+    assert fast.cell(_cell(HpccStream(4), tier="exact")).tier == "exact"
     with pytest.raises(ValueError):
-        set_default_tier("warp")
+        Session(tier="warp")
 
 
 def test_evaluator_handles_fully_occupied_machine():
