@@ -89,16 +89,18 @@ def _render(name: str, result: Result, csv_dir: str | None,
 def _prefetch(session, names) -> List[parallel.TargetFailure]:
     """Warm the result cache for the requested targets in parallel.
 
-    Table cells and figure cells are enumerated up front and fanned over
-    the worker pool; the serial target builders then run entirely from
-    cache hits.  Only worth the enumeration cost when several targets
-    share cells or ``jobs > 1``.  Returns the cells that failed.
+    Table cells and the requested figures' cells are enumerated up
+    front and fanned over the worker pool; the serial target builders
+    then run entirely from cache hits.  Only worth the enumeration cost
+    when several targets share cells or ``jobs > 1``.  Returns the
+    cells that failed.
     """
     requests = []
     if any(n.startswith("tab") or n == "fidelity" for n in names):
         requests.extend(tables.sweep_requests())
-    if any(n.startswith("fig") for n in names):
-        requests.extend(figures.figure_requests())
+    wanted = [n for n in names if n.startswith("fig")]
+    if wanted:
+        requests.extend(figures.figure_requests(wanted))
     return session.prefetch(requests) if requests else []
 
 
@@ -311,6 +313,10 @@ def main(argv=None) -> int:
     try:
         if jobs > 1:
             failures.extend(_prefetch(session, names))
+        # cells the prefetch already reported, by key: a target one of
+        # them skips points at it instead of repeating its message
+        reported = {failure.key: failure for failure in failures
+                    if failure.key is not None}
         for index, name in enumerate(names):
             start = time.perf_counter()
             hits0 = stats.memory_hits + stats.disk_hits
@@ -319,8 +325,11 @@ def main(argv=None) -> int:
                 results[name] = TARGETS[name]()
             except JobFailedError as exc:
                 # a failed cell skips its target, not the whole run
+                cell = reported.get(exc.key)
+                message = (f"skipped, cell {cell.label} failed" if cell
+                           else str(exc))
                 failures.append(parallel.TargetFailure(
-                    index=index, kind=exc.kind, message=str(exc),
+                    index=index, kind=exc.kind, message=message,
                     attempts=1, label=f"target {name}"))
                 continue
             timings.append((name, time.perf_counter() - start,

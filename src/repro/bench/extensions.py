@@ -63,10 +63,9 @@ def ext_hybrid_scaling() -> TableResult:
     curve: at every socket count the hybrid variant uses the same cores
     with half the ranks and a 2-thread team each.
 
-    The hybrid cells go through the result cache like every other cell
-    and are pinned to the exact tier, so a warm run simulates nothing.
-    Under ``--tier fast`` the pure-MPI column comes from the surrogate
-    while the hybrid column stays exact, so the table mixes the tiers.
+    The hybrid cells go through the result cache and take the
+    session's tier like every other cell, so a warm run simulates
+    nothing.
     """
     from ..service.api import RunRequest
     from ..service.session import default_session
@@ -83,8 +82,7 @@ def ext_hybrid_scaling() -> TableResult:
             spec, NasCG(cores), AffinityScheme.TWO_MPI_LOCAL))
         hybrid = default_session().run(RunRequest(
             system=spec, workload=HybridNasCG(sockets, 2),
-            affinity=hybrid_affinity(spec, sockets, 2),
-            tier="exact")).require()
+            affinity=hybrid_affinity(spec, sockets, 2))).require()
         table.add_row(sockets, cores, pure.wall_time, hybrid.wall_time,
                       hybrid.messages / max(1, pure.messages))
     table.notes.append("the hybrid model eliminates intra-socket MPI "

@@ -8,7 +8,7 @@ simulating the corresponding workload on the modeled systems.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core import (
     AffinityScheme,
@@ -465,76 +465,94 @@ def figure17_latency() -> SeriesResult:
 
 # -- Parallel prefetch -------------------------------------------------------
 
-def figure_requests() -> List[JobRequest]:
+def figure_requests(targets: Optional[Iterable[str]] = None
+                    ) -> List[JobRequest]:
     """Every simulation cell behind Figures 2-17 as cacheable requests.
 
     Feeding this list through :func:`repro.core.parallel.run_requests`
     warms the content-addressed cache in parallel; the figure builders
     above then assemble their series from cache hits.  Requests are
     content-keyed, so duplicates across figures (the latency panels
-    reuse the bandwidth runs) cost nothing.
+    reuse the bandwidth runs) cost nothing.  ``targets`` limits the
+    list to the named figures (``fig14``, ``fig14lat``, ...).
     """
+    wanted = None if targets is None else {name[:5] for name in targets}
+
+    def want(*figures: str) -> bool:
+        return wanted is None or not wanted.isdisjoint(figures)
+
     requests: List[JobRequest] = []
     # Figures 2/3: STREAM scaling on every system.
-    for spec in all_systems():
-        for ncores in range(1, spec.total_cores + 1):
-            requests.append(JobRequest(
-                spec=spec, workload=StreamTriad(ncores),
-                affinity=bound_spread_affinity(spec, ncores)))
+    if want("fig02", "fig03"):
+        for spec in all_systems():
+            for ncores in range(1, spec.total_cores + 1):
+                requests.append(JobRequest(
+                    spec=spec, workload=StreamTriad(ncores),
+                    affinity=bound_spread_affinity(spec, ncores)))
     # Figures 4-7: BLAS on DMZ, vendor and vanilla.
     spec_d = dmz()
-    for workload_cls, sizes in ((DaxpyBench, DAXPY_LENGTHS),
-                                (DgemmBench, DGEMM_SIZES)):
-        for vendor in (True, False):
-            for ntasks in (1, 2, 4):
-                for n in sizes:
-                    requests.append(JobRequest(
-                        spec=spec_d,
-                        workload=workload_cls(ntasks, n, vendor=vendor),
-                        affinity=bound_spread_affinity(spec_d, ntasks)))
+    for figure, workload_cls, sizes, vendor in (
+            ("fig04", DaxpyBench, DAXPY_LENGTHS, True),
+            ("fig05", DaxpyBench, DAXPY_LENGTHS, False),
+            ("fig06", DgemmBench, DGEMM_SIZES, True),
+            ("fig07", DgemmBench, DGEMM_SIZES, False)):
+        if not want(figure):
+            continue
+        for ntasks in (1, 2, 4):
+            for n in sizes:
+                requests.append(JobRequest(
+                    spec=spec_d,
+                    workload=workload_cls(ntasks, n, vendor=vendor),
+                    affinity=bound_spread_affinity(spec_d, ntasks)))
     # Figures 8-13: HPCC under the six LAM/NUMA runtime configurations.
-    spec_l = longs()
-    msg = 1 << 20
-    hpcc_workloads = [
-        HpccHpl(16),
-        HpccDgemm(16, mode="single"), HpccDgemm(16, mode="star"),
-        HpccFft(16, mode="single"), HpccFft(16, mode="star"),
-        HpccStream(16, mode="single"), HpccStream(16, mode="star"),
-        HpccRandomAccess(16, mode="single"),
-        HpccRandomAccess(16, mode="star"),
-        HpccRandomAccess(16, mode="mpi"),
-        HpccPtrans(16),
-        PingPong(msg, ntasks=16), RingExchange(16, msg),
-        PingPong(8, ntasks=16), RingExchange(16, 8),
-    ]
-    for _label, scheme, lock in RUNTIME_CONFIGS:
-        for workload in hpcc_workloads:
-            requests.append(JobRequest(
-                spec=spec_l, workload=workload, scheme=scheme,
-                impl=LAM, lock=lock))
-    requests.append(JobRequest(
-        spec=spec_d, workload=HpccHpl(4), scheme=AffinityScheme.DEFAULT,
-        impl=LAM, lock="sysv"))
+    if want("fig08", "fig09", "fig10", "fig11", "fig12", "fig13"):
+        spec_l = longs()
+        msg = 1 << 20
+        hpcc_workloads = [
+            HpccHpl(16),
+            HpccDgemm(16, mode="single"), HpccDgemm(16, mode="star"),
+            HpccFft(16, mode="single"), HpccFft(16, mode="star"),
+            HpccStream(16, mode="single"), HpccStream(16, mode="star"),
+            HpccRandomAccess(16, mode="single"),
+            HpccRandomAccess(16, mode="star"),
+            HpccRandomAccess(16, mode="mpi"),
+            HpccPtrans(16),
+            PingPong(msg, ntasks=16), RingExchange(16, msg),
+            PingPong(8, ntasks=16), RingExchange(16, 8),
+        ]
+        for _label, scheme, lock in RUNTIME_CONFIGS:
+            for workload in hpcc_workloads:
+                requests.append(JobRequest(
+                    spec=spec_l, workload=workload, scheme=scheme,
+                    impl=LAM, lock=lock))
+        requests.append(JobRequest(
+            spec=spec_d, workload=HpccHpl(4), scheme=AffinityScheme.DEFAULT,
+            impl=LAM, lock="sysv"))
     # Figures 14/15: IMB across MPI implementations on DMZ.
     for impl in (MPICH2, LAM, OPENMPI):
         for nbytes in IMB_SWEEP:
-            requests.append(JobRequest(
-                spec=spec_d, workload=ImbPingPong(nbytes),
-                scheme=AffinityScheme.DEFAULT, impl=impl))
-            requests.append(JobRequest(
-                spec=spec_d, workload=ImbExchange(2, nbytes),
-                scheme=AffinityScheme.DEFAULT, impl=impl))
+            if want("fig14"):
+                requests.append(JobRequest(
+                    spec=spec_d, workload=ImbPingPong(nbytes),
+                    scheme=AffinityScheme.DEFAULT, impl=impl))
+            if want("fig15"):
+                requests.append(JobRequest(
+                    spec=spec_d, workload=ImbExchange(2, nbytes),
+                    scheme=AffinityScheme.DEFAULT, impl=impl))
     # Figures 16/17: OpenMPI with scheduler affinity on DMZ.
     for _label, kwargs in _affinity_configs(spec_d):
         for nbytes in IMB_SWEEP:
+            if want("fig16"):
+                requests.append(JobRequest(
+                    spec=spec_d, workload=ImbPingPong(nbytes, ntasks=2),
+                    impl=OPENMPI, **kwargs))
+            if want("fig17"):
+                requests.append(JobRequest(
+                    spec=spec_d, workload=ImbExchange(2, nbytes),
+                    impl=OPENMPI, **kwargs))
+    if want("fig17"):
+        for nbytes in IMB_SWEEP:
             requests.append(JobRequest(
-                spec=spec_d, workload=ImbPingPong(nbytes, ntasks=2),
-                impl=OPENMPI, **kwargs))
-            requests.append(JobRequest(
-                spec=spec_d, workload=ImbExchange(2, nbytes),
-                impl=OPENMPI, **kwargs))
-    for nbytes in IMB_SWEEP:
-        requests.append(JobRequest(
-            spec=spec_d, workload=ImbExchange(4, nbytes),
-            scheme=AffinityScheme.DEFAULT, impl=OPENMPI))
+                spec=spec_d, workload=ImbExchange(4, nbytes),
+                scheme=AffinityScheme.DEFAULT, impl=OPENMPI))
     return requests

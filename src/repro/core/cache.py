@@ -268,13 +268,14 @@ class ResultCache:
 
     Disk entries are written in the schema-3 framed binary format.
 
-    Disk writes are atomic (temp file + fsync + ``os.replace``), so
+    Disk writes are atomic (temp file + ``os.replace``, no fsync), so
     concurrent writers — the parallel sweep executor's workers — can
     race on the same key without corrupting it: every writer produces
-    identical bytes for a given content address.  Every entry carries a
-    checksum over its result payload; a read that finds a torn or
-    bit-rotted entry **quarantines** it (renames it to ``*.corrupt``),
-    counts it in :attr:`CacheStats.corrupt`, and reports a miss so the
+    identical bytes for a given content address.  Durability rests on
+    the checksum every entry carries over its result payload: a read
+    that finds a torn, empty or bit-rotted entry **quarantines** it
+    (renames it to ``*.corrupt``), counts it in
+    :attr:`CacheStats.corrupt`, and reports a miss so the deterministic
     cell is recomputed and the entry rewritten cleanly.
     """
 
@@ -365,8 +366,6 @@ class ResultCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
                 os.replace(tmp, path)
             except BaseException:
                 try:

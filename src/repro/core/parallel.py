@@ -147,12 +147,23 @@ class JobRequest:
         return runner.run(self.workload)
 
     def label(self) -> str:
-        """A short human-readable cell description for failure reports."""
+        """A short human-readable cell description for failure reports.
+
+        Names the MPI implementation, lock and parked cores when the
+        cell sets them, so the cells of one sweep get distinct labels.
+        """
         workload = getattr(self.workload, "name", None) \
             or type(self.workload).__name__
         scheme = self.affinity.scheme.value if self.affinity is not None \
             else self.scheme.value
-        return f"{workload} on {self.spec.name} [{scheme}]"
+        runtime = [scheme]
+        if self.impl is not None:
+            runtime.append(self.impl.name)
+        if self.lock is not None:
+            runtime.append(self.lock)
+        if self.parked:
+            runtime.append(f"{self.parked} parked")
+        return f"{workload} on {self.spec.name} [{', '.join(runtime)}]"
 
 
 @dataclass

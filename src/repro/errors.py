@@ -167,14 +167,16 @@ class JobFailedError(ReproError):
     expected data (a dash), failure is an abnormal outcome that the
     service still reports rather than dropping.  ``kind`` carries the
     executor's failure class (``crash``/``timeout``/``fault_exhausted``/
-    ``error``).
+    ``error``); ``key`` the failed cell's content address, when known.
     """
 
     code = "job_failed"
 
-    def __init__(self, message: str, kind: str = "error"):
+    def __init__(self, message: str, kind: str = "error",
+                 key: Optional[str] = None):
         super().__init__(message)
         self.kind = kind
+        self.key = key
 
 
 #: wire code -> exception class, for client-side reconstruction

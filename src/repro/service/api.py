@@ -130,7 +130,7 @@ class RunResult:
             raise InfeasibleSchemeError(
                 self.error or "scheme infeasible for this cell")
         raise JobFailedError(self.error or "job failed",
-                             kind=self.kind or "error")
+                             kind=self.kind or "error", key=self.key)
 
     def to_wire(self) -> Dict[str, Any]:
         """The protocol form (status + result payload + metadata)."""

@@ -219,6 +219,9 @@ class Session:
         self._inflight: Dict[str, _Job] = {}
         self._outstanding = 0          # accepted jobs not yet delivered
         self._memo: Dict[Any, Any] = {}
+        #: cells a :meth:`prefetch` flight saw fail, by key; :meth:`run`
+        #: answers them from here instead of simulating them again
+        self._failed: Dict[str, TargetFailure] = {}
         self._paused = paused
         self._draining = False
         self._closed = False
@@ -526,9 +529,11 @@ class Session:
         """Execute one cell synchronously and return its result.
 
         Attaches to an in-flight twin when the async plane is already
-        simulating the same cell (a coalesce hit); otherwise executes
-        in the calling thread through the same cache/executor path the
-        dispatcher uses, so sync and served results are byte-identical.
+        simulating the same cell (a coalesce hit); a cell that failed in
+        this session's :meth:`prefetch` returns that failure without
+        running again; otherwise executes in the calling thread through
+        the same cache/executor path the dispatcher uses, so sync and
+        served results are byte-identical.
         """
         with self._cond:
             if self._closed:
@@ -537,6 +542,7 @@ class Session:
             job = self._job(request)
             key = job.key
             twin = self._inflight.get(key) if key is not None else None
+            failed = self._failed.get(key)
             if twin is not None and twin.outcome is None:
                 self.stats.coalesced += 1
                 metrics.inc("service_coalesce_hits_total")
@@ -546,7 +552,10 @@ class Session:
                 future = None
         if future is not None:
             return future.result()
-        outcome = self._execute([job])[0]
+        if failed is not None:
+            outcome = ("failed", failed.as_dict())
+        else:
+            outcome = self._execute([job])[0]
         with self._cond:
             self._account(job, outcome)
         return self._result_for(job, outcome, wait_s=0.0)
@@ -577,9 +586,15 @@ class Session:
         The bench builders keep their readable serial loops; calling
         this first (with ``jobs > 1``) simulates their cells in parallel
         so every later :meth:`run` is a cache hit.  Each cell is keyed
-        once, inside the executor.
+        once, inside the executor.  The session keeps the failures for
+        its lifetime (never on disk), so a later :meth:`run` of a failed
+        cell reports it again without simulating it twice.
         """
-        return self._flight([self.cell(request) for request in requests])[1]
+        failures = self._flight([self.cell(r) for r in requests])[1]
+        with self._lock:
+            self._failed.update((f.key, f) for f in failures
+                                if f.key is not None)
+        return failures
 
     # -- execution core ---------------------------------------------------
 
@@ -751,13 +766,15 @@ class Session:
             return self._memo.setdefault(key, value)
 
     def clear(self) -> None:
-        """Drop session-scoped memoized state (memo + cache memory tier).
+        """Drop session-scoped memoized state (memo, prefetch failures
+        and the cache memory tier).
 
         On-disk cache entries are untouched; they are content-addressed
         and remain valid.
         """
         with self._lock:
             self._memo.clear()
+            self._failed.clear()
         self.cache.clear_memory()
 
     # -- telemetry ---------------------------------------------------------

@@ -17,9 +17,12 @@ from repro.numa import (
     PageTable,
     numastat,
 )
-from repro.service import Session, default_session, set_default_session
+from repro.service import (RunRequest, Session, default_session,
+                           set_default_session)
 from repro.sim.engine import Engine
+from repro.surrogate.evaluator import SurrogateEvaluator
 from repro.workloads import ImbAllreduce, ImbBcast, ImbSendRecv
+from repro.workloads.hybrid import HybridNasCG, hybrid_affinity
 
 
 # -- machine rendering ---------------------------------------------------------
@@ -182,13 +185,14 @@ def test_imb_extra_validation():
 
 # -- hybrid scaling extension bench -------------------------------------------
 
-def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("tier", ["exact", "fast"])
+def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch, tier):
     """Every ext_hybrid cell, hybrid ones included, is served from cache."""
     cache = result_cache.default_cache()
     saved = (cache.enabled, cache.directory, cache.disk)
     result_cache.configure(enabled=True, directory=tmp_path, disk=True)
-    # hybrid cells stay exact regardless of the session's tier
-    previous = set_default_session(Session(name="default", tier="fast"))
+    # hybrid cells take the session's tier like every other cell
+    previous = set_default_session(Session(name="default", tier=tier))
     try:
         default_session().clear()
         table = ext_hybrid_scaling()
@@ -198,9 +202,10 @@ def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
         misses = cache.stats.misses
 
         def no_simulation(self, *args, **kwargs):
-            raise AssertionError("a warm run must not step the engine")
+            raise AssertionError("a warm run must not simulate")
 
         monkeypatch.setattr(Engine, "run", no_simulation)
+        monkeypatch.setattr(SurrogateEvaluator, "run", no_simulation)
         table = ext_hybrid_scaling()
         warm = (table.to_text(), table.to_csv())
         assert warm == cold
@@ -210,3 +215,22 @@ def test_warm_ext_hybrid_runs_no_simulation(tmp_path, monkeypatch):
         default_session().clear()
         result_cache.configure(enabled=saved[0], directory=saved[1],
                                disk=saved[2])
+
+
+def test_hybrid_cells_agree_across_tiers(tmp_path):
+    """The three ext_hybrid HybridNasCG cells: the surrogate matches the
+    engine, so the table's hybrid column does not depend on the tier."""
+    spec = longs()
+    for sockets in (2, 4, 8):
+        results = {}
+        for tier in ("exact", "fast"):
+            with Session(cache=result_cache.ResultCache(
+                    directory=tmp_path / tier, disk=False),
+                    tier=tier) as session:
+                results[tier] = session.run(RunRequest(
+                    system=spec, workload=HybridNasCG(sockets, 2),
+                    affinity=hybrid_affinity(spec, sockets, 2))).require()
+        exact, fast = results["exact"], results["fast"]
+        assert fast.wall_time == pytest.approx(exact.wall_time, rel=1e-12)
+        assert fast.messages == exact.messages
+        assert fast.bytes_sent == exact.bytes_sent

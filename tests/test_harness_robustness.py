@@ -27,6 +27,7 @@ from repro.core.parallel import (
 )
 from repro.faults import CacheDegrade, FaultPlan
 from repro.machine import dmz, tiger
+from repro.workloads import ImbPingPong
 from repro.telemetry import doctor, ledger
 from repro.telemetry.regress import excluded_from_baseline
 from repro.wire import frames
@@ -93,6 +94,21 @@ def test_truncated_cache_entry_is_quarantined_and_recomputed(tmp_path):
     # the recomputed entry was rewritten cleanly (parse_entry validates format)
     entry = parse_entry(path.read_bytes())
     assert entry["schema"] in (CACHE_SCHEMA, CACHE_STORE_SCHEMA)
+    assert entry["check"] == result_checksum(entry["result"])
+
+
+def test_empty_cache_entry_is_quarantined_and_recomputed(tmp_path):
+    """A zero-length entry, what a crash can leave of an unsynced write."""
+    request, original, path = _populate(tmp_path)
+    path.write_bytes(b"")
+
+    fresh = ResultCache(directory=tmp_path)
+    recovered = run_request(request, cache=fresh)
+    assert fresh.stats.corrupt == 1
+    assert fresh.stats.misses == 1
+    assert recovered.to_dict() == original.to_dict()
+    assert path.with_suffix(".json.corrupt").exists()
+    entry = parse_entry(path.read_bytes())
     assert entry["check"] == result_checksum(entry["result"])
 
 
@@ -327,4 +343,66 @@ def test_cli_failed_cell_skips_its_target_and_records_the_run(
     assert any(f["label"] == "target fig14" for f in failures)
     assert all(f["kind"] == "fault_exhausted" for f in failures)
     if jobs == "2":  # the prefetch's own cell failures are kept too
-        assert any(f["label"] != "target fig14" for f in failures)
+        cells = [f for f in failures if f["label"] != "target fig14"]
+        assert cells
+        # each cell is reported once; the target points at one of them
+        # instead of repeating its message
+        assert len({f["label"] for f in cells}) == len(cells)
+        assert all(f["label"].startswith("imb-pingpong[") for f in cells)
+        target = next(f for f in failures if f["label"] == "target fig14")
+        assert target["message"] not in {f["message"] for f in cells}
+
+
+def test_prefetch_enumerates_only_the_requested_figures_cells():
+    from repro.bench import cli, figures
+
+    class Recording:
+        def prefetch(self, requests):
+            self.requests = list(requests)
+            return []
+
+    session = Recording()
+    cli._prefetch(session, ["fig14"])
+    names = {request.workload.name for request in session.requests}
+    assert names and all(n.startswith("imb-pingpong[") for n in names)
+    assert len(session.requests) == 24  # 3 MPI implementations x 8 sizes
+    # `all` enumerates every figure's cells, as one unfiltered list
+    every = [name for name in cli.TARGETS if name.startswith("fig")]
+    assert [r.key() for r in figures.figure_requests(every)] \
+        == [r.key() for r in figures.figure_requests()]
+
+
+def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):
+    """A cell that failed in a session's prefetch is answered from that
+    failure by a later run, not simulated again."""
+    from repro.backends import ThreadBackend
+    from repro.errors import JobFailedError
+    from repro.service import RunRequest, Session
+
+    executed = []
+    real_execute = JobRequest.execute
+
+    def counting_execute(self):
+        executed.append(self.label())
+        return real_execute(self)
+
+    monkeypatch.setattr(JobRequest, "execute", counting_execute)
+    plan = FaultPlan.from_dict({"seed": 3, "faults": [
+        {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]})
+    request = RunRequest(system=dmz(), workload=ImbPingPong(1024))
+    with Session(cache=ResultCache(directory=tmp_path), faults=plan,
+                 backend=ThreadBackend()) as session:
+        failures = session.prefetch([request.to_job()])
+        assert len(failures) == 1 and len(executed) == 1
+        with pytest.raises(JobFailedError) as excinfo:
+            session.run(request).require()
+    assert str(excinfo.value) == failures[0].message
+    assert excinfo.value.kind == failures[0].kind
+    assert excinfo.value.key == failures[0].key
+    assert len(executed) == 1  # answered from the kept failure
+    # failures are never cached: a fresh session simulates the cell
+    with Session(cache=ResultCache(directory=tmp_path), faults=plan,
+                 backend=ThreadBackend()) as fresh:
+        with pytest.raises(JobFailedError):
+            fresh.run(request).require()
+    assert len(executed) == 2
