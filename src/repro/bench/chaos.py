@@ -1,15 +1,46 @@
-"""``repro-bench chaos``: self-test the pipeline's failure recovery.
+"""``repro-bench chaos``: break the pipeline on purpose, assert recovery.
 
-Each scenario *actually breaks something* — kills a worker process
-mid-sweep, wedges one in a sleep, flips bytes in a cache entry, tears
-the ledger file — and then asserts the pipeline recovered the way the
-robustness machinery promises: surviving cells keep their bit-identical
-results, the broken piece surfaces as a structured failure record, and
-corrupted state is quarantined or repaired rather than trusted.
+One table, :data:`PROPERTIES`, holds every fault-recovery property.
+Each entry has a **check** that actually breaks something — kills a
+worker process mid-batch, wedges one in a sleep, damages a cache entry,
+tears the ledger, kills a shard mid-replay, injects machine faults —
+and raises :class:`AssertionError` when the pipeline did not recover
+the way the robustness machinery promises; a Hypothesis **strategy**
+over the check's arguments; and a set of **named pinned examples**.
+The seven pinned examples are the chaos scenarios (:data:`SCENARIOS`).
 
-All scenarios run against throwaway temp directories; nothing touches
-the user's real cache or ledger.  Exit status is 0 only when every
-scenario recovers.
+* ``repro-bench chaos`` calls each check directly on every pinned
+  example (``--scenario NAME`` on one).  It needs no Hypothesis.
+* ``repro-bench chaos --search`` wraps each check in ``@given`` with
+  its pinned examples as ``@example``, so they run first, then draws
+  new cases.  Failing draws are minimized and persisted to
+  ``.repro/chaos_corpus/`` (a ``DirectoryBasedExampleDatabase``), so a
+  violation found in one run is replayed first in the next.
+  :data:`PROFILES` sets each property's draw budget: ``ci`` (small,
+  time-boxed) or ``nightly`` (wide).
+
+The invariants, asserted on every example:
+
+* **determinism / byte-identity** — a cell computed twice in fresh
+  caches, through a crash, a stall, a shed or a shard kill produces the
+  bytes of a serial run (infeasible cells are infeasible every time);
+* **cache-key soundness** — keys are stable, a re-run is a cache hit,
+  a faulted cell never shares a key with its healthy twin, and
+  ``tier="auto"`` shares the key of the tier it resolves to;
+* **zero accepted-job loss** — every accepted job resolves, a lost
+  worker costs only its own cell (as a structured ``failed`` result),
+  an overloaded session degrades ``auto`` cells instead of dropping
+  them, and a cluster answers every request through a shard kill and
+  converges back to full strength;
+* **damage is never trusted** — a damaged cache entry is never served
+  as a different result, and a torn ledger line is skipped and
+  repairable;
+* **faults have effects** — injected machine faults slow runs, lossy
+  transports retry, and exhausted retries are structured failures.
+
+All checks run against throwaway temp directories; nothing touches the
+user's real cache or ledger.  Exit status: 0 when every check held, 1
+on a violation, 2 when ``--search`` cannot import Hypothesis.
 """
 
 from __future__ import annotations
@@ -17,17 +48,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import socket
 import sys
 import tempfile
+import threading
 import time
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Tuple
+import traceback
+from dataclasses import replace
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from ..core.cache import ResultCache
 from ..core.ops import Compute, Op
 from ..core.workload import Workload
+from ..faults import FaultPlan, MessageFaults
 
-__all__ = ["KamikazeWorkload", "SleeperWorkload", "SCENARIOS", "main"]
+__all__ = ["KamikazeWorkload", "SleeperWorkload", "PROFILES", "PROPERTIES",
+           "SCENARIOS", "run_scenario", "run_search", "main"]
+
+DEFAULT_CORPUS = os.path.join(".repro", "chaos_corpus")
 
 
 class _QuickWorkload(Workload):
@@ -75,469 +113,809 @@ class SleeperWorkload(Workload):
         yield Compute(flops=1.0)  # pragma: no cover - cancelled first
 
 
-def _requests(workloads) -> List:
+def _build_request(cell: Dict[str, Any], tier: Optional[str] = None,
+                   faults: Any = None):
     from ..core.parallel import JobRequest
-    from ..machine import tiger
+    from ..service.registry import (resolve_scheme_name, resolve_system,
+                                    resolve_workload)
 
-    spec = tiger()
-    return [JobRequest(spec=spec, workload=w) for w in workloads]
+    return JobRequest(
+        spec=resolve_system(cell["system"]),
+        workload=resolve_workload(cell["workload"], cell["ntasks"]),
+        scheme=resolve_scheme_name(cell["scheme"]),
+        tier=tier, faults=faults)
 
 
-def scenario_killed_worker() -> Tuple[bool, List[str]]:
-    """A worker dying mid-batch loses only its own cell."""
-    from ..core import parallel
+# -- cell determinism and cache-key soundness --------------------------------
 
-    notes: List[str] = []
-    quick = [_QuickWorkload(salt=i) for i in range(3)]
+
+def _check_cell_invariants(cell: Dict[str, Any], tier: Optional[str],
+                           faults: Any) -> None:
+    from ..core.parallel import run_request
+    from ..errors import InfeasibleSchemeError
+
+    request = _build_request(cell, tier=tier, faults=faults)
+    twin = _build_request(cell, tier=tier, faults=faults)
+    assert request.key() == twin.key(), \
+        "cache key is not a pure function of the cell"
+    if faults is not None:
+        healthy = _build_request(cell, tier=tier, faults=None)
+        assert request.key() != healthy.key(), \
+            "a faulted cell shares its healthy twin's cache key"
+    if tier == "auto":
+        resolved = _build_request(cell, tier=request.effective_tier(),
+                                  faults=faults)
+        assert request.key() == resolved.key(), \
+            "tier=auto does not share the resolved tier's cache key"
+
     with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(directory=tmp)
-        serial = parallel.run_requests(_requests(quick), jobs=1, cache=cache)
-        cache.clear_memory()
+        first_cache = ResultCache(directory=os.path.join(tmp, "a"))
+        try:
+            first = run_request(request, cache=first_cache)
+        except InfeasibleSchemeError:
+            # infeasibility is a valid outcome — but it must be stable
+            try:
+                run_request(twin, cache=ResultCache(
+                    directory=os.path.join(tmp, "b")))
+            except InfeasibleSchemeError:
+                return
+            raise AssertionError(
+                "cell was infeasible once and feasible the second time")
+        second = run_request(twin, cache=ResultCache(
+            directory=os.path.join(tmp, "b")))
+        assert first.to_dict() == second.to_dict(), \
+            "fresh-cache reruns diverged (determinism violation)"
 
-        batch = _requests(quick + [KamikazeWorkload()])
-        victim_cache = ResultCache(directory=tmp)
-        results = parallel.run_requests(batch, jobs=2, cache=victim_cache,
-                                        retries=1)
-        parallel.shutdown_pool()
-        failures = parallel.take_failures()
-
-    ok = True
-    for i, (before, after) in enumerate(zip(serial, results[:3])):
-        if before is None or after is None \
-                or before.to_dict() != after.to_dict():
-            ok = False
-            notes.append(f"surviving cell {i} lost or changed its result")
-    if results[3] is not None:
-        ok = False
-        notes.append("the crashed cell reported a result")
-    crash = [f for f in failures if f.kind == "crash" and f.index == 3]
-    if not crash:
-        ok = False
-        notes.append(f"expected a crash TargetFailure for cell 3, "
-                     f"got {[f.as_dict() for f in failures]}")
-    else:
-        notes.append(f"crash isolated: {crash[0].label} "
-                     f"({crash[0].attempts} attempts)")
-    return ok, notes
+        hits_before = (first_cache.stats.memory_hits
+                       + first_cache.stats.disk_hits)
+        again = run_request(request, cache=first_cache)
+        hits_after = (first_cache.stats.memory_hits
+                      + first_cache.stats.disk_hits)
+        assert hits_after == hits_before + 1, \
+            "identical cell missed its own cache entry"
+        assert again.to_dict() == first.to_dict(), \
+            "cache replay changed the payload"
 
 
-def scenario_killed_service_worker() -> Tuple[bool, List[str]]:
-    """A worker dying under the service loses no accepted job.
+# -- overload sheds without losing accepted jobs -----------------------------
 
-    Submits a batch to a live :class:`~repro.service.Session` —
-    including a kamikaze cell and a coalesced twin — then kills the
-    worker mid-batch and asserts the service's promise: every accepted
-    future resolves (the crashed cell as a structured ``failed``
-    result, never silence), surviving cells keep bit-identical
-    payloads, and drain completes cleanly.
+
+def _check_shed_degrade(cell_list: List[Dict[str, Any]],
+                        depth: int) -> None:
+    from ..core.parallel import run_request
+    from ..errors import QueueFullError
+    from ..service.api import RunRequest
+    from ..service.registry import (resolve_scheme_name, resolve_system,
+                                    resolve_workload)
+    from ..service.session import Session
+
+    def to_run_request(cell):
+        return RunRequest(
+            system=resolve_system(cell["system"]),
+            workload=resolve_workload(cell["workload"], cell["ntasks"]),
+            scheme=resolve_scheme_name(cell["scheme"]),
+            tier="auto")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        session = Session(cache=ResultCache(directory=os.path.join(
+            tmp, "svc")), jobs=1, max_pending=depth, paused=True,
+            shed_threshold=1e-9, name="chaos-search")
+        futures = []
+        rejected = 0
+        with session:
+            # every submit beyond the queue depth must shed: auto cells
+            # degrade to the surrogate inline instead of erroring out
+            for cell in cell_list:
+                try:
+                    futures.append((cell, session.submit(
+                        to_run_request(cell))))
+                except QueueFullError:
+                    rejected += 1
+            session.resume()
+            assert session.drain(timeout=60.0), \
+                "session failed to drain its accepted jobs"
+            results = [(cell, future.result()) for cell, future in futures]
+        assert rejected == 0, \
+            "an auto-tier cell was rejected instead of degraded"
+        assert len(results) == len(cell_list), "an accepted job was lost"
+        # duplicates coalesce (or hit the cache) at admission, so only
+        # cells with distinct content addresses ever occupy queue slots
+        distinct = len({to_run_request(cell).key() for cell in cell_list})
+        assert session.stats.degraded >= max(0, distinct - depth), \
+            "overload did not shed to the surrogate fast path"
+
+        for cell, result in results:
+            if result.status == "infeasible":
+                continue
+            assert result.ok, \
+                f"accepted cell resolved as {result.status}: {result.error}"
+            baseline = run_request(
+                _build_request(cell, tier="auto"),
+                cache=ResultCache(directory=os.path.join(tmp, "base")))
+            assert result.job.to_dict() == baseline.to_dict(), \
+                "a degraded result diverged from the serial baseline " \
+                "(cache-coherence violation)"
+
+
+# -- a lost worker costs only its own cell -----------------------------------
+
+
+def _check_worker_loss(quick: int, victim: int, stall: bool, retries: int,
+                       served: bool) -> None:
+    """A worker lost mid-batch loses only its own cell.
+
+    ``quick`` tiny cells and one victim at position ``victim`` run on a
+    two-worker pool.  The victim crashes its worker with ``os._exit``
+    or, with ``stall``, wedges it in a sleep that the 1 s stall
+    watchdog must catch.  The batch runs as one ``Session.run_many``
+    call or, with ``served``, as paused ``Session.submit`` calls plus a
+    coalesced twin of the first quick cell.  Every accepted job
+    resolves, surviving cells keep their serial bytes, and the victim
+    resolves as a structured ``failed`` result of its kind.
     """
     from ..core import parallel
     from ..machine import tiger
     from ..service.api import RunRequest
     from ..service.session import Session
 
-    notes: List[str] = []
-    ok = True
     spec = tiger()
-    quick = [_QuickWorkload(salt=i) for i in range(3)]
+    cells = [RunRequest(system=spec, workload=_QuickWorkload(salt=i))
+             for i in range(quick)]
+    lost = RunRequest(system=spec, workload=SleeperWorkload()
+                      if stall else KamikazeWorkload())
+    batch = cells[:victim] + [lost] + cells[victim:]
+    kind = "timeout" if stall else "crash"
     with tempfile.TemporaryDirectory() as tmp:
-        serial_cache = ResultCache(directory=os.path.join(tmp, "serial"))
-        serial = parallel.run_requests(_requests(quick), jobs=1,
-                                       cache=serial_cache)
-
-        # the session gets its own cold cache so the quick cells truly
-        # queue (a shared one would answer them at admission)
-        with Session(cache=ResultCache(directory=os.path.join(tmp, "svc")),
-                     jobs=2,
-                     retries=1, name="chaos", paused=True) as session:
-            futures = [session.submit(RunRequest(system=spec, workload=w))
-                       for w in quick + [KamikazeWorkload()]]
-            # a coalesced twin must survive the crash recovery too
-            futures.append(session.submit(
-                RunRequest(system=spec, workload=quick[0])))
-            accepted = session.stats.accepted
-            session.resume()
-            if not session.drain(timeout=120.0):
-                ok = False
-                notes.append("drain timed out with jobs outstanding")
-            results = []
-            for i, future in enumerate(futures):
-                if not future.done():
-                    ok = False
-                    notes.append(f"accepted job {i} never resolved")
-                    results.append(None)
-                else:
-                    results.append(future.result())
+        with Session(cache=ResultCache(directory=os.path.join(tmp, "serial")),
+                     jobs=1, name="chaos-serial") as serial_session:
+            serial = serial_session.run_many(cells)
+        # a cold cache of its own, so the quick cells truly run on the
+        # pool (a shared one would answer them up front)
+        with Session(cache=ResultCache(directory=os.path.join(tmp, "pool")),
+                     jobs=2, timeout=1.0 if stall else None,
+                     retries=retries, paused=served,
+                     name="chaos") as session:
+            if served:
+                # the twin must survive the recovery too
+                futures = [session.submit(request)
+                           for request in batch + cells[:1]]
+                assert session.stats.accepted == len(batch), (
+                    f"expected {len(batch)} accepted jobs (1 coalesced), "
+                    f"got {session.stats.accepted}")
+                session.resume()
+                assert session.drain(timeout=120.0), \
+                    "drain timed out with jobs outstanding"
+                assert all(future.done() for future in futures), \
+                    "an accepted job never resolved"
+                results = [future.result() for future in futures]
+                twin = results.pop()
+            else:
+                results = session.run_many(batch)
         parallel.shutdown_pool()
 
-    if any(r is None for r in results):
-        return False, notes
-    for i, (before, after) in enumerate(zip(serial, results[:3])):
-        if not results[i].ok or before is None \
-                or before.to_dict() != after.job.to_dict():
-            ok = False
-            notes.append(f"surviving cell {i} lost or changed its result")
-    if results[3].status != "failed" or results[3].kind != "crash":
-        ok = False
-        notes.append(f"crashed cell resolved as "
-                     f"{results[3].status}/{results[3].kind}, "
-                     f"expected failed/crash")
-    else:
-        notes.append(f"crash surfaced to its waiter: {results[3].error}")
-    if not results[4].ok \
-            or results[4].job.to_dict() != results[0].job.to_dict():
-        ok = False
-        notes.append("the coalesced twin diverged from its sibling")
-    if accepted != 4:
-        ok = False
-        notes.append(f"expected 4 accepted jobs (1 coalesced), "
-                     f"got {accepted}")
-    if ok:
-        notes.append(f"all {accepted} accepted jobs resolved through the "
-                     f"crash; drain clean")
-    return ok, notes
+    failed = results.pop(victim)
+    assert failed.status == "failed" and failed.kind == kind, (
+        f"the {kind} victim resolved as {failed.status}/{failed.kind}, "
+        f"expected failed/{kind}")
+    for i, (before, after) in enumerate(zip(serial, results)):
+        assert after.ok and before.job.to_dict() == after.job.to_dict(), \
+            f"surviving cell {i} lost or changed its result"
+    if served:
+        assert twin.ok and twin.job.to_dict() == results[0].job.to_dict(), \
+            "the coalesced twin diverged from its sibling"
 
 
-def scenario_killed_shard() -> Tuple[bool, List[str]]:
-    """A shard dying mid-replay costs capacity, never accepted jobs.
+# -- a damaged cache entry is never trusted ----------------------------------
 
-    Brings up a 3-shard in-process cluster (TCP shards over one shared
-    content-addressed store, rendezvous-hashing router), replays a
-    trace with duplicate cells through the router, and kills the home
-    shard of the hottest cell mid-replay.  The promises under test:
-    every request still answers (zero accepted jobs lost — rerouted
-    cells recompute or hit the shared store on a fallback shard), and
-    the honest cells stay byte-identical to a serial baseline.
+
+def _check_cache_corruption(damage: str, at: float) -> None:
+    """A damaged cache entry is never served as a different result.
+
+    ``damage`` is ``flipped`` (a well-formed frame whose payload no
+    longer matches its checksum), ``truncated`` (the entry cut to the
+    fraction ``at`` of its bytes) or ``bitflip`` (one bit flipped, at
+    the fraction ``at`` of the entry).  Detected damage is quarantined
+    to ``*.corrupt`` and recomputed byte-identically, and the entry on
+    disk verifies on the next read.
     """
-    import threading
+    from ..core.cache import parse_entry
+    from ..core.parallel import JobRequest, run_request
+    from ..machine import tiger
+    from ..wire import frames
 
+    request = JobRequest(spec=tiger(), workload=_QuickWorkload())
+    key = request.key()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(directory=tmp)
+        original = run_request(request, cache=cache)
+        path = cache._path(key)
+        raw = path.read_bytes()
+        if damage == "flipped":
+            entry = parse_entry(raw)
+            entry["result"]["wall_time"] += 1.0 + at
+            raw = frames.pack_frames(entry)
+        elif damage == "truncated":
+            raw = raw[:int(len(raw) * at)]
+        else:
+            bit = int(len(raw) * 8 * at)
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            raw = bytes(flipped)
+        path.write_bytes(raw)
+
+        fresh = ResultCache(directory=tmp)
+        served = run_request(request, cache=fresh)
+        assert served.to_dict() == original.to_dict(), \
+            f"{damage}: a damaged entry was served as a different result"
+        detected = fresh.stats.corrupt
+        # a stale checksum or a cut frame is always caught; a flipped
+        # bit may land where it changes nothing (the frame flags)
+        assert detected == 1 or damage == "bitflip", \
+            f"{damage}: entry was not quarantined (corrupt={detected})"
+        assert path.with_suffix(".json.corrupt").exists() == bool(detected), \
+            f"{damage}: the quarantine file does not match the detection"
+        again = ResultCache(directory=tmp)
+        assert again.get(key) is not None and not again.stats.corrupt, \
+            f"{damage}: the entry on disk did not verify on the next read"
+
+
+# -- a torn ledger line is skipped and repairable ----------------------------
+
+#: the record a crashed writer was appending when it tore the ledger
+_TORN_LINE = json.dumps({"run_id": "torn", "schema": 1, "tool": "bench"},
+                        sort_keys=True, separators=(",", ":"))
+
+
+def _check_torn_ledger(run_ids: List[str], tear: int,
+                       second_tear: int) -> None:
+    """A torn trailing line is detected, skipped, and repairable.
+
+    One record per ``run_ids`` entry lands whole, then a writer dies
+    ``tear`` characters into the next line.  Readers skip the torn
+    line, ``scan`` names it, ``repair`` rewrites the file without it,
+    and a record appended after a second tear (``second_tear``
+    characters) still lands on a line of its own.
+    """
+    from ..telemetry import ledger
+
+    records = [{"schema": 1, "tool": "bench", "run_id": run_id}
+               for run_id in run_ids]
+    count = len(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        for record in records:
+            ledger.append(record, tmp)
+        path = ledger.ledger_path(tmp)
+        with open(path, "a") as handle:
+            handle.write(_TORN_LINE[:tear])
+
+        assert ledger.read_records(tmp) == records, \
+            "torn line leaked into read_records"
+        report = ledger.scan(tmp)
+        assert report["records"] == count \
+            and report["torn_lines"] == [count + 1], \
+            f"scan misread the damage: {report}"
+        assert ledger.repair(tmp)["repaired"], "repair declined to rewrite"
+        after = ledger.scan(tmp)
+        assert not after["torn_lines"] and after["records"] == count, \
+            f"ledger still damaged after repair: {after}"
+        # a record appended after a crash starts on a fresh line even
+        # without a repair
+        with open(path, "a") as handle:
+            handle.write(_TORN_LINE[:second_tear])
+        ledger.append({"schema": 1, "tool": "bench", "run_id": "next"}, tmp)
+        assert len(ledger.read_records(tmp)) == count + 1, \
+            "append after a torn line lost a record"
+
+
+# -- injected machine faults have their effects -------------------------------
+
+
+def _check_fault_effects(link_factor: float, lossy: Any,
+                         exhausting: Any) -> None:
+    """Injected machine faults degrade runs; exhaustion is structured.
+
+    An HT link at ``link_factor`` of its bandwidth slows interleaved
+    STREAM; the ``lossy`` message-fault plan costs a ping-pong retries
+    but completes; the ``exhausting`` plan raises
+    :class:`TransportExhaustedError` when run directly, and through the
+    executor becomes a ``failed``/``fault_exhausted`` result, not an
+    abort.
+    """
+    from ..core.affinity import AffinityScheme
+    from ..core.execution import run_workload
+    from ..faults import LinkDegrade, TransportExhaustedError
+    from ..machine import longs
+    from ..service.api import RunRequest
+    from ..service.session import Session
+    from ..workloads import HpccStream, PingPong
+
+    spec = longs()
+    healthy = run_workload(spec, HpccStream(ntasks=4),
+                           scheme=AffinityScheme.INTERLEAVE)
+    assert healthy.faults is None, "healthy run carries a fault summary"
+    degraded = run_workload(
+        spec, HpccStream(ntasks=4), scheme=AffinityScheme.INTERLEAVE,
+        faults=FaultPlan(faults=(LinkDegrade(
+            src=0, dst=1, bandwidth_factor=link_factor),)))
+    assert degraded.wall_time > healthy.wall_time, \
+        f"HT link at {link_factor:.3g}x did not slow interleaved STREAM"
+
+    flaky = run_workload(spec, PingPong(nbytes=65536), faults=lossy)
+    injected = flaky.faults["injected"]
+    assert injected.get("mpi_retries"), \
+        f"lossy transport injected nothing: {injected}"
+    try:
+        run_workload(spec, PingPong(nbytes=65536), faults=exhausting)
+    except TransportExhaustedError:
+        pass
+    else:
+        raise AssertionError("retry exhaustion did not raise")
+
+    pingpong = RunRequest(system=spec, workload=PingPong(nbytes=65536))
+    with tempfile.TemporaryDirectory() as tmp, \
+            Session(cache=ResultCache(directory=tmp), jobs=1,
+                    name="chaos") as session:
+        recovered, exhausted = session.run_many(
+            [replace(pingpong, faults=lossy),
+             replace(pingpong, faults=exhausting)])
+    assert recovered.ok and recovered.job.to_dict() == flaky.to_dict(), \
+        "the executor changed the lossy run's result"
+    assert exhausted.status == "failed" \
+        and exhausted.kind == "fault_exhausted", (
+            f"sweep did not fold exhaustion to a failure: "
+            f"{exhausted.status}/{exhausted.kind}")
+
+
+# -- a cluster survives a shard kill and converges ---------------------------
+
+
+class _InProcShard:
+    """Popen-shaped handle over an in-process TCP shard server.
+
+    ``kill`` closes the listener *and* every open connection, as the
+    death of a shard process would: otherwise the router's persistent
+    connection keeps reaching the victim and no key ever reroutes.
+    """
+
+    _pids = iter(range(10_000, 1_000_000))
+
+    def __init__(self, server: Any):
+        self.server = server
+        self.pid = next(self._pids)
+        self._dead = False
+
+    def kill(self) -> None:
+        self._dead = True
+        try:
+            self.server.initiate_shutdown()
+            self.server.close()
+        except OSError:
+            pass
+        for connection in list(self.server.connections):
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its peer
+
+    def poll(self) -> Optional[int]:
+        return 1 if self._dead else None
+
+
+def _shard_server(address: Any, session: Any) -> Any:
+    """A TCP shard server that records its connections (see kill)."""
+    from ..service.daemon import TcpServiceServer
+
+    class ShardServer(TcpServiceServer):
+        def process_request(self, request, client_address):
+            self.connections.add(request)
+            super().process_request(request, client_address)
+
+    server = ShardServer(address, session)
+    server.connections = set()
+    return server
+
+
+def _check_cluster_kill(cell_list: List[Dict[str, Any]], n_shards: int,
+                        victim_cell: int, kill_fraction: float) -> None:
+    """A shard killed mid-replay costs capacity, never accepted jobs.
+
+    ``n_shards`` supervised TCP shards share one content-addressed
+    store behind a rendezvous-hashing router.  A trace holding every
+    cell four times replays through the router, and once
+    ``kill_fraction`` of it has answered the home shard of
+    ``cell_list[victim_cell]`` (modulo its length) is killed; every
+    cell is then asked once more with the victim still down.  Every
+    request still answers, a surviving shard serves traffic, duplicates
+    collapse through coalescing or the shared store, the supervisor
+    restarts the victim until the router sees every shard alive, and
+    every cell matches a serial baseline byte for byte.
+    """
+    from ..cluster.manager import wait_for_ping
     from ..cluster.replay import run_replay
     from ..cluster.router import Router, shard_for_key
-    from ..service.daemon import TcpServiceServer
+    from ..cluster.supervisor import ShardSpec, ShardSupervisor
+    from ..core import parallel
     from ..service.protocol import cell_from_wire
     from ..service.session import Session
-    from ..service.transport import serve_in_thread
+    from ..service.transport import make_server, serve_in_thread
 
-    notes: List[str] = []
-    ok = True
-    cells = [
-        {"system": "tiger", "workload": "stream", "ntasks": 2,
-         "tier": "fast"},
-        {"system": "tiger", "workload": "cg", "ntasks": 2, "tier": "fast"},
-        {"system": "dmz", "workload": "stream", "ntasks": 4,
-         "scheme": "interleave", "tier": "fast"},
-        {"system": "dmz", "workload": "dgemm", "ntasks": 2,
-         "tier": "fast"},
-    ]
-    # duplicates across "clients": every cell appears 4 times
+    cells = [dict(cell) for cell in cell_list]
     trace = [{"t": 0.0, "cell": dict(cell)} for cell in cells * 4]
+    kill_at = max(1, int(len(trace) * kill_fraction))
 
     with tempfile.TemporaryDirectory() as tmp:
         shared = os.path.join(tmp, "store")
-        servers = []
-        shard_list = []
-        for i in range(3):
-            session = Session(cache=ResultCache(directory=shared),
-                              jobs=1, name=f"chaos-shard-{i}")
-            server = TcpServiceServer(("127.0.0.1", 0), session)
-            serve_in_thread(server, name=f"chaos-shard-{i}")
-            servers.append(server)
-            shard_list.append((f"shard-{i}", server.address))
-        router = Router(shard_list, retries=2, backoff_s=0.02,
-                        health_interval_s=0.1)
-        from ..service.transport import make_server
+        handles: Dict[str, _InProcShard] = {}
 
+        def launch(spec: ShardSpec) -> _InProcShard:
+            session = Session(cache=ResultCache(directory=shared),
+                              jobs=1, name=spec.name)
+            server = _shard_server(spec.address, session)
+            serve_in_thread(server, name=spec.name)
+            return _InProcShard(server)
+
+        specs = []
+        for i in range(n_shards):
+            # bind an ephemeral port first so the spec pins a real
+            # address the supervisor can relaunch on
+            placeholder = make_server(("127.0.0.1", 0), lambda m: {})
+            address = placeholder.address
+            placeholder.close()
+            specs.append(ShardSpec(name=f"shard-{i}", address=address))
+        for spec in specs:
+            handles[spec.name] = launch(spec)
+        victim = shard_for_key(
+            cell_from_wire(cells[victim_cell % len(cells)]).key(),
+            [spec.name for spec in specs])
+
+        router = Router([(spec.name, spec.address) for spec in specs],
+                        retries=2, backoff_s=0.02, health_interval_s=0.1,
+                        breaker_threshold=2, breaker_open_s=0.2)
         front = make_server(("127.0.0.1", 0), router.handle_message)
         serve_in_thread(front, name="chaos-router")
         router.start_health_checks()
+        supervisor = ShardSupervisor(
+            specs, handles, restart_budget=5, budget_window_s=60.0,
+            backoff_s=0.02, backoff_max_s=0.2, poll_interval_s=0.05,
+            ready_timeout_s=10.0, launch_fn=launch,
+            ping_fn=lambda address, deadline_s: wait_for_ping(
+                address, deadline_s=deadline_s),
+            external_stop=router._stop)
 
-        victim = shard_for_key(router._cell_key(cells[0]),
-                               [name for name, _ in shard_list])
-        victim_index = int(victim.rsplit("-", 1)[1])
         killed = threading.Event()
 
-        def maybe_kill(index: int, outcome) -> None:
-            # hard-stop the victim once a third of the trace answered,
-            # with most of the replay still ahead of it
-            if index >= len(trace) // 3 and not killed.is_set():
+        def maybe_kill(index: int, outcome: Any) -> None:
+            if index >= kill_at and not killed.is_set():
                 killed.set()
-                servers[victim_index].initiate_shutdown()
-                servers[victim_index].close()
+                handles[victim].kill()
 
         try:
             report = run_replay(front.address, trace, rate=0.0,
                                 clients=4, timeout=60.0,
                                 on_result=maybe_kill)
+            assert killed.is_set(), \
+                "the kill never fired; replay finished too fast"
+            # every cell once more while the victim is still down, so
+            # its keys must reroute whatever the replay had in flight
+            tail = run_replay(front.address, trace[-len(cells):],
+                              rate=0.0, clients=4, timeout=60.0)
+            for run in (report, tail):
+                assert not run["errors"], (
+                    f"{run['errors']} accepted request(s) failed through "
+                    f"the kill ({run['error_codes']})")
+            assert (set(report["per_shard_utilization"])
+                    | set(tail["per_shard_utilization"])) - {victim}, \
+                "no surviving shard served any traffic"
+            assert report["sources"].get("coalesced", 0) \
+                + report["sources"].get("cache", 0), \
+                "duplicate cells neither coalesced nor hit the shared store"
+
+            # convergence: the supervisor must bring the victim back
+            # and the router must see every shard alive again
+            supervisor.start()
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline:
+                alive = sum(1 for up in router.check_health().values()
+                            if up)
+                # the supervisor records a restart only once the new
+                # shard answers a ping, after it is already reachable
+                restarted = supervisor.restarts().get(victim, 0)
+                if alive == n_shards and restarted:
+                    break
+                time.sleep(0.1)
+            assert alive == n_shards, (
+                f"cluster never converged back to {n_shards} live "
+                f"shards; restarts={supervisor.restarts()} "
+                f"abandoned={supervisor.abandoned()}")
+            assert restarted >= 1, "the killed shard was never restarted"
+            assert not supervisor.abandoned(), \
+                "the supervisor abandoned a shard within budget"
         finally:
+            supervisor.stop()
             router.stop()
-            for i, server in enumerate(servers):
-                if i != victim_index:
-                    server.initiate_shutdown()
-                    server.close()
+            for handle in handles.values():
+                if not handle._dead:
+                    handle.kill()
             front.initiate_shutdown()
             front.close()
 
-        if not killed.is_set():
-            ok = False
-            notes.append("the kill never fired; replay finished too fast")
-        if report["errors"]:
-            ok = False
-            notes.append(f"{report['errors']} request(s) failed "
-                         f"({report['error_codes']}); every accepted "
-                         "job must answer")
-        else:
-            notes.append(f"all {report['requests']} requests answered "
-                         f"through the shard kill "
-                         f"(p99 {report['latency_p99_ms']:.1f} ms)")
-        survivors = {shard for shard in
-                     report["per_shard_utilization"] if shard != victim}
-        if not survivors:
-            ok = False
-            notes.append("no surviving shard served any traffic")
-        coalesce_sources = (report["sources"].get("coalesced", 0)
-                            + report["sources"].get("cache", 0))
-        if not coalesce_sources:
-            ok = False
-            notes.append("duplicate cells neither coalesced nor hit "
-                         "the shared store")
-        else:
-            notes.append(f"duplicates collapsed: {coalesce_sources} of "
-                         f"{report['requests']} served without "
-                         f"recomputing (coalesce rate "
-                         f"{report['coalesce_rate']:.2f})")
-
-        # byte-identity of honest cells vs a serial baseline
+        # every cell stays byte-identical to a serial baseline
         with Session(cache=ResultCache(
-                directory=os.path.join(tmp, "serial")),
-                jobs=1, name="chaos-serial") as baseline_session, \
-                Session(cache=ResultCache(directory=shared),
-                        jobs=1, name="chaos-check") as check_session:
+                directory=os.path.join(tmp, "serial")), jobs=1,
+                name="chaos-serial") as baseline_session, \
+                Session(cache=ResultCache(directory=shared), jobs=1,
+                        name="chaos-check") as check_session:
             for cell in cells:
                 request = cell_from_wire(cell)
                 baseline = baseline_session.run(request)
                 # the shared store holds what the cluster computed
                 replayed = check_session.run(request)
-                if not baseline.ok or not replayed.ok \
-                        or baseline.job.to_dict() != replayed.job.to_dict():
-                    ok = False
-                    notes.append(f"cell {cell['workload']} on "
-                                 f"{cell['system']} diverged from the "
-                                 "serial baseline")
-        from ..core import parallel
-
+                assert baseline.ok and replayed.ok and \
+                    baseline.job.to_dict() == replayed.job.to_dict(), (
+                        f"cell {cell['workload']} on {cell['system']} "
+                        "diverged from the serial baseline")
         parallel.shutdown_pool()
-    if ok:
-        notes.append(f"shard {victim} killed mid-replay; router "
-                     "rerouted with zero accepted-job loss")
-    return ok, notes
 
 
-def scenario_hung_worker() -> Tuple[bool, List[str]]:
-    """A wedged worker trips the stall watchdog; the batch completes."""
-    from ..core import parallel
-
-    notes: List[str] = []
-    quick = [_QuickWorkload(salt=i) for i in range(2)]
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(directory=tmp)
-        batch = _requests(quick + [SleeperWorkload(seconds=60.0)])
-        results = parallel.run_requests(batch, jobs=2, cache=cache,
-                                        timeout=1.0, retries=0)
-        parallel.shutdown_pool()
-        failures = parallel.take_failures()
-
-    ok = True
-    if any(r is None for r in results[:2]):
-        ok = False
-        notes.append("a quick cell was lost to the watchdog")
-    if results[2] is not None:
-        ok = False
-        notes.append("the hung cell reported a result")
-    hung = [f for f in failures if f.kind == "timeout" and f.index == 2]
-    if not hung:
-        ok = False
-        notes.append(f"expected a timeout TargetFailure for cell 2, "
-                     f"got {[f.as_dict() for f in failures]}")
-    else:
-        notes.append(f"stall detected: {hung[0].label}")
-    return ok, notes
+# -- strategies --------------------------------------------------------------
 
 
-def scenario_corrupted_cache() -> Tuple[bool, List[str]]:
-    """Flipped or truncated entries are quarantined and recomputed."""
-    from ..core import parallel
+def _cells(st, ntasks=(1, 2, 4), schemes=None, **extra):
+    """Registry cells: machine x workload x task count x scheme."""
+    from ..service.registry import SCHEME_ALIASES, WORKLOADS
 
-    notes: List[str] = []
-    ok = True
-    for mode in ("flipped", "truncated"):
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(directory=tmp)
-            request = _requests([_QuickWorkload()])[0]
-            original = parallel.run_request(request, cache=cache)
-            key = request.key()
-            path = cache._path(key)
-            raw = path.read_bytes()
-            if mode == "flipped":
-                # alter the payload but not the stored checksum: still a
-                # well-formed frame, so only checksum verification
-                # catches it
-                from ..core.cache import parse_entry
-                from ..wire import frames
-
-                entry = parse_entry(raw)
-                entry["result"]["wall_time"] = \
-                    entry["result"].get("wall_time", 0.0) + 1.0
-                path.write_bytes(frames.pack_frames(entry))
-            else:
-                path.write_bytes(raw[: len(raw) // 2])
-
-            fresh = ResultCache(directory=tmp)
-            recovered = parallel.run_request(request, cache=fresh)
-            if fresh.stats.corrupt != 1:
-                ok = False
-                notes.append(f"{mode}: entry was not quarantined "
-                             f"(corrupt={fresh.stats.corrupt})")
-            if recovered.to_dict() != original.to_dict():
-                ok = False
-                notes.append(f"{mode}: recomputed result diverged")
-            if not path.with_suffix(".json.corrupt").exists():
-                ok = False
-                notes.append(f"{mode}: no quarantine file on disk")
-            # the rewritten entry must verify on the next read
-            rewritten = ResultCache(directory=tmp)
-            again = rewritten.get(key)
-            if again is None or rewritten.stats.corrupt:
-                ok = False
-                notes.append(f"{mode}: rewritten entry did not verify")
-            else:
-                notes.append(f"{mode} entry quarantined and recomputed")
-    return ok, notes
+    return st.fixed_dictionaries(dict({
+        "system": st.sampled_from(("tiger", "dmz", "longs")),
+        "workload": st.sampled_from(sorted(WORKLOADS)),
+        "ntasks": st.sampled_from(ntasks),
+        "scheme": st.sampled_from(schemes or sorted(SCHEME_ALIASES)),
+    }, **extra))
 
 
-def scenario_torn_ledger() -> Tuple[bool, List[str]]:
-    """A torn trailing line is detected, skipped, and repairable."""
-    from ..telemetry import ledger
+def _cell_invariant_cases(st):
+    from ..faults import CacheDegrade, CoreSlowdown, LinkDegrade
 
-    notes: List[str] = []
-    ok = True
-    with tempfile.TemporaryDirectory() as tmp:
-        ledger.append({"schema": 1, "tool": "bench", "run_id": "a"}, tmp)
-        ledger.append({"schema": 1, "tool": "bench", "run_id": "b"}, tmp)
-        path = ledger.ledger_path(tmp)
-        with open(path, "a") as handle:
-            handle.write('{"schema": 1, "tool": "bench", "run_i')  # torn
-
-        if len(ledger.read_records(tmp)) != 2:
-            ok = False
-            notes.append("torn line leaked into read_records")
-        report = ledger.scan(tmp)
-        if report["records"] != 2 or report["torn_lines"] != [3]:
-            ok = False
-            notes.append(f"scan misread the damage: {report}")
-        repaired = ledger.repair(tmp)
-        if not repaired["repaired"]:
-            ok = False
-            notes.append("repair declined to rewrite")
-        after = ledger.scan(tmp)
-        if after["torn_lines"] or after["records"] != 2:
-            ok = False
-            notes.append(f"ledger still damaged after repair: {after}")
-        # a new record appended post-crash starts on a fresh line even
-        # without repair: simulate by tearing again, then appending
-        with open(path, "a") as handle:
-            handle.write('{"torn": tr')
-        ledger.append({"schema": 1, "tool": "bench", "run_id": "c"}, tmp)
-        if len(ledger.read_records(tmp)) != 3:
-            ok = False
-            notes.append("append after a torn line lost a record")
-        else:
-            notes.append("torn line skipped, repaired, and append-safe")
-    return ok, notes
+    # deterministic fault kinds only: they reshape modeled timing
+    # without probabilistic control flow, so byte-identity must hold
+    faults = st.one_of(
+        st.builds(LinkDegrade,
+                  src=st.just(0), dst=st.just(1),
+                  bandwidth_factor=st.floats(0.05, 0.9),
+                  latency_factor=st.floats(1.0, 4.0)),
+        st.builds(CoreSlowdown,
+                  core=st.integers(0, 1),
+                  factor=st.floats(1.5, 4.0)),
+        st.builds(CacheDegrade,
+                  capacity_factor=st.floats(0.1, 0.9)),
+    )
+    plans = st.builds(
+        FaultPlan,
+        seed=st.integers(0, 2 ** 16),
+        faults=st.lists(faults, min_size=1, max_size=2).map(tuple))
+    return st.sampled_from(("fast", "exact", "auto")).flatmap(
+        lambda tier: st.fixed_dictionaries({
+            "cell": _cells(st), "tier": st.just(tier),
+            # an explicit fast tier cannot carry faults
+            "faults": st.none() if tier == "fast" else st.none() | plans}))
 
 
-def scenario_sim_faults() -> Tuple[bool, List[str]]:
-    """Injected machine faults degrade runs; exhaustion is structured."""
-    from ..core import parallel
-    from ..core.affinity import AffinityScheme
-    from ..core.execution import run_workload
-    from ..core.parallel import JobRequest
-    from ..faults import (FaultPlan, LinkDegrade, MessageFaults,
-                          TransportExhaustedError)
-    from ..machine import longs
-    from ..workloads import HpccStream, PingPong
+def _worker_loss_cases(st):
+    def case(quick: int, stall: bool):
+        return st.fixed_dictionaries({
+            "quick": st.just(quick), "victim": st.integers(0, quick),
+            "stall": st.just(stall),
+            # a crash breaks the whole pool: only a retry in isolation
+            # saves the innocent cells that were in flight with it
+            "retries": st.integers(0, 1) if stall else st.integers(1, 2),
+            "served": st.booleans()})
 
-    notes: List[str] = []
-    ok = True
-    spec = longs()
-
-    healthy = run_workload(spec, HpccStream(ntasks=4),
-                           scheme=AffinityScheme.INTERLEAVE)
-    degraded = run_workload(
-        spec, HpccStream(ntasks=4), scheme=AffinityScheme.INTERLEAVE,
-        faults=FaultPlan(faults=(LinkDegrade(src=0, dst=1,
-                                             bandwidth_factor=0.05),)))
-    if degraded.wall_time <= healthy.wall_time:
-        ok = False
-        notes.append("degraded HT link did not slow interleaved STREAM")
-    else:
-        notes.append(f"link degrade: wall {healthy.wall_time:.3f}s -> "
-                     f"{degraded.wall_time:.3f}s")
-    if healthy.faults is not None:
-        ok = False
-        notes.append("healthy run carries a fault summary")
-
-    flaky = run_workload(
-        spec, PingPong(nbytes=65536),
-        faults=FaultPlan(seed=11, faults=(MessageFaults(drop_prob=0.3,
-                                                        dup_prob=0.1),)))
-    injected = (flaky.faults or {}).get("injected", {})
-    if not injected.get("mpi_retries"):
-        ok = False
-        notes.append(f"lossy transport injected nothing: {injected}")
-    else:
-        notes.append(f"transport recovered through retries: {injected}")
-
-    try:
-        run_workload(spec, PingPong(nbytes=65536),
-                     faults=FaultPlan(seed=3, faults=(
-                         MessageFaults(drop_prob=0.95, max_retries=1),)))
-    except TransportExhaustedError:
-        notes.append("retry exhaustion raised TransportExhaustedError")
-    else:
-        ok = False
-        notes.append("retry exhaustion did not raise")
-
-    # through the sweep executor the same exhaustion is a failure
-    # record, not an abort
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(directory=tmp)
-        plan = FaultPlan(seed=3,
-                         faults=(MessageFaults(drop_prob=0.95,
-                                               max_retries=1),))
-        results = parallel.run_requests(
-            [JobRequest(spec=spec, workload=PingPong(nbytes=65536),
-                        faults=plan)],
-            jobs=1, cache=cache)
-        failures = parallel.take_failures()
-    if results != [None] or not failures \
-            or failures[0].kind != "fault_exhausted":
-        ok = False
-        notes.append(f"sweep did not fold exhaustion to a failure: "
-                     f"{[f.as_dict() for f in failures]}")
-    else:
-        notes.append("sweep folded exhaustion into a TargetFailure")
-    return ok, notes
+    return st.tuples(st.integers(1, 8), st.booleans()).flatmap(
+        lambda drawn: case(*drawn))
 
 
-SCENARIOS: Dict[str, Callable[[], Tuple[bool, List[str]]]] = {
-    "killed-worker": scenario_killed_worker,
-    "killed-service-worker": scenario_killed_service_worker,
-    "killed-shard": scenario_killed_shard,
-    "hung-worker": scenario_hung_worker,
-    "corrupted-cache": scenario_corrupted_cache,
-    "torn-ledger": scenario_torn_ledger,
-    "sim-faults": scenario_sim_faults,
+def _message_faults(seed: int, **faults: Any) -> FaultPlan:
+    return FaultPlan(seed=seed, faults=(MessageFaults(**faults),))
+
+
+def _fault_effects_cases(st):
+    def plan(drop, dup, retries):
+        return st.builds(_message_faults, st.integers(0, 2 ** 16),
+                         drop_prob=drop, dup_prob=dup, max_retries=retries)
+
+    return st.fixed_dictionaries({
+        # the link binds interleaved STREAM only below ~0.2x bandwidth
+        "link_factor": st.floats(0.01, 0.2),
+        # a ping-pong sends 44 messages: at these rates one is always
+        # dropped, and a budget this deep is never exhausted
+        "lossy": plan(st.floats(0.3, 0.35), st.floats(0.0, 0.15),
+                      st.integers(14, 20)),
+        "exhausting": plan(st.floats(0.9, 0.99), st.just(0.0),
+                           st.integers(0, 1)),
+    })
+
+
+# -- the property table ------------------------------------------------------
+
+
+class Property(NamedTuple):
+    """One recovery property: its check, its cases, its pinned examples.
+
+    ``check(**kwargs)`` raises :class:`AssertionError` on a violation;
+    ``cases(st)`` builds a strategy of such keyword dicts from
+    ``hypothesis.strategies``; ``examples`` maps each pinned example's
+    name to the keyword dicts it runs.
+    """
+
+    check: Callable[..., None]
+    cases: Callable[[Any], Any]
+    examples: Dict[str, List[Dict[str, Any]]]
+
+
+PROPERTIES: Dict[str, Property] = {
+    "cell-invariants": Property(
+        _check_cell_invariants, _cell_invariant_cases, {}),
+    "shed-degrade": Property(
+        _check_shed_degrade,
+        lambda st: st.fixed_dictionaries({
+            "cell_list": st.lists(_cells(st), min_size=2, max_size=5),
+            "depth": st.integers(1, 2)}),
+        {}),
+    "worker-loss": Property(_check_worker_loss, _worker_loss_cases, {
+        # the victim goes first with many cells queued behind it, so
+        # innocent cells are in flight whenever the pool breaks and
+        # only crash isolation can save them
+        "killed-worker": [dict(quick=8, victim=0, stall=False, retries=1,
+                               served=False)],
+        "hung-worker": [dict(quick=2, victim=2, stall=True, retries=0,
+                             served=False)],
+        "killed-service-worker": [dict(quick=8, victim=0, stall=False,
+                                       retries=1, served=True)],
+    }),
+    "cluster-kill": Property(
+        _check_cluster_kill,
+        lambda st: st.fixed_dictionaries({
+            # at most two ranks under these schemes fit every machine,
+            # so every request must answer ok
+            "cell_list": st.lists(
+                _cells(st, (1, 2), ("default", "interleave"),
+                       tier=st.sampled_from(("fast", "auto"))),
+                min_size=2, max_size=4,
+                unique_by=lambda c: tuple(sorted(c.items()))),
+            "n_shards": st.integers(2, 3),
+            "victim_cell": st.integers(0, 3),
+            "kill_fraction": st.floats(0.2, 0.6)}),
+        {"killed-shard": [dict(
+            cell_list=[
+                {"system": "tiger", "workload": "stream", "ntasks": 2,
+                 "scheme": "default", "tier": "fast"},
+                {"system": "tiger", "workload": "cg", "ntasks": 2,
+                 "scheme": "default", "tier": "fast"},
+                {"system": "dmz", "workload": "stream", "ntasks": 4,
+                 "scheme": "interleave", "tier": "fast"},
+                {"system": "dmz", "workload": "dgemm", "ntasks": 2,
+                 "scheme": "default", "tier": "fast"}],
+            n_shards=3, victim_cell=0, kill_fraction=1 / 3)]}),
+    "cache-corruption": Property(
+        _check_cache_corruption,
+        lambda st: st.fixed_dictionaries({
+            "damage": st.sampled_from(("flipped", "truncated", "bitflip")),
+            "at": st.floats(0.0, 1.0, exclude_max=True)}),
+        {"corrupted-cache": [dict(damage="flipped", at=0.0),
+                             dict(damage="truncated", at=0.5)]}),
+    "torn-ledger": Property(
+        _check_torn_ledger,
+        lambda st: st.fixed_dictionaries({
+            "run_ids": st.lists(st.text(max_size=8), min_size=1,
+                                max_size=4),
+            "tear": st.integers(1, len(_TORN_LINE) - 1),
+            "second_tear": st.integers(1, len(_TORN_LINE) - 1)}),
+        {"torn-ledger": [dict(run_ids=["a", "b"], tear=30,
+                              second_tear=9)]}),
+    "fault-effects": Property(
+        _check_fault_effects, _fault_effects_cases,
+        {"sim-faults": [dict(
+            link_factor=0.05,
+            lossy=_message_faults(11, drop_prob=0.3, dup_prob=0.1,
+                                  max_retries=14),
+            exhausting=_message_faults(3, drop_prob=0.95,
+                                       max_retries=1))]}),
 }
+
+#: pinned example (chaos scenario) name -> the property it pins
+SCENARIOS: Dict[str, str] = {name: prop for prop, entry in PROPERTIES.items()
+                             for name in entry.examples}
+
+#: per-profile draw budgets, keyed by property name (pinned examples
+#: run on top of these)
+PROFILES: Dict[str, Dict[str, int]] = {
+    "ci": {"cell-invariants": 25, "shed-degrade": 6, "cluster-kill": 2,
+           "worker-loss": 3, "cache-corruption": 20, "torn-ledger": 25,
+           "fault-effects": 10},
+    "nightly": {"cell-invariants": 250, "shed-degrade": 50,
+                "cluster-kill": 15, "worker-loss": 25,
+                "cache-corruption": 200, "torn-ledger": 250,
+                "fault-effects": 100},
+}
+
+
+def run_scenario(name: str) -> None:
+    """Run one pinned example; raises :class:`AssertionError` on failure."""
+    entry = PROPERTIES[SCENARIOS[name]]
+    for kwargs in entry.examples[name]:
+        entry.check(**kwargs)
+
+
+def run_search(profile: str = "ci", corpus_dir: str = DEFAULT_CORPUS,
+               names: Optional[List[str]] = None) -> Dict[str, Any]:
+    """Search each property with Hypothesis; returns a report dict.
+
+    Each property's pinned examples run first, then ``PROFILES[profile]``
+    drawn cases.  ``report["ok"]`` is True when every property held on
+    every example.  Failing draws are minimized by Hypothesis and
+    stored under ``corpus_dir`` for replay on the next run.
+    """
+    try:
+        from hypothesis import HealthCheck, example, given, settings
+        from hypothesis import strategies as st
+        from hypothesis.database import DirectoryBasedExampleDatabase
+    except ImportError:
+        return {"ok": False, "error": "hypothesis is not installed",
+                "profile": profile, "properties": {}}
+
+    database = DirectoryBasedExampleDatabase(corpus_dir)
+    report: Dict[str, Any] = {"ok": True, "profile": profile,
+                              "corpus": corpus_dir, "properties": {}}
+    for name in names or PROPERTIES:
+        entry = PROPERTIES[name]
+        counter = [0]
+
+        def prop(kwargs):  # runs before the loop moves on
+            counter[0] += 1
+            entry.check(**kwargs)
+
+        test = given(entry.cases(st))(prop)
+        for cases in entry.examples.values():
+            for kwargs in cases:
+                test = example(kwargs)(test)
+        test = settings(max_examples=PROFILES[profile][name],
+                        database=database, deadline=None, print_blob=True,
+                        derandomize=False,
+                        suppress_health_check=[
+                            HealthCheck.too_slow, HealthCheck.data_too_large,
+                            HealthCheck.filter_too_much])(test)
+        started = time.monotonic()
+        outcome: Dict[str, Any] = {"ok": True}
+        try:
+            test()
+        except Exception as exc:  # hypothesis re-raises the minimal case
+            report["ok"] = False
+            outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        outcome.update(examples=counter[0],
+                       elapsed_s=round(time.monotonic() - started, 3))
+        report["properties"][name] = outcome
+    return report
+
+
+def _search_main(args) -> int:
+    report = run_search(profile=args.profile, corpus_dir=args.corpus,
+                        names=args.property or None)
+    if report.get("error"):
+        print(f"chaos --search: {report['error']}", file=sys.stderr)
+        return 2
+    for name, outcome in report["properties"].items():
+        status = "PASS" if outcome["ok"] else "FAIL"
+        print(f"[{status}] {name}: {outcome['examples']} example(s) "
+              f"in {outcome['elapsed_s']:.1f}s")
+        if not outcome["ok"]:
+            print(f"    {outcome['error']}")
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+    if not report["ok"]:
+        print("chaos --search: invariant violation found (minimized "
+              f"example saved to {report['corpus']})", file=sys.stderr)
+        return 1
+    print(f"chaos --search [{report['profile']}]: all properties held")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -557,35 +935,36 @@ def main(argv=None) -> int:
                              "draw random cell x fault x kill-schedule "
                              "combinations and assert the recovery "
                              "invariants on each")
-    parser.add_argument("--profile", choices=("ci", "nightly"),
+    parser.add_argument("--profile", choices=sorted(PROFILES),
                         default="ci",
                         help="search effort: 'ci' is small and time-boxed, "
                              "'nightly' is wide (default: ci)")
-    parser.add_argument("--corpus", metavar="DIR",
-                        default=os.path.join(".repro", "chaos_corpus"),
+    parser.add_argument("--corpus", metavar="DIR", default=DEFAULT_CORPUS,
                         help="example database for minimized failures "
                              "(default: .repro/chaos_corpus)")
     parser.add_argument("--property", action="append", metavar="NAME",
-                        choices=("cell-invariants", "shed-degrade",
-                                 "cluster-kill"),
+                        choices=sorted(PROPERTIES),
                         help="search one property (repeatable; "
                              "default: all)")
     args = parser.parse_args(argv)
 
     if args.search:
-        from .chaos_search import main as search_main
-
-        return search_main(args)
+        return _search_main(args)
 
     names = [args.scenario] if args.scenario else sorted(SCENARIOS)
     outcomes = {}
     for name in names:
-        ok, notes = SCENARIOS[name]()
-        outcomes[name] = ok
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}")
-        for note in notes:
-            print(f"    {note}")
+        try:
+            run_scenario(name)
+        except Exception as exc:  # report every scenario, then fail
+            outcomes[name] = False
+            print(f"[FAIL] {name} ({SCENARIOS[name]})")
+            print(f"    {type(exc).__name__}: {exc}")
+            if not isinstance(exc, AssertionError):  # a broken check
+                traceback.print_exc()
+        else:
+            outcomes[name] = True
+            print(f"[PASS] {name} ({SCENARIOS[name]})")
     failed = [name for name, ok in outcomes.items() if not ok]
     if args.json:
         print(json.dumps({"scenarios": outcomes,

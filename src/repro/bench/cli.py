@@ -89,15 +89,17 @@ def _render(name: str, result: Result, csv_dir: str | None,
 def _prefetch(session, names) -> List[parallel.TargetFailure]:
     """Warm the result cache for the requested targets in parallel.
 
-    Table cells and the requested figures' cells are enumerated up
-    front and fanned over the worker pool; the serial target builders
-    then run entirely from cache hits.  Only worth the enumeration cost
-    when several targets share cells or ``jobs > 1``.  Returns the
-    cells that failed.
+    The requested tables' and figures' cells (every table's for
+    ``fidelity``) are enumerated up front and fanned over the worker
+    pool; the serial target builders then run entirely from cache hits.
+    Only worth the enumeration cost when several targets share cells or
+    ``jobs > 1``.  Returns the cells that failed.
     """
     requests = []
-    if any(n.startswith("tab") or n == "fidelity" for n in names):
+    if "fidelity" in names:
         requests.extend(tables.sweep_requests())
+    elif any(n.startswith("tab") for n in names):
+        requests.extend(tables.sweep_requests(names))
     wanted = [n for n in names if n.startswith("fig")]
     if wanted:
         requests.extend(figures.figure_requests(wanted))
@@ -313,8 +315,8 @@ def main(argv=None) -> int:
     try:
         if jobs > 1:
             failures.extend(_prefetch(session, names))
-        # cells the prefetch already reported, by key: a target one of
-        # them skips points at it instead of repeating its message
+        # cells already reported, by key: a target one of them skips
+        # points at it instead of repeating its message
         reported = {failure.key: failure for failure in failures
                     if failure.key is not None}
         for index, name in enumerate(names):
@@ -331,6 +333,8 @@ def main(argv=None) -> int:
                 failures.append(parallel.TargetFailure(
                     index=index, kind=exc.kind, message=message,
                     attempts=1, label=f"target {name}"))
+                if cell is None and exc.key is not None:
+                    reported[exc.key] = session.failure(exc.key)
                 continue
             timings.append((name, time.perf_counter() - start,
                             stats.memory_hits + stats.disk_hits - hits0,

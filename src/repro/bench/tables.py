@@ -7,7 +7,7 @@ sweeps.  Functions that project different columns out of the same runs
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps.md.amber import BENCHMARK_TABLE, AmberSander
 from ..apps.md.lammps import LammpsBench
@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 
-def sweep_requests() -> List[JobRequest]:
+def sweep_requests(targets: Optional[Iterable[str]] = None
+                   ) -> List[JobRequest]:
     """Every simulated cell behind the numeric tables (2-4, 7-14).
 
     The cells are independent, so callers (`repro-bench --jobs`, the
@@ -42,7 +43,14 @@ def sweep_requests() -> List[JobRequest]:
     cache hits.  Infeasible combinations are included — the executor
     resolves them to the tables' dashes.  Duplicates (tables sharing
     runs) cost nothing: the executor dedupes by content address.
+    ``targets`` limits the list to the tables it names (``tab02``,
+    ...); other names in it are ignored.
     """
+    wanted = None if targets is None else set(targets)
+
+    def want(*tables: str) -> bool:
+        return wanted is None or not wanted.isdisjoint(tables)
+
     requests: List[JobRequest] = []
 
     def sweep(spec, factory, counts):
@@ -57,27 +65,36 @@ def sweep_requests() -> List[JobRequest]:
                         for n in counts if n <= spec.total_cores)
 
     spec_l, spec_d, spec_t = longs(), dmz(), tiger()
-    for spec, counts in ((spec_l, (2, 4, 8, 16)), (spec_d, (2, 4))):
+    for spec, counts, nas in ((spec_l, (2, 4, 8, 16), "tab02"),
+                              (spec_d, (2, 4), "tab03")):
         # Tables 2/3 (NAS x schemes), 7/9 (JAC), 11 (LAMMPS LJ), 13/14 (POP)
-        sweep(spec, NasCG, counts)
-        sweep(spec, NasFT, counts)
-        sweep(spec, lambda n: AmberSander("jac", n), counts)
-        sweep(spec, lambda n: LammpsBench("lj", n), counts)
-        sweep(spec, Pop, counts)
-    for spec in all_systems():
-        # Table 4 (NAS speedup)
-        scaling(spec, NasCG, (2, 4, 8, 16))
-        scaling(spec, NasFT, (2, 4, 8, 16))
-    for spec, counts in ((spec_d, (2, 4)), (spec_l, (2, 4, 8, 16))):
-        # Table 8 (AMBER speedup)
-        for name in ("dhfr", "factor_ix", "gb_cox2", "gb_mb", "jac"):
-            scaling(spec, lambda n, b=name: AmberSander(b, n), counts)
+        if want(nas):
+            sweep(spec, NasCG, counts)
+            sweep(spec, NasFT, counts)
+        if want("tab07", "tab09"):
+            sweep(spec, lambda n: AmberSander("jac", n), counts)
+        if want("tab11"):
+            sweep(spec, lambda n: LammpsBench("lj", n), counts)
+        if want("tab13", "tab14"):
+            sweep(spec, Pop, counts)
+    if want("tab04"):
+        for spec in all_systems():
+            # Table 4 (NAS speedup)
+            scaling(spec, NasCG, (2, 4, 8, 16))
+            scaling(spec, NasFT, (2, 4, 8, 16))
+    if want("tab08"):
+        for spec, counts in ((spec_d, (2, 4)), (spec_l, (2, 4, 8, 16))):
+            # Table 8 (AMBER speedup)
+            for name in ("dhfr", "factor_ix", "gb_cox2", "gb_mb", "jac"):
+                scaling(spec, lambda n, b=name: AmberSander(b, n), counts)
     for spec, counts in ((spec_d, (2, 4)), (spec_l, (2, 4, 8, 16)),
                          (spec_t, (2,))):
         # Tables 10 (LAMMPS speedup) and 12 (POP speedup)
-        for pot in ("lj", "chain", "eam"):
-            scaling(spec, lambda n, p=pot: LammpsBench(p, n), counts)
-        scaling(spec, Pop, counts)
+        if want("tab10"):
+            for pot in ("lj", "chain", "eam"):
+                scaling(spec, lambda n, p=pot: LammpsBench(p, n), counts)
+        if want("tab12"):
+            scaling(spec, Pop, counts)
     return requests
 
 

@@ -219,8 +219,9 @@ class Session:
         self._inflight: Dict[str, _Job] = {}
         self._outstanding = 0          # accepted jobs not yet delivered
         self._memo: Dict[Any, Any] = {}
-        #: cells a :meth:`prefetch` flight saw fail, by key; :meth:`run`
-        #: answers them from here instead of simulating them again
+        #: cells a :meth:`prefetch` flight or a :meth:`run` saw fail, by
+        #: key; :meth:`run` answers them from here instead of simulating
+        #: them again
         self._failed: Dict[str, TargetFailure] = {}
         self._paused = paused
         self._draining = False
@@ -306,12 +307,9 @@ class Session:
         """
         if self.shed_threshold is None or not self._queue:
             return False
-        samples = sorted(self._wait_samples)
-        if len(samples) < 4:  # too little signal to condemn the queue
+        if len(self._wait_samples) < 4:  # too little signal to condemn
             return False
-        p99 = samples[min(len(samples) - 1,
-                          int(0.99 * (len(samples) - 1) + 0.5))]
-        return p99 > self.shed_threshold
+        return self.wait_p99() > self.shed_threshold
 
     @staticmethod
     def _degradable(job: _Job) -> bool:
@@ -529,11 +527,11 @@ class Session:
         """Execute one cell synchronously and return its result.
 
         Attaches to an in-flight twin when the async plane is already
-        simulating the same cell (a coalesce hit); a cell that failed in
-        this session's :meth:`prefetch` returns that failure without
-        running again; otherwise executes in the calling thread through
-        the same cache/executor path the dispatcher uses, so sync and
-        served results are byte-identical.
+        simulating the same cell (a coalesce hit); a cell that already
+        failed in this session's :meth:`prefetch` or :meth:`run` returns
+        that failure without running again; otherwise executes in the
+        calling thread through the same cache/executor path the
+        dispatcher uses, so sync and served results are byte-identical.
         """
         with self._cond:
             if self._closed:
@@ -558,6 +556,8 @@ class Session:
             outcome = self._execute([job])[0]
         with self._cond:
             self._account(job, outcome)
+            if outcome[0] == "failed" and key is not None:
+                self._failed[key] = TargetFailure(**outcome[1])
         return self._result_for(job, outcome, wait_s=0.0)
 
     def run_many(self, requests: Sequence[RunRequest],
@@ -595,6 +595,11 @@ class Session:
             self._failed.update((f.key, f) for f in failures
                                 if f.key is not None)
         return failures
+
+    def failure(self, key: Optional[str]) -> Optional[TargetFailure]:
+        """The failure this session keeps for the cell at ``key``."""
+        with self._lock:
+            return self._failed.get(key)
 
     # -- execution core ---------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Hardened bench pipeline: crash isolation, corruption recovery, repair."""
 
 import json
+import sys
 
 import pytest
 
@@ -63,12 +64,34 @@ def _clean_executor_state():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_chaos_scenario_recovers(name):
-    ok, notes = SCENARIOS[name]()
-    assert ok, f"{name} failed to recover: {notes}"
+    chaos.run_scenario(name)
 
 
 def test_chaos_cli_single_scenario():
     assert chaos.main(["--scenario", "torn-ledger"]) == 0
+
+
+def test_each_scenario_is_the_pinned_example_of_one_property():
+    assert sorted(SCENARIOS) == [
+        "corrupted-cache", "hung-worker", "killed-service-worker",
+        "killed-shard", "killed-worker", "sim-faults", "torn-ledger"]
+    for name in SCENARIOS:
+        owners = [prop for prop, entry in chaos.PROPERTIES.items()
+                  if name in entry.examples]
+        assert owners == [SCENARIOS[name]], name
+
+
+def test_chaos_runs_every_scenario_without_hypothesis(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "hypothesis", None)
+    with pytest.raises(ImportError):
+        import hypothesis  # noqa: F401
+    assert chaos.main(["--json"]) == 0
+    summary = json.loads(next(line for line in capsys.readouterr().out
+                              .splitlines() if line.startswith("{")))
+    assert summary == {"failed": [],
+                       "scenarios": {name: True for name in SCENARIOS}}
+    assert chaos.main(["--search"]) == 2
+    assert "hypothesis is not installed" in capsys.readouterr().err
 
 
 # -- corrupted cache entries ------------------------------------------------
@@ -370,6 +393,62 @@ def test_prefetch_enumerates_only_the_requested_figures_cells():
     every = [name for name in cli.TARGETS if name.startswith("fig")]
     assert [r.key() for r in figures.figure_requests(every)] \
         == [r.key() for r in figures.figure_requests()]
+
+
+def test_prefetch_enumerates_only_the_requested_tables_cells(tmp_path):
+    """A parallel tab02 stores exactly the entries a serial one does."""
+    from repro.bench import cli
+
+    cache = default_cache()
+    saved = (cache.enabled, cache.directory, cache.disk)
+    stored = {}
+    try:
+        for jobs in ("1", "2"):
+            directory = tmp_path / f"jobs{jobs}"
+            configure(enabled=True, directory=directory, disk=True)
+            assert cli.main(["tab02", "--tier", "fast",
+                             "--jobs", jobs]) == 0
+            stored[jobs] = sorted(p.name for p in directory.rglob("*.json"))
+    finally:
+        configure(enabled=saved[0], directory=saved[1], disk=saved[2])
+    assert stored["1"] and stored["2"] == stored["1"]
+
+
+def test_serial_failed_cell_runs_once_across_targets(tmp_path, monkeypatch,
+                                                     capsys):
+    """Without a prefetch, a failed cell two targets read is simulated
+    once, and the second target points at it instead of repeating its
+    message."""
+    from repro.bench import cli
+
+    executed = []
+    real_execute = JobRequest.execute
+
+    def counting_execute(self):
+        executed.append(self.label())
+        return real_execute(self)
+
+    monkeypatch.setattr(JobRequest, "execute", counting_execute)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 3, "faults": [
+        {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]}))
+    cache = default_cache()
+    saved = (cache.enabled, cache.directory, cache.disk)
+    configure(enabled=True, directory=tmp_path / "cache", disk=True)
+    try:
+        code = cli.main(["fig14", "fig14lat", "--jobs", "1",
+                         "--faults", str(plan)])
+    finally:
+        configure(enabled=saved[0], directory=saved[1], disk=saved[2])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(executed) == len(set(executed))
+    lines = [line for line in err.splitlines() if "] target " in line]
+    assert len(lines) == 2
+    message = lines[0].split("target fig14: ", 1)[1]
+    assert lines[1].endswith(f"target fig14lat: skipped, cell "
+                             f"{executed[-1]} failed")
+    assert message not in lines[1]
 
 
 def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):

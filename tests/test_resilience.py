@@ -630,7 +630,7 @@ def test_doctor_cli_fixes_stale_state(tmp_path, capsys):
 
 
 def test_chaos_search_profiles_cover_every_property():
-    from repro.bench.chaos_search import PROFILES, PROPERTIES
+    from repro.bench.chaos import PROFILES, PROPERTIES
 
     for profile, budgets in PROFILES.items():
         assert set(budgets) == set(PROPERTIES)
@@ -640,7 +640,7 @@ def test_chaos_search_profiles_cover_every_property():
 
 
 def test_chaos_search_cell_property_single_example():
-    from repro.bench.chaos_search import _check_cell_invariants
+    from repro.bench.chaos import _check_cell_invariants
     from repro.faults import FaultPlan, LinkDegrade
 
     cell = {"system": "tiger", "workload": "stream", "ntasks": 2,
@@ -653,7 +653,7 @@ def test_chaos_search_cell_property_single_example():
 
 
 def test_chaos_search_cluster_property_single_example():
-    from repro.bench.chaos_search import _check_cluster_kill
+    from repro.bench.chaos import _check_cluster_kill
 
     cells = [
         {"system": "tiger", "workload": "stream", "ntasks": 2,
@@ -666,7 +666,7 @@ def test_chaos_search_cluster_property_single_example():
 
 def test_chaos_search_hypothesis_profile_runs(tmp_path):
     pytest.importorskip("hypothesis")
-    from repro.bench.chaos_search import run_search
+    from repro.bench.chaos import run_search
 
     report = run_search(profile="ci", corpus_dir=str(tmp_path / "corpus"),
                         names=["shed-degrade"])
