@@ -305,6 +305,9 @@ class ProcessBackend(ExecutionBackend):
         while remaining:
             for index in remaining:
                 attempts[index] += 1
+            # cells an ambiguous break took down: each is owed its
+            # isolated run before it may be failed, whatever the budget
+            spared: Set[int] = set()
             if isolate:
                 lost: Dict[int, str] = {}
                 for index in remaining:
@@ -324,12 +327,13 @@ class ProcessBackend(ExecutionBackend):
                     # ambiguous attribution: a broken pool killed innocents
                     # along with the guilty cell — isolate from here on
                     isolate = True
+                    spared = crashed
                     _LOG.warning("worker pool broke with %d cells in "
                                  "flight; retrying each in isolation",
                                  len(crashed))
             next_remaining = []
             for index, kind in sorted(lost.items()):
-                if attempts[index] > retries:
+                if attempts[index] > retries and index not in spared:
                     verb = ("stalled past the %.3gs watchdog" % timeout
                             if kind == "timeout" and timeout
                             else "worker process died")

@@ -6,7 +6,7 @@ reports; the ``repro-bench`` CLI (:mod:`repro.bench.cli`) prints them.
 """
 
 from . import ablations, extensions, figures, paper_data, tables
-from .common import RUNTIME_CONFIGS, bound_spread_affinity, memo, run
+from .common import RUNTIME_CONFIGS, bound_spread_affinity, run
 
 __all__ = ["figures", "tables", "ablations", "extensions", "paper_data",
-           "RUNTIME_CONFIGS", "bound_spread_affinity", "memo", "run"]
+           "RUNTIME_CONFIGS", "bound_spread_affinity", "run"]

@@ -7,9 +7,8 @@ future direction) hybrid MPI+OpenMP.  Each ablation sweeps one
 mechanism while holding the rest fixed, quantifying how much of the
 reproduced behaviour that mechanism carries.
 
-Every cell goes through :func:`repro.bench.common.run`, whose
-content-addressed cache keys on the *hypothetical* spec itself — no
-ad-hoc memo keys needed, and a what-if parameter change can never
+Every cell goes through :func:`repro.bench.common.run`, keyed on the
+*hypothetical* spec itself, so a what-if parameter change can never
 replay a stale result.
 """
 

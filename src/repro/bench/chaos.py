@@ -704,9 +704,10 @@ def _worker_loss_cases(st):
         return st.fixed_dictionaries({
             "quick": st.just(quick), "victim": st.integers(0, quick),
             "stall": st.just(stall),
-            # a crash breaks the whole pool: only a retry in isolation
-            # saves the innocent cells that were in flight with it
-            "retries": st.integers(0, 1) if stall else st.integers(1, 2),
+            # a crash breaks the whole pool: the innocent cells in
+            # flight with it are each owed a run in isolation, even on
+            # a zero retry budget
+            "retries": st.integers(0, 1) if stall else st.integers(0, 2),
             "served": st.booleans()})
 
     return st.tuples(st.integers(1, 8), st.booleans()).flatmap(
@@ -765,6 +766,8 @@ PROPERTIES: Dict[str, Property] = {
         # innocent cells are in flight whenever the pool breaks and
         # only crash isolation can save them
         "killed-worker": [dict(quick=8, victim=0, stall=False, retries=1,
+                               served=False),
+                          dict(quick=3, victim=0, stall=False, retries=0,
                                served=False)],
         "hung-worker": [dict(quick=2, victim=2, stall=True, retries=0,
                              served=False)],

@@ -7,24 +7,20 @@ default curves' high latencies to "the high cost of the Linux
 implementation of the SystemV semaphore"), so the six Figure 8
 configurations resolve as below.
 
-Run results are memoized at two levels: a session-scoped memo table
-under ad-hoc keys (several tables are different projections of the same
-sweep — Tables 13/14 share POP runs, Tables 7/9 share JAC runs — and
-pytest-benchmark repeats calls), and the content-addressed
-:mod:`result cache <repro.core.cache>` inside :func:`run` itself, which
-also persists results to disk so bench reruns skip recomputation
-entirely.
-
-Both levels are owned by the process-wide
-:class:`repro.service.Session` — :func:`run` routes through
-``default_session().run(...)`` and :func:`memo` through
-``Session.memo``, so bench traffic shares one cache, one coalescing
-map, and one set of service counters with served traffic.
+:func:`run` routes every cell through ``default_session().run(...)``,
+so a cell is looked up by its content address alone.  Several tables
+are different projections of the same sweep — Tables 13/14 share POP
+runs, Tables 7/9 share JAC runs — and pytest-benchmark repeats calls:
+the session's outcome table answers every repeat without simulating
+again, and the content-addressed :mod:`result cache <repro.core.cache>`
+behind it persists results to disk so bench reruns skip recomputation
+entirely.  Bench traffic shares that table, the cache and one set of
+service counters with served traffic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core import (
     AffinityScheme,
@@ -42,7 +38,6 @@ __all__ = [
     "RUNTIME_CONFIGS",
     "RuntimeConfig",
     "bound_spread_affinity",
-    "memo",
     "run",
 ]
 
@@ -85,8 +80,9 @@ def run(spec: MachineSpec, workload: Workload,
         parked: int = 0) -> JobResult:
     """Run one configuration through the process-wide service session.
 
-    Served from the content-addressed result cache when an identical
-    cell already ran, coalesced when the service is simulating one.
+    Answered from the session's outcome table or the content-addressed
+    result cache when an identical cell already ran, coalesced when the
+    service is simulating one.
     """
     from ..service.api import RunRequest
     from ..service.session import default_session
@@ -95,10 +91,3 @@ def run(spec: MachineSpec, workload: Workload,
                          affinity=affinity, impl=impl, lock=lock,
                          parked=parked)
     return default_session().run(request).require()
-
-
-def memo(key: Tuple, factory: Callable[[], JobResult]) -> JobResult:
-    """Memoize a run under an explicit hashable key (session-scoped)."""
-    from ..service.session import default_session
-
-    return default_session().memo(key, factory)

@@ -18,7 +18,7 @@ from ..core import (
 from ..machine import longs
 from ..workloads import NasCG, NasEP, NasFT, NasMG
 from ..workloads.hybrid import HybridNasCG, hybrid_affinity
-from .common import memo, run
+from .common import run
 
 __all__ = ["ext_npb_spectrum", "ext_hybrid_scaling"]
 
@@ -45,9 +45,7 @@ def ext_npb_spectrum() -> TableResult:
         row: List = [name]
         for scheme in ALL_SCHEMES:
             try:
-                result = memo(("ext-npb", name, scheme.value),
-                                    lambda: run(spec, factory(), scheme))
-                row.append(result.wall_time)
+                row.append(run(spec, factory(), scheme).wall_time)
             except InfeasibleSchemeError:
                 row.append(None)
         table.add_row(*row)
@@ -67,9 +65,6 @@ def ext_hybrid_scaling() -> TableResult:
     session's tier like every other cell, so a warm run simulates
     nothing.
     """
-    from ..service.api import RunRequest
-    from ..service.session import default_session
-
     table = TableResult(
         title="extension: pure MPI vs hybrid MPI+OpenMP scaling (Longs, CG)",
         headers=["sockets", "cores", "pure MPI (s)", "hybrid (s)",
@@ -78,11 +73,9 @@ def ext_hybrid_scaling() -> TableResult:
     spec = longs()
     for sockets in (2, 4, 8):
         cores = 2 * sockets
-        pure = memo(("ext-hyb-pure", sockets), lambda: run(
-            spec, NasCG(cores), AffinityScheme.TWO_MPI_LOCAL))
-        hybrid = default_session().run(RunRequest(
-            system=spec, workload=HybridNasCG(sockets, 2),
-            affinity=hybrid_affinity(spec, sockets, 2))).require()
+        pure = run(spec, NasCG(cores), AffinityScheme.TWO_MPI_LOCAL)
+        hybrid = run(spec, HybridNasCG(sockets, 2),
+                     affinity=hybrid_affinity(spec, sockets, 2))
         table.add_row(sockets, cores, pure.wall_time, hybrid.wall_time,
                       hybrid.messages / max(1, pure.messages))
     table.notes.append("the hybrid model eliminates intra-socket MPI "

@@ -128,9 +128,9 @@ _COMPARISONS = [
 
 def fidelity_table() -> TableResult:
     """Model-vs-paper agreement for every numeric table of the paper."""
-    # Warm the content-addressed cache for every table cell up front;
-    # with --jobs > 1 the cells simulate in parallel and the serial
-    # builders below assemble their rows entirely from cache hits.
+    # Settle every table cell up front; with --jobs > 1 the cells
+    # simulate in parallel and the serial builders below assemble their
+    # rows from the session's outcome table.
     from ..service.session import default_session
 
     default_session().prefetch(tables.sweep_requests())

@@ -43,7 +43,7 @@ from ..workloads import (
     triad_bytes_moved,
 )
 from ..core.parallel import JobRequest
-from .common import RUNTIME_CONFIGS, bound_spread_affinity, memo, run
+from .common import RUNTIME_CONFIGS, bound_spread_affinity, run
 
 __all__ = [
     "figure02", "figure03", "figure04", "figure05", "figure06", "figure07",
@@ -68,9 +68,8 @@ def _stream_scaling(spec: MachineSpec) -> List[Tuple[int, float]]:
     points = []
     for ncores in range(1, spec.total_cores + 1):
         workload = StreamTriad(ncores)
-        key = ("stream", spec.name, ncores)
-        result = memo(key, lambda: run(
-            spec, workload, affinity=bound_spread_affinity(spec, ncores)))
+        result = run(spec, workload,
+                     affinity=bound_spread_affinity(spec, ncores))
         per_task = triad_bytes_moved(workload) / ncores
         bandwidth = sum(
             per_task / result.phase_times[rank]["triad"]
@@ -121,9 +120,8 @@ def _blas_figure(title: str, workload_cls, sizes: List[int],
     for ntasks in (1, 2, 4):
         for n in sizes:
             workload = workload_cls(ntasks, n, vendor=vendor)
-            key = ("blas", workload.name)
-            result = memo(key, lambda: run(
-                spec, workload, affinity=bound_spread_affinity(spec, ntasks)))
+            result = run(spec, workload,
+                         affinity=bound_spread_affinity(spec, ntasks))
             phase = "daxpy" if workload_cls is DaxpyBench else "dgemm"
             rate = workload.flops_per_task * ntasks / result.phase_time(phase)
             fig.add_point(f"Total ({ntasks} cores)", n, rate / 1e9)
@@ -157,11 +155,9 @@ def figure07() -> SeriesResult:
 
 # -- Figures 8-13: HPCC with LAM/NUMA runtime options ---------------------------
 
-def _hpcc_run(label: str, spec: MachineSpec, workload, scheme: AffinityScheme,
+def _hpcc_run(spec: MachineSpec, workload, scheme: AffinityScheme,
               lock: str) -> JobResult:
-    key = ("hpcc", spec.name, workload.name, label)
-    return memo(key, lambda: run(spec, workload, scheme,
-                                       impl=LAM, lock=lock))
+    return run(spec, workload, scheme, impl=LAM, lock=lock)
 
 
 def figure08() -> TableResult:
@@ -173,11 +169,11 @@ def figure08() -> TableResult:
     spec_l, spec_d = longs(), dmz()
     hpl_l, hpl_d = HpccHpl(16), HpccHpl(4)
     for label, scheme, lock in RUNTIME_CONFIGS:
-        result = _hpcc_run(label, spec_l, hpl_l, scheme, lock)
+        result = _hpcc_run(spec_l, hpl_l, scheme, lock)
         gflops_l = hpl_l.total_flops / result.wall_time / 1e9
         dmz_val = None
         if label == "Default":
-            result_d = _hpcc_run(label, spec_d, hpl_d, scheme, lock)
+            result_d = _hpcc_run(spec_d, hpl_d, scheme, lock)
             dmz_val = hpl_d.total_flops / result_d.wall_time / 1e9
         table.add_row(label, gflops_l, dmz_val)
     table.notes.append("DMZ is minimally affected by NUMA options; "
@@ -199,7 +195,7 @@ def figure09() -> TableResult:
         for workload_cls in (HpccDgemm, HpccFft):
             for mode in ("single", "star"):
                 workload = workload_cls(16, mode=mode)
-                result = _hpcc_run(label, spec, workload, scheme, lock)
+                result = _hpcc_run(spec, workload, scheme, lock)
                 phase = "dgemm" if workload_cls is HpccDgemm else "fft"
                 row.append(workload.flops_per_task
                            / result.phase_time(phase) / 1e9)
@@ -220,7 +216,7 @@ def figure10() -> TableResult:
         values = {}
         for mode in ("single", "star"):
             workload = HpccStream(16, mode=mode)
-            result = _hpcc_run(label, spec, workload, scheme, lock)
+            result = _hpcc_run(spec, workload, scheme, lock)
             values[mode] = (workload.bytes_per_task
                             / result.phase_time("triad") / GB)
         table.add_row(label, values["single"], values["star"],
@@ -242,7 +238,7 @@ def figure11() -> TableResult:
         row: List = [label]
         for mode in ("single", "star", "mpi"):
             workload = HpccRandomAccess(16, mode=mode)
-            result = _hpcc_run(label, spec, workload, scheme, lock)
+            result = _hpcc_run(spec, workload, scheme, lock)
             phase_total = (result.phase_time("ra")
                            + result.phase_time("ra-exchange"))
             row.append(workload.updates / phase_total / 1e6)
@@ -261,15 +257,15 @@ def figure12() -> TableResult:
     msg = 1 << 20
     for label, scheme, lock in RUNTIME_CONFIGS:
         ptrans = HpccPtrans(16)
-        result = _hpcc_run(label, spec, ptrans, scheme, lock)
+        result = _hpcc_run(spec, ptrans, scheme, lock)
         # total matrix volume crossing the network over the exchange phase
         ptrans_bw = 8.0 * ptrans.n ** 2 / result.phase_time("exchange") / GB
         pp = PingPong(msg, ntasks=16)
-        pp_result = _hpcc_run(label, spec, pp, scheme, lock)
+        pp_result = _hpcc_run(spec, pp, scheme, lock)
         pp_bw = msg / pingpong_oneway_time(
             pp_result.phase_time("pingpong"), pp.reps) / MB
         ring = RingExchange(16, msg)
-        ring_result = _hpcc_run(label, spec, ring, scheme, lock)
+        ring_result = _hpcc_run(spec, ring, scheme, lock)
         ring_bw = msg * ring.reps / ring_result.phase_time("ring") / MB
         table.add_row(label, ptrans_bw, pp_bw, ring_bw)
     table.notes.append("USysV spin locks give PTRANS a clear advantage "
@@ -286,11 +282,11 @@ def figure13() -> TableResult:
     )
     for label, scheme, lock in RUNTIME_CONFIGS:
         pp = PingPong(8, ntasks=16)
-        pp_result = _hpcc_run(label, spec, pp, scheme, lock)
+        pp_result = _hpcc_run(spec, pp, scheme, lock)
         pp_lat = pingpong_oneway_time(pp_result.phase_time("pingpong"),
                                       pp.reps) * US
         ring = RingExchange(16, 8)
-        ring_result = _hpcc_run(label, spec, ring, scheme, lock)
+        ring_result = _hpcc_run(spec, ring, scheme, lock)
         ring_lat = ring_result.phase_time("ring") / ring.reps * US
         table.add_row(label, pp_lat, ring_lat)
     table.notes.append("ring latencies exceed PingPong; SysV overwhelms both "
@@ -312,10 +308,8 @@ def _imb_impl_results(workload_cls) -> Dict[str, Dict[int, JobResult]]:
             workload = (workload_cls(nbytes)
                         if workload_cls is ImbPingPong
                         else workload_cls(2, nbytes))
-            key = ("imb", workload.name, impl.name)
-            out[impl.name][nbytes] = memo(
-                key, lambda: run(spec, workload, AffinityScheme.DEFAULT,
-                                 impl=impl))
+            out[impl.name][nbytes] = run(spec, workload,
+                                         AffinityScheme.DEFAULT, impl=impl)
     return out
 
 
@@ -407,9 +401,7 @@ def _affinity_figure(workload_factory, phase: str, title: str,
     for label, kwargs in _affinity_configs(spec):
         for nbytes in IMB_SWEEP:
             workload = workload_factory(nbytes, 2)
-            key = ("imb-affinity", workload.name, label, phase)
-            result = memo(key, lambda: run(spec, workload,
-                                                 impl=OPENMPI, **kwargs))
+            result = run(spec, workload, impl=OPENMPI, **kwargs)
             if phase == "pingpong":
                 t = pingpong_oneway_time(result.phase_time(phase), 20)
                 value = nbytes / t / MB if metric == "MB/s" else t * US
@@ -446,10 +438,7 @@ def figure17() -> SeriesResult:
     spec = dmz()
     for nbytes in IMB_SWEEP:
         workload = ImbExchange(4, nbytes)
-        key = ("imb-affinity", workload.name, "4 procs", "exchange")
-        result = memo(key, lambda: run(spec, workload,
-                                             AffinityScheme.DEFAULT,
-                                             impl=OPENMPI))
+        result = run(spec, workload, AffinityScheme.DEFAULT, impl=OPENMPI)
         fig.add_point("4 procs", nbytes,
                       exchange_bandwidth(result.phase_time("exchange"),
                                          20, nbytes) / MB)

@@ -2,7 +2,8 @@
 
 Tables 1, 5 and 6 are configuration data; the rest are simulated
 sweeps.  Functions that project different columns out of the same runs
-(Tables 2/3, 7/9, 13/14) share results through the bench cache.
+(Tables 2/3, 7/9, 13/14) share results through the session's outcome
+table: each cell is looked up by its content address.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..core import (
 )
 from ..machine import SYSTEM_TABLE, MachineSpec, all_systems, dmz, longs, tiger
 from ..workloads import NasCG, NasFT
-from .common import memo, run
+from .common import run
 
 __all__ = [
     "table01", "table02", "table03", "table04", "table05", "table06",
@@ -39,10 +40,11 @@ def sweep_requests(targets: Optional[Iterable[str]] = None
 
     The cells are independent, so callers (`repro-bench --jobs`, the
     fidelity join) prefetch them through the parallel sweep executor;
-    the table generators below then assemble their rows entirely from
-    cache hits.  Infeasible combinations are included — the executor
-    resolves them to the tables' dashes.  Duplicates (tables sharing
-    runs) cost nothing: the executor dedupes by content address.
+    the table generators below then assemble their rows from the
+    session's outcome table.  Infeasible combinations are included —
+    the executor resolves them to the tables' dashes.  Duplicates
+    (tables sharing runs) cost nothing: the session dedupes by content
+    address.
     ``targets`` limits the list to the tables it names (``tab02``,
     ...); other names in it are ignored.
     """
@@ -125,17 +127,15 @@ def table06() -> TableResult:
 
 # -- scheme sweeps -----------------------------------------------------------
 
-def _sweep_cell(spec: MachineSpec, workload_key: str,
-                factory: Callable[[], object], scheme: AffinityScheme,
-                ) -> Optional[JobResult]:
-    """One (workload, scheme) cell, cached; None when infeasible.
+def _sweep_cell(spec: MachineSpec, factory: Callable[[], object],
+                scheme: AffinityScheme) -> Optional[JobResult]:
+    """One (workload, scheme) cell; None when infeasible.
 
     Only :class:`InfeasibleSchemeError` becomes a dash — any other
     exception is a genuine bug and propagates.
     """
-    key = ("sweep", spec.name, workload_key, scheme.value)
     try:
-        return memo(key, lambda: run(spec, factory(), scheme))
+        return run(spec, factory(), scheme)
     except InfeasibleSchemeError:
         return None
 
@@ -152,8 +152,8 @@ def _numactl_table(title: str, spec: MachineSpec, task_counts: Sequence[int],
         for ntasks in task_counts:
             row: List = [ntasks, kernel_name]
             for scheme in ALL_SCHEMES:
-                result = _sweep_cell(spec, f"{kernel_name}-{ntasks}",
-                                     lambda n=ntasks: factory(n), scheme)
+                result = _sweep_cell(spec, lambda n=ntasks: factory(n),
+                                     scheme)
                 row.append(None if result is None else value(result))
             table.add_row(*row)
     if note:
@@ -190,15 +190,13 @@ def table04() -> TableResult:
     for kernel_name, factory in (("CG", lambda n: NasCG(n)),
                                  ("FT", lambda n: NasFT(n))):
         for spec in all_systems():
-            base_key = ("speedup-base", spec.name, kernel_name)
-            t1 = memo(base_key, lambda: run(spec, factory(1))).wall_time
+            t1 = run(spec, factory(1)).wall_time
             row: List = [kernel_name, spec.name]
             for n in (2, 4, 8, 16):
                 if n > spec.total_cores:
                     row.append(None)
                     continue
-                result = _sweep_cell(spec, f"{kernel_name}-{n}",
-                                     lambda m=n: factory(m),
+                result = _sweep_cell(spec, lambda m=n: factory(m),
                                      AffinityScheme.DEFAULT)
                 row.append(parallel_efficiency(t1, result.wall_time, n))
             table.add_row(*row)
@@ -230,7 +228,7 @@ def _jac_table(value, title: str) -> TableResult:
         for ntasks in counts:
             row: List = [ntasks, spec.name]
             for scheme in ALL_SCHEMES:
-                result = _sweep_cell(spec, f"jac-{ntasks}",
+                result = _sweep_cell(spec,
                                      lambda n=ntasks: AmberSander("jac", n),
                                      scheme)
                 row.append(None if result is None else value(result))
@@ -246,15 +244,12 @@ def table08() -> TableResult:
         headers=["Number of cores", "System"] + names,
     )
     for spec, counts in ((dmz(), (2, 4)), (longs(), (2, 4, 8, 16))):
-        bases = {}
-        for name in names:
-            key = ("amber-base", spec.name, name)
-            bases[name] = memo(
-                key, lambda: run(spec, AmberSander(name, 1))).wall_time
+        bases = {name: run(spec, AmberSander(name, 1)).wall_time
+                 for name in names}
         for n in counts:
             row: List = [n, spec.name]
             for name in names:
-                result = _sweep_cell(spec, f"{name}-{n}",
+                result = _sweep_cell(spec,
                                      lambda m=n, b=name: AmberSander(b, m),
                                      AffinityScheme.DEFAULT)
                 row.append(bases[name] / result.wall_time)
@@ -272,15 +267,12 @@ def table10() -> TableResult:
     )
     for spec, counts in ((dmz(), (2, 4)), (longs(), (2, 4, 8, 16)),
                          (tiger(), (2,))):
-        bases = {}
-        for pot in ("lj", "chain", "eam"):
-            key = ("lammps-base", spec.name, pot)
-            bases[pot] = memo(
-                key, lambda: run(spec, LammpsBench(pot, 1))).wall_time
+        bases = {pot: run(spec, LammpsBench(pot, 1)).wall_time
+                 for pot in ("lj", "chain", "eam")}
         for n in counts:
             row: List = [n, spec.name]
             for pot in ("lj", "chain", "eam"):
-                result = _sweep_cell(spec, f"lammps-{pot}-{n}",
+                result = _sweep_cell(spec,
                                      lambda m=n, p=pot: LammpsBench(p, m),
                                      AffinityScheme.DEFAULT)
                 row.append(bases[pot] / result.wall_time)
@@ -298,7 +290,7 @@ def table11() -> TableResult:
         for ntasks in counts:
             row: List = [ntasks, spec.name]
             for scheme in ALL_SCHEMES:
-                result = _sweep_cell(spec, f"lammps-lj-{ntasks}",
+                result = _sweep_cell(spec,
                                      lambda n=ntasks: LammpsBench("lj", n),
                                      scheme)
                 row.append(None if result is None else result.wall_time)
@@ -316,10 +308,9 @@ def table12() -> TableResult:
     )
     for spec, counts in ((dmz(), (2, 4)), (tiger(), (2,)),
                          (longs(), (2, 4, 8, 16))):
-        key = ("pop-base", spec.name)
-        base = memo(key, lambda: run(spec, Pop(1)))
+        base = run(spec, Pop(1))
         for n in counts:
-            result = _sweep_cell(spec, f"pop-{n}", lambda m=n: Pop(m),
+            result = _sweep_cell(spec, lambda m=n: Pop(m),
                                  AffinityScheme.DEFAULT)
             table.add_row(
                 n, spec.name,
@@ -338,8 +329,7 @@ def _pop_phase_table(phase: str, title: str) -> TableResult:
         for ntasks in counts:
             row: List = [ntasks, spec.name]
             for scheme in ALL_SCHEMES:
-                result = _sweep_cell(spec, f"pop-{ntasks}",
-                                     lambda n=ntasks: Pop(n), scheme)
+                result = _sweep_cell(spec, lambda n=ntasks: Pop(n), scheme)
                 row.append(None if result is None
                            else result.phase_time(phase))
             table.add_row(*row)

@@ -8,7 +8,7 @@ keeps the PR-5 coalescing guarantee cluster-wide: identical cells from
 any client hash to the same shard, whose session collapses them onto
 one in-flight simulation, while the shards' shared content-addressed
 disk store (``--cache-dir``) is the second cache tier under each
-shard's session memo.
+shard's session outcome table.
 
 Rendezvous hashing also gives every key a *stable fallback order* over
 the shard set: when the preferred shard is dead the router forwards to
@@ -312,9 +312,9 @@ class Router:
         """The routing key of a wire cell.
 
         The cache content address when the cell has one — that is what
-        makes coalescing and the per-shard memo line up cluster-wide.
-        Uncacheable cells fall back to a hash of their canonical wire
-        form: stable, but private to the router.
+        makes coalescing and the per-shard outcome table line up
+        cluster-wide.  Uncacheable cells fall back to a hash of their
+        canonical wire form: stable, but private to the router.
         """
         key = cell_from_wire(cell).key()
         if key is not None:

@@ -225,14 +225,18 @@ class ShardSupervisor:
         watch.restart_times.append(now)
         watch.down_since = None
         self._procs[watch.spec.name] = proc
-        ready = self._ping(watch.spec.address, self.ready_timeout_s)
         _metrics.inc("cluster_shard_restarts_total", shard=watch.spec.name)
+        # recorded at launch, so restarts() counts the shard while the
+        # new process is still coming up; ``ready`` fills in after
         event = {"event": "restart", "shard": watch.spec.name,
                  "time": time.time(), "old_pid": old_pid,
-                 "new_pid": getattr(proc, "pid", None), "ready": ready,
+                 "new_pid": getattr(proc, "pid", None), "ready": None,
                  "restarts_in_window": len(watch.restart_times)}
         with self._lock:
             self._events.append(event)
+        ready = self._ping(watch.spec.address, self.ready_timeout_s)
+        with self._lock:
+            event["ready"] = ready
         self._rewrite_state()
         return event
 

@@ -414,6 +414,33 @@ def test_prefetch_enumerates_only_the_requested_tables_cells(tmp_path):
     assert stored["1"] and stored["2"] == stored["1"]
 
 
+def test_no_cache_run_simulates_each_cell_once(monkeypatch, capsys):
+    """With the result cache off, a parallel run's prefetch flight still
+    answers the tables: every distinct cell executes exactly once."""
+    from collections import Counter
+
+    from repro.bench import cli
+
+    executed = []
+    real_execute = JobRequest.execute
+
+    def counting_execute(self):
+        executed.append(self.key())
+        return real_execute(self)
+
+    monkeypatch.setattr(JobRequest, "execute", counting_execute)
+    cache = default_cache()
+    saved = cache.enabled
+    try:
+        assert cli.main(["tab02", "tab03", "--tier", "fast", "--jobs", "2",
+                         "--no-cache", "--backend", "threads"]) == 0
+    finally:
+        configure(enabled=saved)
+    capsys.readouterr()
+    counts = Counter(executed)
+    assert counts and set(counts.values()) == {1}
+
+
 def test_serial_failed_cell_runs_once_across_targets(tmp_path, monkeypatch,
                                                      capsys):
     """Without a prefetch, a failed cell two targets read is simulated
@@ -449,6 +476,22 @@ def test_serial_failed_cell_runs_once_across_targets(tmp_path, monkeypatch,
     assert lines[1].endswith(f"target fig14lat: skipped, cell "
                              f"{executed[-1]} failed")
     assert message not in lines[1]
+
+
+def test_run_many_duplicate_of_a_failed_cell_is_failed(tmp_path):
+    """A failing cell asked twice in one batch fails twice; the twin is
+    not mistaken for an infeasible dash."""
+    from repro.backends import ThreadBackend
+    from repro.service import RunRequest, Session
+
+    plan = FaultPlan.from_dict({"seed": 3, "faults": [
+        {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]})
+    request = RunRequest(system=dmz(), workload=ImbPingPong(1024),
+                         faults=plan)
+    with Session(cache=ResultCache(directory=tmp_path),
+                 backend=ThreadBackend()) as session:
+        results = session.run_many([request, request])
+    assert [r.kind for r in results] == ["fault_exhausted"] * 2
 
 
 def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):

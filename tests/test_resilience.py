@@ -322,6 +322,26 @@ def test_supervisor_restarts_crash_with_backoff_and_state_rewrite(tmp_path):
     assert not list(tmp_path.glob("*.tmp.*"))  # the rewrite was atomic
 
 
+def test_supervisor_records_restart_before_the_ready_ping(tmp_path):
+    """A shard still coming up already counts as restarted."""
+    clock = FakeClock()
+    seen = []
+
+    def ping(address, deadline_s):
+        seen.append(dict(supervisor.restarts()))
+        return False
+
+    supervisor, proc, procs, launched = _supervisor(tmp_path, clock,
+                                                    ping=ping)
+    proc.die()
+    supervisor.poll_once()
+    clock.now = 0.6
+    events = supervisor.poll_once()
+    assert seen == [{"shard-0": 1}]
+    assert [e["event"] for e in events] == ["restart"]
+    assert events[0]["ready"] is False  # filled in once the ping returns
+
+
 def test_supervisor_budget_exhaustion_abandons_the_shard(tmp_path):
     clock = FakeClock()
     supervisor, proc, procs, launched = _supervisor(tmp_path, clock,

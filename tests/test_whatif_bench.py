@@ -9,8 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.bench.cli import TARGETS, main
-from repro.bench.common import RUNTIME_CONFIGS, bound_spread_affinity, memo
-from repro.service import default_session
+from repro.bench.common import RUNTIME_CONFIGS, bound_spread_affinity
 from repro.machine import GB, Machine, MachineSpec, hypothetical
 from repro.machine.topology import CoreSpec, SocketSpec, build_socket_graph
 
@@ -101,22 +100,6 @@ def test_bound_spread_affinity_fills_sockets_first():
     aff = bound_spread_affinity(dmz(), 2)
     assert aff.placement.bound
     assert len(aff.placement.sockets_in_use()) == 2
-
-
-def test_run_cache_memoizes():
-    default_session().clear()
-    calls = []
-
-    def factory():
-        calls.append(1)
-        return "result"
-
-    assert memo(("k",), factory) == "result"
-    assert memo(("k",), factory) == "result"
-    assert len(calls) == 1
-    default_session().clear()
-    memo(("k",), factory)
-    assert len(calls) == 2
 
 
 def test_cli_targets_registered():
