@@ -143,7 +143,8 @@ class RemoteBackend(ExecutionBackend):
                            f"{format_address(self.address)}"
                     for i in sendable:
                         outcomes[i] = ("failed", {
-                            "kind": response.get("kind", "error"),
+                            "kind": response.get("kind")
+                            or response.get("code") or "transport",
                             "message": str(detail)})
                 else:
                     for i, wire in zip(sendable, results):

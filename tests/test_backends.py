@@ -167,6 +167,25 @@ def test_remote_isolates_inexpressible_cells_per_cell(tmp_path):
         shard.close()
 
 
+@pytest.mark.parametrize("response, kind", [
+    ({"status": "error", "code": "queue_full", "message": "busy"},
+     "queue_full"),
+    ({"status": "ok", "results": [{"status": "error",
+                                   "code": "shard_unavailable"}]},
+     "shard_unavailable"),
+    ({"status": "ok", "results": []}, "transport"),
+])
+def test_remote_failures_keep_the_downstream_code(response, kind):
+    """A downstream rejection reaches the session under its own code,
+    never as the cell-dependent ``error`` a session keeps."""
+    backend = RemoteBackend("127.0.0.1:1")
+    backend.forward = lambda message: response
+    [future] = backend.submit_cells([JobRequest(
+        spec=longs(), workload=resolve_workload("stream", 4))])
+    status, detail = future.result()
+    assert status == "failed" and detail["kind"] == kind
+
+
 # -- selection / plumbing ----------------------------------------------------
 
 def test_resolve_backend_spellings():
