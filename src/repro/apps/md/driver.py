@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .forcefields import bond_forces, eam_forces, lj_forces, velocity_verlet
 from .system import ParticleSystem, chain_system, neighbor_pairs
 
@@ -38,6 +36,8 @@ class MiniBenchmarkResult:
 
 def _lattice_system(natoms_target: int, spacing: float,
                     seed: int) -> ParticleSystem:
+    import numpy as np
+
     cells = max(2, round(natoms_target ** (1.0 / 3.0)))
     grid = np.arange(cells) * spacing + spacing / 2
     positions = np.array(np.meshgrid(grid, grid, grid)).T.reshape(-1, 3)

@@ -11,11 +11,12 @@ and analytic spot checks.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from .system import ParticleSystem, minimum_image, neighbor_pairs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "lj_potential",
@@ -37,6 +38,8 @@ def lj_forces(positions: np.ndarray, pairs: np.ndarray, box: float,
               epsilon: float = 1.0, sigma: float = 1.0,
               cutoff: float = 2.5) -> Tuple[np.ndarray, float]:
     """Forces and potential energy for LJ pairs (shifted at cutoff)."""
+    import numpy as np
+
     forces = np.zeros_like(positions)
     if pairs.shape[0] == 0:
         return forces, 0.0
@@ -62,6 +65,8 @@ def lj_forces(positions: np.ndarray, pairs: np.ndarray, box: float,
 def bond_forces(positions: np.ndarray, bonds: np.ndarray, box: float,
                 k: float = 30.0, r0: float = 1.0) -> Tuple[np.ndarray, float]:
     """Harmonic bond forces: U = k (r - r0)^2 per bond."""
+    import numpy as np
+
     forces = np.zeros_like(positions)
     if bonds.shape[0] == 0:
         return forces, 0.0
@@ -87,6 +92,8 @@ def eam_forces(positions: np.ndarray, pairs: np.ndarray, box: float,
     mirrors the real EAM and the LAMMPS *eam* benchmark's communication
     pattern.
     """
+    import numpy as np
+
     n = positions.shape[0]
     forces = np.zeros_like(positions)
     if pairs.shape[0] == 0:

@@ -9,16 +9,17 @@ verified by the tests.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["steepest_descent"]
 
-ForceFn = Callable[[np.ndarray], Tuple[np.ndarray, float]]
 
-
-def steepest_descent(positions: np.ndarray, force_fn: ForceFn,
+def steepest_descent(positions: np.ndarray,
+                     force_fn: Callable[[np.ndarray],
+                                        Tuple[np.ndarray, float]],
                      steps: int = 100, initial_step: float = 1e-3,
                      force_tolerance: float = 1e-6,
                      box: float | None = None) -> Tuple[np.ndarray, float, int]:
@@ -29,6 +30,8 @@ def steepest_descent(positions: np.ndarray, force_fn: ForceFn,
     under a sufficiently small step.  The step adapts: growing 10 % on
     success, halving on rejection (backtracking).
     """
+    import numpy as np
+
     if steps < 1 or initial_step <= 0:
         raise ValueError("steps must be >= 1 and initial_step positive")
     current = np.array(positions, dtype=float)

@@ -16,8 +16,10 @@ systems.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["pme_grid_size", "spread_charges", "reciprocal_energy",
            "ewald_reciprocal_reference"]
@@ -42,6 +44,8 @@ def pme_grid_size(natoms: int) -> int:
 def spread_charges(positions: np.ndarray, charges: np.ndarray, box: float,
                    grid: int) -> np.ndarray:
     """Cloud-in-cell (trilinear) charge assignment to a grid³ mesh."""
+    import numpy as np
+
     if grid < 2:
         raise ValueError("grid must be at least 2")
     mesh = np.zeros((grid, grid, grid))
@@ -67,6 +71,8 @@ def reciprocal_energy(positions: np.ndarray, charges: np.ndarray, box: float,
     deconvolution — adequate for smooth charge clouds and validated
     against the direct reciprocal sum on small systems).
     """
+    import numpy as np
+
     mesh = spread_charges(positions, charges, box, grid)
     rho_k = np.fft.fftn(mesh)
     freqs = np.fft.fftfreq(grid) * grid * (2.0 * math.pi / box)
@@ -85,6 +91,8 @@ def ewald_reciprocal_reference(positions: np.ndarray, charges: np.ndarray,
                                box: float, alpha: float = 1.0,
                                kmax: int = 8) -> float:
     """Direct (meshless) Ewald reciprocal sum — the validation oracle."""
+    import numpy as np
+
     volume = box ** 3
     energy = 0.0
     two_pi = 2.0 * math.pi / box

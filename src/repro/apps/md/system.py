@@ -9,9 +9,10 @@ exists for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["ParticleSystem", "random_system", "chain_system",
            "neighbor_pairs", "brute_force_pairs", "minimum_image"]
@@ -48,12 +49,16 @@ class ParticleSystem:
 
     def kinetic_energy(self) -> float:
         """Total kinetic energy."""
+        import numpy as np
+
         return float(0.5 * np.sum(self.masses[:, None] * self.velocities ** 2))
 
 
 def random_system(n: int, box: float, seed: int = 0,
                   charged: bool = False) -> ParticleSystem:
     """Uniform random particles; charges alternate ±1 when ``charged``."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
@@ -79,6 +84,8 @@ def chain_system(n_chains: int, beads_per_chain: int, box: float,
     Chains are random walks of fixed step ``bond_length``; ``bonds`` is
     an (n_bonds, 2) index array.
     """
+    import numpy as np
+
     if n_chains < 1 or beads_per_chain < 2:
         raise ValueError("need at least one chain of two beads")
     rng = np.random.default_rng(seed)
@@ -108,12 +115,16 @@ def chain_system(n_chains: int, beads_per_chain: int, box: float,
 
 def minimum_image(delta: np.ndarray, box: float) -> np.ndarray:
     """Minimum-image convention displacement(s)."""
+    import numpy as np
+
     return delta - box * np.round(delta / box)
 
 
 def brute_force_pairs(positions: np.ndarray, box: float,
                       cutoff: float) -> np.ndarray:
     """All pairs within cutoff, O(N^2) (validation reference)."""
+    import numpy as np
+
     n = positions.shape[0]
     delta = minimum_image(positions[:, None, :] - positions[None, :, :], box)
     dist2 = np.sum(delta ** 2, axis=-1)
@@ -124,6 +135,8 @@ def brute_force_pairs(positions: np.ndarray, box: float,
 def neighbor_pairs(positions: np.ndarray, box: float,
                    cutoff: float) -> np.ndarray:
     """All unique pairs within ``cutoff`` via cell lists, as (m, 2) indices."""
+    import numpy as np
+
     if cutoff <= 0 or cutoff > box / 2:
         raise ValueError("cutoff must be in (0, box/2]")
     cells_per_dim = max(1, int(box / cutoff))

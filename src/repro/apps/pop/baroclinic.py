@@ -10,7 +10,10 @@ stability in the tests.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["baroclinic_step", "total_tracer"]
 
@@ -23,6 +26,8 @@ def baroclinic_step(tracer: np.ndarray, velocity: np.ndarray,
     advection speeds (a stand-in for the momentum fields).  Uses upwind
     advection plus centered diffusion; stable for CFL < 1.
     """
+    import numpy as np
+
     if tracer.ndim != 3:
         raise ValueError("tracer must be 3-D")
     if len(velocity) != 3:
@@ -45,4 +50,6 @@ def baroclinic_step(tracer: np.ndarray, velocity: np.ndarray,
 
 def total_tracer(tracer: np.ndarray) -> float:
     """Domain integral (conserved by the periodic step)."""
+    import numpy as np
+
     return float(np.sum(tracer))

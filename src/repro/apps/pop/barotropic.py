@@ -12,11 +12,12 @@ with our CG kernel and is validated against a dense solve in the tests.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from ...kernels.cg import conjugate_gradient
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["Laplacian2D", "solve_barotropic", "stencil_apply"]
 

@@ -17,9 +17,10 @@ construction of the divergence) and bounded total energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["ShallowWaterState", "ShallowWaterModel"]
 
@@ -61,10 +62,14 @@ class ShallowWaterModel:
     # -- operators -----------------------------------------------------------
 
     def _ddx(self, field: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return (np.roll(field, -1, axis=0) - np.roll(field, 1, axis=0)) \
             / (2 * self.dx)
 
     def _ddy(self, field: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return (np.roll(field, -1, axis=1) - np.roll(field, 1, axis=1)) \
             / (2 * self.dx)
 
@@ -78,6 +83,8 @@ class ShallowWaterModel:
 
     def max_stable_dt(self) -> float:
         """CFL bound for the gravity-wave speed sqrt(gH)."""
+        import numpy as np
+
         wave_speed = np.sqrt(self.gravity * self.depth)
         return 0.5 * self.dx / wave_speed
 
@@ -102,10 +109,14 @@ class ShallowWaterModel:
 
     def total_mass(self, state: ShallowWaterState) -> float:
         """Domain-integrated elevation anomaly (conserved exactly)."""
+        import numpy as np
+
         return float(np.sum(state.h)) * self.dx ** 2
 
     def total_energy(self, state: ShallowWaterState) -> float:
         """Kinetic plus available potential energy."""
+        import numpy as np
+
         kinetic = 0.5 * self.depth * np.sum(state.u ** 2 + state.v ** 2)
         potential = 0.5 * self.gravity * np.sum(state.h ** 2)
         return float((kinetic + potential) * self.dx ** 2)
@@ -113,6 +124,8 @@ class ShallowWaterModel:
     def gaussian_bump(self, amplitude: float = 1.0,
                       width: float = 5.0) -> ShallowWaterState:
         """A resting ocean with a Gaussian elevation anomaly (test case)."""
+        import numpy as np
+
         x = np.arange(self.nx)[:, None] - self.nx / 2
         y = np.arange(self.ny)[None, :] - self.ny / 2
         h = amplitude * np.exp(-(x ** 2 + y ** 2) / (2 * width ** 2))

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..machine.topology import MachineSpec
@@ -363,6 +363,7 @@ def run_requests(requests: Sequence[JobRequest],
     pending: List[int] = []
     first_index_for_key: dict = {}
     duplicates: List[Tuple[int, int]] = []  # (index, index of first twin)
+    failed: Dict[int, TargetFailure] = {}
 
     for i, request in enumerate(requests):
         try:
@@ -410,7 +411,7 @@ def run_requests(requests: Sequence[JobRequest],
                 stats.failed += 1
                 _metrics.inc("executor_failed_total")
                 detail = payload or {}
-                _FAILURES.append(TargetFailure(
+                failed[i] = TargetFailure(
                     index=i,
                     kind=detail.get("kind", "error"),
                     message=detail.get("message", "unknown failure"),
@@ -418,7 +419,8 @@ def run_requests(requests: Sequence[JobRequest],
                                   in ("crash", "timeout") else 0),
                     label=requests[i].label(),
                     key=keys[i],
-                ))
+                )
+                _FAILURES.append(failed[i])
                 _LOG.error("cell %d (%s) failed: %s", i,
                            requests[i].label(),
                            detail.get("message", "unknown failure"))
@@ -429,5 +431,7 @@ def run_requests(requests: Sequence[JobRequest],
 
     for i, twin in duplicates:
         results[i] = results[twin]
+        if twin in failed:  # the same cell fails at every index asking it
+            _FAILURES.append(replace(failed[twin], index=i))
     return results
 

@@ -14,9 +14,12 @@ an explicit blocked/naive pair exists for validation and as the
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "daxpy",
@@ -53,6 +56,8 @@ def dgemm(a: np.ndarray, b: np.ndarray, alpha: float = 1.0,
 
 def naive_dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix multiply (the "vanilla" reference; small sizes)."""
+    import numpy as np
+
     if a.shape[1] != b.shape[0]:
         raise ValueError("dgemm requires conforming matrices")
     m, k = a.shape
@@ -69,6 +74,8 @@ def naive_dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def blocked_dgemm(a: np.ndarray, b: np.ndarray, block: int = 32) -> np.ndarray:
     """Cache-blocked multiply (illustrates the vendor-library strategy)."""
+    import numpy as np
+
     if a.shape[1] != b.shape[0]:
         raise ValueError("dgemm requires conforming matrices")
     if block < 1:

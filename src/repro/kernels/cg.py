@@ -14,11 +14,12 @@ random sparse SPD systems for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "conjugate_gradient",
@@ -39,6 +40,7 @@ def random_spd_matrix(n: int, nonzeros_per_row: int = 7,
     construction idea as the NAS CG benchmark's fractional-outer-product
     matrix, guaranteeing SPD for any seed.
     """
+    import numpy as np
     import scipy.sparse as sp  # kept off the CLI's import path
 
     if n < 1 or nonzeros_per_row < 1:
@@ -58,6 +60,8 @@ def conjugate_gradient(
 
     ``a`` is any object supporting ``a @ v`` (scipy sparse or ndarray).
     """
+    import numpy as np
+
     n = b.shape[0]
     if maxiter is None:
         maxiter = 10 * n

@@ -14,10 +14,12 @@ radix-2 transform, validated against numpy.fft in the tests.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "fft_radix2",
@@ -37,6 +39,8 @@ def is_power_of_two(n: int) -> bool:
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT (power-of-two length)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     if not is_power_of_two(n):
@@ -67,6 +71,8 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
 
 def ifft_radix2(x: np.ndarray) -> np.ndarray:
     """Inverse transform via conjugation."""
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     return np.conj(fft_radix2(np.conj(x))) / x.shape[0]
 
@@ -78,6 +84,8 @@ def fft3d(x: np.ndarray) -> np.ndarray:
     and PME workloads model: 1-D butterflies along the contiguous axis,
     reorient, repeat.  All dimensions must be powers of two.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     if x.ndim != 3:
         raise ValueError("fft3d requires a 3-D array")
@@ -94,6 +102,8 @@ def fft3d(x: np.ndarray) -> np.ndarray:
 
 def ifft3d(x: np.ndarray) -> np.ndarray:
     """Inverse 3-D transform via conjugation."""
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     return np.conj(fft3d(np.conj(x))) / x.size
 

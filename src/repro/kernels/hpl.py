@@ -11,11 +11,12 @@ partial pivoting, validated against scipy.linalg.lu in the tests.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["lu_factor", "lu_reconstruct", "hpl_flops", "hpl_update_model",
            "panel_bytes"]
@@ -27,6 +28,8 @@ def lu_factor(a: np.ndarray, block: int = 32) -> Tuple[np.ndarray, np.ndarray]:
     Returns (lu, piv): the packed L\\U factors and the pivot rows, with
     the same conventions as scipy.linalg.lu_factor.
     """
+    import numpy as np
+
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("LU requires a square matrix")
@@ -57,6 +60,8 @@ def lu_factor(a: np.ndarray, block: int = 32) -> Tuple[np.ndarray, np.ndarray]:
 
 def lu_reconstruct(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
     """Rebuild the (row-permuted) original matrix from packed factors."""
+    import numpy as np
+
     n = lu.shape[0]
     lower = np.tril(lu, -1) + np.eye(n)
     upper = np.triu(lu)

@@ -11,11 +11,12 @@ local verification; the model emits per-rank communication volume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "transpose_add",

@@ -15,9 +15,12 @@ benchmark's self-verification step.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "POLY",
@@ -34,6 +37,8 @@ _MASK64 = (1 << 64) - 1
 
 def random_stream(count: int, start: int = 1) -> np.ndarray:
     """The HPCC pseudo-random sequence a(i) as uint64."""
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be non-negative")
     out = np.empty(count, dtype=np.uint64)
@@ -48,6 +53,8 @@ def random_stream(count: int, start: int = 1) -> np.ndarray:
 def random_access_update(table: np.ndarray, updates: int,
                          start: int = 1) -> np.ndarray:
     """Apply ``updates`` XOR updates; table length must be a power of two."""
+    import numpy as np
+
     n = table.shape[0]
     if n & (n - 1):
         raise ValueError("table length must be a power of two")
@@ -64,6 +71,8 @@ def verify_table(table_size: int, updates: int, start: int = 1) -> float:
     A correct implementation returns 0.0 (XOR updates are involutory
     when replayed, and our serial version has no races).
     """
+    import numpy as np
+
     table = np.arange(table_size, dtype=np.uint64)
     random_access_update(table, updates, start)
     random_access_update(table, updates, start)  # replay undoes every update

@@ -19,9 +19,12 @@ how STREAM itself reports bandwidth.)
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.ops import Compute
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "copy",

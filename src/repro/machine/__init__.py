@@ -21,6 +21,7 @@ from .topology import (
     MachineSpec,
     Socket,
     SocketSpec,
+    SocketGraph,
     build_socket_graph,
     ladder_positions,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "KB",
     "MB",
     "GB",
+    "SocketGraph",
     "build_socket_graph",
     "ladder_positions",
     "tiger",

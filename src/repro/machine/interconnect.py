@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..sim import BandwidthResource, Engine, Event
 from .topology import MachineSpec, build_socket_graph
 
@@ -40,8 +38,8 @@ class Interconnect:
         self._base_bandwidth = params.ht_link_bandwidth
         self._latency_factors: Dict[Tuple[int, int], float] = {}
         self._failed: Set[Tuple[int, int]] = set()
-        # Pre-compute shortest paths once; the graph is tiny and, apart
-        # from injected outages, static.
+        # The shared graph carries its routes; apart from injected
+        # outages they are static.
         self._paths: Dict[Tuple[int, int], List[int]] = {}
         self._recompute_paths()
 
@@ -49,18 +47,13 @@ class Interconnect:
         """Rebuild the routing table over the surviving edges."""
         graph = self.graph
         if self._failed:
-            graph = self.graph.copy()
-            graph.remove_edges_from(self._failed)
-            if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
+            graph = self.graph.without(self._failed)
+            if not graph.is_connected():
                 raise ValueError(
                     "link outages partition the socket graph: "
                     f"{sorted(self._failed)} leave no route for traffic"
                 )
-        paths: Dict[Tuple[int, int], List[int]] = {}
-        for src, targets in nx.all_pairs_shortest_path(graph):
-            for dst, path in targets.items():
-                paths[(src, dst)] = path
-        self._paths = paths
+        self._paths = graph.paths
         #: path_links memo, valid until the routes change again
         self._path_links: Dict[Tuple[int, int], List[BandwidthResource]] = {}
 
@@ -118,7 +111,8 @@ class Interconnect:
         """The directed link resources along the route.
 
         Memoized per ``(src, dst)`` until a link outage reroutes; the
-        list is shared, so callers must not mutate it.
+        list is shared, so callers must not mutate it (nor ``path``'s,
+        which every machine of the same topology shares).
         """
         links = self._path_links.get((src, dst))
         if links is None:

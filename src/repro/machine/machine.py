@@ -9,15 +9,16 @@ ACPI-SLIT style (10 = local, +10 per hop).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from ..sim import Engine, Tracer
 from .cache import CacheModel
 from .interconnect import Interconnect
 from .memory import MemorySystem
 from .topology import Core, MachineSpec, Socket
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["Machine"]
 
@@ -99,6 +100,8 @@ class Machine:
 
     def distance_matrix(self) -> np.ndarray:
         """ACPI-SLIT-style distances: 10 local, +10 per HT hop."""
+        import numpy as np
+
         n = self.num_sockets
         mat = np.zeros((n, n), dtype=int)
         for s in range(n):

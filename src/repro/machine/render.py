@@ -50,7 +50,7 @@ def describe(spec: MachineSpec) -> str:
                 f"L1d {_size(core.l1d_bytes)}, L2 {_size(core.l2_bytes)}\n"
             )
     graph = build_socket_graph(spec)
-    if graph.number_of_edges():
+    if graph.edges:
         edges = " ".join(f"{a}-{b}" for a, b in sorted(graph.edges))
         out.write(
             f"  HyperTransport links ({spec.params.ht_link_bandwidth / 1e9:.1f} "

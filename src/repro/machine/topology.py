@@ -8,9 +8,13 @@ Terminology follows Section 2 of the paper exactly:
 * a **node** (here: :class:`MachineSpec`, a single shared-memory box)
   is a group of sockets communicating over coherent HyperTransport.
 
-The socket-level interconnect is a :mod:`networkx` graph.  Three builders
-cover the evaluation systems: a single link for two-socket boxes (Tiger,
-DMZ) and the 2×4 *ladder* of the Iwill H8501 (Longs, Figure 1).
+The socket-level interconnect is a :class:`SocketGraph`: an ordered
+adjacency map of at most a few dozen links, with every breadth-first
+route precomputed.  The builders cover the evaluation systems -- a
+single link for two-socket boxes (Tiger, DMZ) and the 2×4 *ladder* of
+the Iwill H8501 (Longs, Figure 1) -- plus ring and crossbar what-ifs.
+One graph is built per (topology, socket count) and shared, so it is
+never mutated; a link outage routes over :meth:`SocketGraph.without`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from functools import lru_cache
+from typing import Dict, Iterable, List, Tuple
 
 from .params import GB, KB, MB, PerfParams
 
@@ -30,6 +33,7 @@ __all__ = [
     "MachineSpec",
     "Core",
     "Socket",
+    "SocketGraph",
     "build_socket_graph",
     "ladder_positions",
 ]
@@ -168,36 +172,115 @@ def ladder_positions(sockets: int) -> Dict[int, Tuple[int, int]]:
     return {s: (s // cols, s % cols) for s in range(sockets)}
 
 
-def build_socket_graph(spec: MachineSpec) -> nx.Graph:
+class SocketGraph:
+    """An undirected socket graph: ordered adjacency plus shortest routes.
+
+    ``adj[s]`` lists the neighbours of socket ``s`` in the order their
+    links were added.  ``edges`` holds each link once, ``(u, v)`` with
+    ``u`` the first socket of the map to list it.  ``paths[(src, dst)]``
+    is the breadth-first route between two sockets (inclusive): among
+    equal-length routes, the neighbour discovered first wins and
+    neighbours are visited in ``adj`` order, so every route, and with
+    it every simulated transfer, is fixed by the link order alone.
+    ``hops[src][dst]`` is the route's link count.  Sockets that cannot
+    reach each other have no entry.  ``tests/test_socket_graph_oracle.py``
+    checks routes, re-routes and link order against a graph library.
+    """
+
+    __slots__ = ("adj", "edges", "paths", "hops")
+
+    def __init__(self, adj: Dict[int, Tuple[int, ...]]):
+        self.adj = adj
+        seen = set()
+        edges: List[Tuple[int, int]] = []
+        for s, nbrs in adj.items():
+            edges.extend((s, w) for w in nbrs if w not in seen)
+            seen.add(s)
+        self.edges: Tuple[Tuple[int, int], ...] = tuple(edges)
+        self.paths: Dict[Tuple[int, int], List[int]] = {}
+        self.hops: Dict[int, Dict[int, int]] = {}
+        for src in adj:
+            routes = {src: [src]}
+            frontier = [src]
+            while frontier:
+                reached = []
+                for v in frontier:
+                    for w in adj[v]:
+                        if w not in routes:
+                            routes[w] = routes[v] + [w]
+                            reached.append(w)
+                frontier = reached
+            self.hops[src] = {dst: len(r) - 1 for dst, r in routes.items()}
+            for dst, route in routes.items():
+                self.paths[(src, dst)] = route
+
+    def number_of_nodes(self) -> int:
+        return len(self.adj)
+
+    def number_of_edges(self) -> int:
+        return len(self.edges)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj.get(u, ())
+
+    def is_connected(self) -> bool:
+        """True when every socket reaches every other."""
+        return all(len(row) == len(self.adj) for row in self.hops.values())
+
+    def without(self, links: Iterable[Tuple[int, int]]) -> "SocketGraph":
+        """A new graph with ``links`` (``(u, v)`` pairs, ``u < v``) cut.
+
+        Each socket lists its lower-numbered neighbours first, ascending,
+        then the rest in link order.  That order fixes how re-routes
+        around a failed link break ties.
+        """
+        cut = set(links)
+        adj = {}
+        for s, nbrs in self.adj.items():
+            order = sorted(w for w in nbrs if w < s) + [w for w in nbrs
+                                                        if w > s]
+            adj[s] = tuple(w for w in order
+                           if (min(s, w), max(s, w)) not in cut)
+        return SocketGraph(adj)
+
+
+def build_socket_graph(spec: MachineSpec) -> SocketGraph:
     """The socket-level HyperTransport graph for a machine spec.
 
-    Edges carry no attributes here; bandwidth/latency are attached by the
-    interconnect model, which owns the dynamic state.
+    Links carry no attributes here; bandwidth/latency are attached by the
+    interconnect model, which owns the dynamic state.  The graph depends
+    only on the topology and socket count, and is built once per pair.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(spec.sockets))
-    if spec.topology == "single":
-        return g
-    if spec.topology == "pair":
-        g.add_edge(0, 1)
-        return g
-    if spec.topology == "ring":
-        for s in range(spec.sockets):
-            g.add_edge(s, (s + 1) % spec.sockets)
-        return g
-    if spec.topology == "crossbar":
-        for a in range(spec.sockets):
-            for b in range(a + 1, spec.sockets):
-                g.add_edge(a, b)
-        return g
+    return _socket_graph(spec.topology, spec.sockets)
+
+
+@lru_cache(maxsize=None)
+def _socket_graph(topology: str, sockets: int) -> SocketGraph:
+    adj: Dict[int, List[int]] = {s: [] for s in range(sockets)}
+    for u, v in _links(topology, sockets):
+        adj[u].append(v)
+        adj[v].append(u)
+    return SocketGraph({s: tuple(nbrs) for s, nbrs in adj.items()})
+
+
+def _links(topology: str, sockets: int) -> List[Tuple[int, int]]:
+    if topology == "single":
+        return []
+    if topology == "pair":
+        return [(0, 1)]
+    if topology == "ring":
+        return [(s, (s + 1) % sockets) for s in range(sockets)]
+    if topology == "crossbar":
+        return [(a, b) for a in range(sockets) for b in range(a + 1, sockets)]
     # ladder: two rows, sockets//2 columns; rungs between rows, rails
     # along each row (Figure 1 of the paper).
-    positions = ladder_positions(spec.sockets)
+    positions = ladder_positions(sockets)
     by_pos = {pos: s for s, pos in positions.items()}
-    cols = spec.sockets // 2
+    cols = sockets // 2
+    links = []
     for col in range(cols):
-        g.add_edge(by_pos[(0, col)], by_pos[(1, col)])  # rung
+        links.append((by_pos[(0, col)], by_pos[(1, col)]))  # rung
         if col + 1 < cols:
-            g.add_edge(by_pos[(0, col)], by_pos[(0, col + 1)])  # top rail
-            g.add_edge(by_pos[(1, col)], by_pos[(1, col + 1)])  # bottom rail
-    return g
+            links.append((by_pos[(0, col)], by_pos[(0, col + 1)]))  # top rail
+            links.append((by_pos[(1, col)], by_pos[(1, col + 1)]))  # bottom rail
+    return links

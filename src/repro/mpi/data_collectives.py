@@ -16,11 +16,12 @@ when a workload wants both timing *and* data movement.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from .simmpi import MpiWorld
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "allreduce_data",
@@ -40,18 +41,29 @@ _TAG_DALLTOALL = 11 << 20
 
 def _payload_bytes(value: Any) -> int:
     """Wire size of a payload (numpy arrays by nbytes, else a word)."""
+    import numpy as np
+
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     return 8
 
 
+def _default_op(op: Optional[Callable[[Any, Any], Any]]):
+    if op is not None:
+        return op
+    import numpy as np
+
+    return np.add
+
+
 def allreduce_data(world: MpiWorld, rank: int, value: np.ndarray,
-                   op: Callable[[Any, Any], Any] = np.add):
+                   op: Optional[Callable[[Any, Any], Any]] = None):
     """Recursive-doubling allreduce carrying real data; returns the result.
 
     ``op`` must be associative and commutative (the schedule combines
-    partial results in partner order).
+    partial results in partner order); ``None`` means ``numpy.add``.
     """
+    op = _default_op(op)
     p = world.size
     accumulator = value
     if p == 1:
@@ -98,8 +110,12 @@ def _doubling_exchange(world: MpiWorld, rank: int, p2: int, accumulator,
 
 
 def reduce_data(world: MpiWorld, rank: int, value, root: int,
-                op: Callable[[Any, Any], Any] = np.add):
-    """Binomial-tree reduction; returns the result at ``root``, else None."""
+                op: Optional[Callable[[Any, Any], Any]] = None):
+    """Binomial-tree reduction; returns the result at ``root``, else None.
+
+    ``op`` defaults (``None``) to ``numpy.add``.
+    """
+    op = _default_op(op)
     p = world.size
     vrank = (rank - root) % p
     accumulator = value

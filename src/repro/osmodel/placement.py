@@ -15,8 +15,6 @@ from typing import List, Tuple
 
 from ..machine.topology import MachineSpec, build_socket_graph
 
-import networkx as nx
-
 __all__ = [
     "Placement",
     "preferred_socket_order",
@@ -75,8 +73,7 @@ def preferred_socket_order(spec: MachineSpec) -> List[int]:
     ladder this prefers the central columns, matching the paper's use of
     "nodes 2, 3, 4, and 5" for small runs.
     """
-    graph = build_socket_graph(spec)
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    lengths = build_socket_graph(spec).hops
     return sorted(
         range(spec.sockets),
         key=lambda s: (sum(lengths[s].values()), s),

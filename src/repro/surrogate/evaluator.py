@@ -54,8 +54,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.affinity import AffinityScheme, ResolvedAffinity, resolve_scheme
 from ..core.execution import JobResult
 from ..core.ops import (
@@ -264,11 +262,8 @@ class SurrogateEvaluator:
         self.lock_cost = LockLayer(
             lock if lock is not None else self.impl.default_lock
         ).cost(params) * self.om
-        graph = build_socket_graph(spec)
-        self.hops: Dict[int, Dict[int, int]] = {
-            src: dict(lengths)
-            for src, lengths in nx.all_pairs_shortest_path_length(graph)
-        }
+        #: shared with every machine of the same topology: read only
+        self.hops: Dict[int, Dict[int, int]] = build_socket_graph(spec).hops
         coherence = 1.0 / (
             1.0 + params.coherence_probe_cost * (spec.sockets - 1))
         self.ctrl_capacity = (spec.socket.dram_peak_bandwidth

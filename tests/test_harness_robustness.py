@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ from repro.workloads import ImbPingPong
 from repro.telemetry import doctor, ledger
 from repro.telemetry.regress import excluded_from_baseline
 from repro.wire import frames
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _rewrite_entry(path, entry):
@@ -492,6 +495,25 @@ def test_run_many_duplicate_of_a_failed_cell_is_failed(tmp_path):
                  backend=ThreadBackend()) as session:
         results = session.run_many([request, request])
     assert [r.kind for r in results] == ["fault_exhausted"] * 2
+
+
+def test_run_requests_reports_each_duplicate_of_a_failed_cell(tmp_path):
+    """A bare batch that asks a failing cell twice gets a failure at
+    both indices, so neither reads as an infeasible dash."""
+    from repro.backends import ThreadBackend
+
+    plan = FaultPlan.from_dict(json.loads(
+        (ROOT / "benchmarks" / "faultplans" / "msg_exhaust.json").read_text()))
+    cell = JobRequest(dmz(), ImbPingPong(1024), faults=plan)
+    take_failures()
+    results = run_requests([cell, cell], cache=ResultCache(directory=tmp_path),
+                           backend=ThreadBackend())
+    failures = take_failures()
+    assert results == [None, None]
+    assert [f.index for f in failures] == [0, 1]
+    assert [f.kind for f in failures] == ["fault_exhausted"] * 2
+    assert failures[0].message == failures[1].message
+    assert failures[0].key == failures[1].key == cell.key()
 
 
 def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 from repro.bench.cli import TARGETS, main
@@ -28,8 +27,8 @@ def _spec(topology: str, sockets: int) -> MachineSpec:
 def test_ring_topology_graph():
     g = build_socket_graph(_spec("ring", 6))
     assert g.number_of_edges() == 6
-    assert all(d == 2 for _n, d in g.degree())
-    assert nx.is_connected(g)
+    assert all(len(nbrs) == 2 for nbrs in g.adj.values())
+    assert g.is_connected()
 
 
 def test_crossbar_topology_graph():
@@ -125,13 +124,54 @@ def test_cli_renders_data_table(capsys, tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_and_sparse_unloaded():
-    """Startup weight guard: only the CG validator needs scipy.sparse."""
+    """Startup weight guard: the CLI, the daemon and the router load no
+    numpy, networkx or scipy; only functional kernels (numpy) and the CG
+    validator (scipy.sparse) import them, when they run."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import sys, repro.bench.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') "
-             "if m in sys.modules))")
+    probe = ("import sys, repro.bench.cli, repro.service.daemon, "
+             "repro.cluster.router; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse', "
+             "'numpy', 'networkx') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+#: prefix that makes ``import numpy`` and ``import networkx`` raise
+_BLOCK = 'import sys; sys.modules["numpy"] = sys.modules["networkx"] = None; '
+
+_EXACT_CELL = """
+import json
+from repro.core.affinity import AffinityScheme
+from repro.core.parallel import JobRequest
+from repro.faults import FaultPlan, LinkOutage
+from repro.machine import longs
+from repro.workloads import RingExchange
+plan = FaultPlan(seed=0, faults=(LinkOutage(src=1, dst=2, start=2e-4),))
+cell = JobRequest(longs(), RingExchange(6, 200_000),
+                  scheme=AffinityScheme.INTERLEAVE, faults=plan)
+print(json.dumps(cell.execute().to_dict(), sort_keys=True))
+"""
+
+
+def test_simulation_runs_without_numpy_and_networkx(tmp_path):
+    """Fast-tier targets and an exact cell (a link outage re-routes it)
+    give the same answers when numpy and networkx cannot be imported."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def run(code, cache):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   REPRO_BENCH_CACHE_DIR=str(tmp_path / cache))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True).stdout
+
+    bench = ("from repro.bench.cli import main; "
+             "sys.exit(main(['tab02', 'fig14', '--tier', 'fast']))")
+    blocked = run(_BLOCK + bench, "blocked")
+    assert "Table 2" in blocked
+    assert blocked == run("import sys; " + bench, "plain")
+    cell = run(_BLOCK + _EXACT_CELL, "blocked")
+    assert cell == run(_EXACT_CELL, "plain")
