@@ -14,13 +14,15 @@ replay a stale result.
 
 from __future__ import annotations
 
-from ..core import AffinityScheme, TableResult
+from typing import Callable, Dict, Iterable, List, Optional
+
+from ..core import AffinityScheme, JobRequest, TableResult
 from ..machine import GB, longs
 from ..machine.whatif import hypothetical
 from ..mpi import LAM
 from ..workloads import HpccPtrans, HpccRandomAccess, NasCG, NasFT, StreamTriad, triad_bytes_moved
 from ..workloads.hybrid import HybridNasCG, HybridNasFT, hybrid_affinity
-from .common import bound_spread_affinity, run
+from .common import Row, bound_spread_affinity, run_cell, target_requests
 
 __all__ = [
     "ablation_probe_cost",
@@ -28,7 +30,20 @@ __all__ = [
     "ablation_lock_cost",
     "ablation_fragmentation",
     "ablation_hybrid",
+    "requests",
 ]
+
+
+def _probe_cost_rows() -> List[Row]:
+    rows: List[Row] = []
+    for cost in (0.0, 0.05, 0.175, 0.30):
+        spec = hypothetical(f"ladder8-p{cost}", sockets=8,
+                            coherence_probe_cost=cost)
+        rows.append((cost, (
+            JobRequest(spec, StreamTriad(1),
+                       affinity=bound_spread_affinity(spec, 1)),
+            JobRequest(spec, NasCG(8), AffinityScheme.ONE_MPI_LOCAL))))
+    return rows
 
 
 def ablation_probe_cost() -> TableResult:
@@ -41,17 +56,26 @@ def ablation_probe_cost() -> TableResult:
         title="ablation: coherence-probe cost (8-socket ladder)",
         headers=["probe cost", "1-core STREAM (GB/s)", "NAS CG 8 tasks (s)"],
     )
-    for cost in (0.0, 0.05, 0.175, 0.30):
-        spec = hypothetical(f"ladder8-p{cost}", sockets=8,
-                            coherence_probe_cost=cost)
-        stream = StreamTriad(1)
-        result = run(spec, stream, affinity=bound_spread_affinity(spec, 1))
-        bandwidth = triad_bytes_moved(stream) / result.phase_time("triad") / GB
-        cg = run(spec, NasCG(8), AffinityScheme.ONE_MPI_LOCAL)
-        table.add_row(cost, bandwidth, cg.wall_time)
+    for cost, (stream, cg) in _probe_cost_rows():
+        result = run_cell(stream)
+        bandwidth = (triad_bytes_moved(stream.workload)
+                     / result.phase_time("triad") / GB)
+        table.add_row(cost, bandwidth, run_cell(cg).wall_time)
     table.notes.append("probe cost drives both the bandwidth collapse and "
                        "the CG slowdown on 8 sockets (DESIGN.md)")
     return table
+
+
+def _topology_rows() -> List[Row]:
+    rows: List[Row] = []
+    for topology in ("ladder", "ring", "crossbar"):
+        spec = hypothetical(f"longs-{topology}", sockets=8,
+                            topology=topology,
+                            coherence_probe_cost=0.175)
+        rows.append((topology, (
+            JobRequest(spec, NasFT(16), AffinityScheme.INTERLEAVE),
+            JobRequest(spec, NasCG(16), AffinityScheme.INTERLEAVE))))
+    return rows
 
 
 def ablation_topology() -> TableResult:
@@ -61,24 +85,28 @@ def ablation_topology() -> TableResult:
     the kernels under ``--interleave=all`` (7/8 of every rank's traffic
     crosses the fabric).
     """
+    from ..machine import Machine
+
     table = TableResult(
         title="ablation: 8-socket interconnect topology (interleaved pages)",
         headers=["topology", "max hops", "NAS FT 16 tasks (s)",
                  "NAS CG 16 tasks (s)"],
     )
-    for topology in ("ladder", "ring", "crossbar"):
-        spec = hypothetical(f"longs-{topology}", sockets=8,
-                            topology=topology,
-                            coherence_probe_cost=0.175)
-        from ..machine import Machine
-
-        hops = Machine(spec).net.max_hops()
-        ft = run(spec, NasFT(16), AffinityScheme.INTERLEAVE)
-        cg = run(spec, NasCG(16), AffinityScheme.INTERLEAVE)
-        table.add_row(topology, hops, ft.wall_time, cg.wall_time)
+    for topology, (ft, cg) in _topology_rows():
+        hops = Machine(ft.spec).net.max_hops()
+        table.add_row(topology, hops, run_cell(ft).wall_time,
+                      run_cell(cg).wall_time)
     table.notes.append("a crossbar removes multi-hop remote penalties; the "
                        "ladder is the paper's Figure 1")
     return table
+
+
+def _lock_cost_rows() -> List[Row]:
+    spec = longs()
+    return [(lock, (JobRequest(spec, HpccRandomAccess(16, mode="mpi"),
+                               AffinityScheme.TWO_MPI_LOCAL, impl=LAM,
+                               lock=lock),))
+            for lock in ("usysv", "pthread", "sysv")]
 
 
 def ablation_lock_cost() -> TableResult:
@@ -87,17 +115,30 @@ def ablation_lock_cost() -> TableResult:
         title="ablation: lock-layer cost vs MPI RandomAccess (Longs)",
         headers=["lock layer", "lock cost (us)", "MPI RA (MUP/s)"],
     )
-    spec = longs()
-    for lock in ("usysv", "pthread", "sysv"):
-        cost = {"usysv": spec.params.usysv_lock_cost,
-                "pthread": spec.params.pthread_lock_cost,
-                "sysv": spec.params.sysv_lock_cost}[lock]
-        workload = HpccRandomAccess(16, mode="mpi")
-        result = run(spec, workload, AffinityScheme.TWO_MPI_LOCAL, impl=LAM,
-                     lock=lock)
+    for lock, (cell,) in _lock_cost_rows():
+        params = cell.spec.params
+        cost = {"usysv": params.usysv_lock_cost,
+                "pthread": params.pthread_lock_cost,
+                "sysv": params.sysv_lock_cost}[lock]
+        result = run_cell(cell)
         total = result.phase_time("ra") + result.phase_time("ra-exchange")
-        table.add_row(lock, cost * 1e6, workload.updates / total / 1e6)
+        table.add_row(lock, cost * 1e6, cell.workload.updates / total / 1e6)
     return table
+
+
+def _fragmentation_rows() -> List[Row]:
+    rows: List[Row] = []
+    for frag_kb in (16, 64, 256, 1024):
+        spec = hypothetical(
+            "longs-frag", sockets=8, topology="ladder",
+            coherence_probe_cost=0.175,
+            params=longs().params.with_overrides(
+                shm_fragment_bytes=frag_kb * 1024.0),
+        )
+        rows.append((frag_kb, (JobRequest(
+            spec, HpccPtrans(16), AffinityScheme.TWO_MPI_LOCAL, impl=LAM,
+            lock="sysv"),)))
+    return rows
 
 
 def ablation_fragmentation() -> TableResult:
@@ -106,22 +147,22 @@ def ablation_fragmentation() -> TableResult:
         title="ablation: shm fragment size vs PTRANS under SysV (Longs)",
         headers=["fragment (KB)", "PTRANS (GB/s)"],
     )
-    for frag_kb in (16, 64, 256, 1024):
-        spec = longs()
-        spec = hypothetical(
-            "longs-frag", sockets=8, topology="ladder",
-            coherence_probe_cost=0.175,
-            params=spec.params.with_overrides(
-                shm_fragment_bytes=frag_kb * 1024.0),
-        )
-        workload = HpccPtrans(16)
-        result = run(spec, workload, AffinityScheme.TWO_MPI_LOCAL, impl=LAM,
-                     lock="sysv")
-        bandwidth = 8.0 * workload.n ** 2 / result.phase_time("exchange") / GB
-        table.add_row(frag_kb, bandwidth)
+    for frag_kb, (cell,) in _fragmentation_rows():
+        exchange = run_cell(cell).phase_time("exchange")
+        table.add_row(frag_kb, 8.0 * cell.workload.n ** 2 / exchange / GB)
     table.notes.append("smaller fragments pay the SysV semaphore more often "
                        "(the Figure 12 mechanism)")
     return table
+
+
+def _hybrid_rows() -> List[Row]:
+    spec = longs()
+    affinity = hybrid_affinity(spec, 8, 2)
+    return [(name, (JobRequest(spec, pure, AffinityScheme.TWO_MPI_LOCAL),
+                    JobRequest(spec, hybrid, affinity=affinity)))
+            for name, pure, hybrid in (
+                ("CG", NasCG(16), HybridNasCG(8, 2)),
+                ("FT", NasFT(16), HybridNasFT(8, 2)))]
 
 
 def ablation_hybrid() -> TableResult:
@@ -135,17 +176,31 @@ def ablation_hybrid() -> TableResult:
         headers=["Kernel", "pure MPI 16 ranks (s)", "hybrid 8x2 (s)",
                  "messages pure", "messages hybrid"],
     )
-    spec = longs()
-    cases = [
-        ("CG", lambda: NasCG(16), lambda: HybridNasCG(8, 2)),
-        ("FT", lambda: NasFT(16), lambda: HybridNasFT(8, 2)),
-    ]
-    for name, pure_factory, hybrid_factory in cases:
-        pure = run(spec, pure_factory(), AffinityScheme.TWO_MPI_LOCAL)
-        hybrid_wl = hybrid_factory()
-        hybrid = run(spec, hybrid_wl, affinity=hybrid_affinity(spec, 8, 2))
+    for name, (pure_cell, hybrid_cell) in _hybrid_rows():
+        pure, hybrid = run_cell(pure_cell), run_cell(hybrid_cell)
         table.add_row(name, pure.wall_time, hybrid.wall_time,
                       pure.messages, hybrid.messages)
     table.notes.append("hybrid quarters the message count; wall-time parity "
                        "or better confirms the paper's proposal")
     return table
+
+
+#: each `repro-bench` ablation target's rows
+_ROWS: Dict[str, Callable[[], List[Row]]] = {
+    "abl_probe_cost": _probe_cost_rows,
+    "abl_topology": _topology_rows,
+    "abl_lock_cost": _lock_cost_rows,
+    "abl_fragmentation": _fragmentation_rows,
+    "abl_hybrid": _hybrid_rows,
+}
+
+
+def requests(targets: Optional[Iterable[str]] = None) -> List[JobRequest]:
+    """Every simulated cell behind the ablation tables.
+
+    The tables above read exactly these cells, so a prefetch of this
+    list answers them all.  ``targets`` limits the list to the
+    ablations it names (``abl_topology``, ...); other names in it are
+    ignored.
+    """
+    return target_requests(_ROWS, targets)

@@ -58,11 +58,11 @@ for _name in ("probe_cost", "topology", "lock_cost", "fragmentation",
     TARGETS[f"abl_{_name}"] = getattr(ablations, f"ablation_{_name}")
 
 
-def _fidelity():
+def _fidelity(build=None):
     """Quantitative model-vs-paper agreement for every numeric table."""
     from .fidelity import fidelity_table
 
-    return fidelity_table()
+    return fidelity_table(build)
 
 
 TARGETS["fidelity"] = _fidelity
@@ -87,40 +87,43 @@ def _render(name: str, result: Result, csv_dir: str | None,
 
 
 def _prefetch(session, names) -> List[parallel.TargetFailure]:
-    """Warm the result cache for the requested targets in parallel.
+    """Settle every cell the requested targets read as one flight.
 
-    The requested tables' and figures' cells (every table's for
-    ``fidelity``) are enumerated up front and fanned over the worker
-    pool; the serial target builders then run entirely from cache hits.
-    Only worth the enumeration cost when several targets share cells or
-    ``jobs > 1``.  Returns the cells that failed.
+    Each builder module enumerates its targets' cells (every table's
+    for ``fidelity``); the session runs them together — in parallel
+    with ``jobs > 1``, in process otherwise — and the serial target
+    builders then read every cell from its outcome table.  Returns the
+    cells that failed, each once.
     """
-    requests = []
-    if "fidelity" in names:
-        requests.extend(tables.sweep_requests())
-    elif any(n.startswith("tab") for n in names):
-        requests.extend(tables.sweep_requests(names))
-    wanted = [n for n in names if n.startswith("fig")]
-    if wanted:
-        requests.extend(figures.figure_requests(wanted))
-    return session.prefetch(requests) if requests else []
+    return session.prefetch(
+        tables.sweep_requests(None if "fidelity" in names else names)
+        + figures.figure_requests(names) + ablations.requests(names)
+        + extensions.requests(names))
 
 
-def _timings_payload(timings) -> Dict:
-    """The ``--timings-json`` document (also embedded in ledger records)."""
-    return {
+def _timings_payload(timings, prefetch=None) -> Dict:
+    """The ``--timings-json`` document (also embedded in ledger records).
+
+    ``prefetch`` is the flight that settled the targets' cells before
+    the first one was built; it counts in the total, not as a target.
+    """
+    def entry(name, elapsed, hits, misses):
+        return {"name": name, "seconds": round(elapsed, 6),
+                "cache_hits": hits, "cache_misses": misses}
+
+    rows = timings + ([prefetch] if prefetch else [])
+    payload = {
         "schema": 1,
-        "targets": [
-            {"name": name, "seconds": round(elapsed, 6),
-             "cache_hits": hits, "cache_misses": misses}
-            for name, elapsed, hits, misses in timings
-        ],
+        "targets": [entry(*timing) for timing in timings],
         "total": {
-            "seconds": round(sum(t for _n, t, _h, _m in timings), 6),
-            "cache_hits": sum(h for _n, _t, h, _m in timings),
-            "cache_misses": sum(m for _n, _t, _h, m in timings),
+            "seconds": round(sum(t for _n, t, _h, _m in rows), 6),
+            "cache_hits": sum(h for _n, _t, h, _m in rows),
+            "cache_misses": sum(m for _n, _t, _h, m in rows),
         },
     }
+    if prefetch:
+        payload["prefetch"] = entry(*prefetch)
+    return payload
 
 
 def _fidelity_scores(results: Dict) -> Dict:
@@ -312,19 +315,41 @@ def main(argv=None) -> int:
     failures: List[parallel.TargetFailure] = []
     stats = result_cache.default_cache().stats
     previous_session = set_default_session(session)
+    # each target is built at most once per run: `fidelity` scores the
+    # tables the tabNN targets print, and a failed table fails both
+    built: Dict[str, Union[Result, JobFailedError]] = {}
+
+    def build(name: str) -> Result:
+        if name not in built:
+            target = TARGETS[name]
+            try:
+                built[name] = target(build) if name == "fidelity" \
+                    else target()
+            except JobFailedError as exc:
+                built[name] = exc
+        result = built[name]
+        if isinstance(result, JobFailedError):
+            raise result
+        return result
+
+    def cache_counts():
+        return stats.memory_hits + stats.disk_hits, stats.misses
+
+    prefetch = None
     try:
-        if jobs > 1:
-            failures.extend(_prefetch(session, names))
+        start, (hits0, misses0) = time.perf_counter(), cache_counts()
+        failures.extend(_prefetch(session, names))
+        hits, misses = cache_counts()
+        prefetch = ("(prefetch)", time.perf_counter() - start,
+                    hits - hits0, misses - misses0)
         # cells already reported, by key: a target one of them skips
         # points at it instead of repeating its message
         reported = {failure.key: failure for failure in failures
                     if failure.key is not None}
         for index, name in enumerate(names):
-            start = time.perf_counter()
-            hits0 = stats.memory_hits + stats.disk_hits
-            misses0 = stats.misses
+            start, (hits0, misses0) = time.perf_counter(), cache_counts()
             try:
-                results[name] = TARGETS[name]()
+                results[name] = build(name)
             except JobFailedError as exc:
                 # a failed cell skips its target, not the whole run
                 cell = reported.get(exc.key)
@@ -336,9 +361,9 @@ def main(argv=None) -> int:
                 if cell is None and exc.key is not None:
                     reported[exc.key] = session.failure(exc.key)
                 continue
+            hits, misses = cache_counts()
             timings.append((name, time.perf_counter() - start,
-                            stats.memory_hits + stats.disk_hits - hits0,
-                            stats.misses - misses0))
+                            hits - hits0, misses - misses0))
             _render(name, results[name], args.csv, show_plot=args.plot)
     except KeyboardInterrupt:
         # clean abort: futures are already cancelled and the pool killed
@@ -377,20 +402,20 @@ def main(argv=None) -> int:
         print(f"[report written to {args.report}]")
     if args.timings_json:
         with open(args.timings_json, "w") as handle:
-            json.dump(_timings_payload(timings), handle, indent=2,
-                      sort_keys=True)
+            json.dump(_timings_payload(timings, prefetch), handle,
+                      indent=2, sort_keys=True)
             handle.write("\n")
         print(f"[timings JSON written to {args.timings_json}]",
               file=sys.stderr)
     if args.timings:
         from ..perfctr import format_count
 
-        total = sum(t for _n, t, _h, _m in timings)
-        total_hits = sum(h for _n, _t, h, _m in timings)
-        total_misses = sum(m for _n, _t, _h, m in timings)
+        rows = timings + [prefetch]
+        total = sum(t for _n, t, _h, _m in rows)
+        total_hits = sum(h for _n, _t, h, _m in rows)
+        total_misses = sum(m for _n, _t, _h, m in rows)
         print("per-target wall time and cache traffic:", file=sys.stderr)
-        for name, elapsed, hits, misses in sorted(timings,
-                                                  key=lambda t: -t[1]):
+        for name, elapsed, hits, misses in sorted(rows, key=lambda t: -t[1]):
             print(f"  {name:10s} {elapsed:8.2f}s  "
                   f"{format_count(hits):>6s} hits  "
                   f"{format_count(misses):>6s} misses", file=sys.stderr)

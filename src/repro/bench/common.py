@@ -20,10 +20,11 @@ service counters with served traffic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core import (
     AffinityScheme,
+    JobRequest,
     JobResult,
     ResolvedAffinity,
     Workload,
@@ -36,9 +37,12 @@ from ..osmodel import spread
 
 __all__ = [
     "RUNTIME_CONFIGS",
+    "Row",
     "RuntimeConfig",
     "bound_spread_affinity",
     "run",
+    "run_cell",
+    "target_requests",
 ]
 
 
@@ -84,10 +88,27 @@ def run(spec: MachineSpec, workload: Workload,
     result cache when an identical cell already ran, coalesced when the
     service is simulating one.
     """
-    from ..service.api import RunRequest
+    return run_cell(JobRequest(spec, workload, scheme=scheme,
+                               affinity=affinity, impl=impl, lock=lock,
+                               parked=parked))
+
+
+def run_cell(cell: JobRequest) -> JobResult:
+    """:func:`run` for a cell a ``requests`` enumerator also lists."""
     from ..service.session import default_session
 
-    request = RunRequest(system=spec, workload=workload, scheme=scheme,
-                         affinity=affinity, impl=impl, lock=lock,
-                         parked=parked)
-    return default_session().run(request).require()
+    return default_session().run(cell).require()
+
+
+#: one table row's label and the cells it reads
+Row = Tuple[object, Tuple[JobRequest, ...]]
+
+
+def target_requests(rows: Dict[str, Callable[[], List[Row]]],
+                    targets: Optional[Iterable[str]]) -> List[JobRequest]:
+    """The cells of every target in ``rows`` that ``targets`` names
+    (all of them for ``None``; names not in ``rows`` are ignored)."""
+    wanted = None if targets is None else set(targets)
+    return [cell for name, enumerate_rows in rows.items()
+            if wanted is None or name in wanted
+            for _label, cells in enumerate_rows() for cell in cells]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.report import TableResult
 from ..surrogate.calibration import spearman
@@ -110,37 +110,44 @@ def paired_values(generated: TableResult, paper: Dict,
     return groups
 
 
-#: generated-table builders paired with their paper data
+#: the scored tables: name, `repro-bench` target, paper data, key columns
 _COMPARISONS = [
-    ("Table 2 (NAS, Longs)", tables.table02, paper_data.TABLE02, 2),
-    ("Table 3 (NAS, DMZ)", tables.table03, paper_data.TABLE03, 2),
-    ("Table 4 (NAS efficiency)", tables.table04, paper_data.TABLE04, 2),
-    ("Table 7 (JAC FFT)", tables.table07, paper_data.TABLE07, 2),
-    ("Table 8 (AMBER speedup)", tables.table08, paper_data.TABLE08, 2),
-    ("Table 9 (JAC overall)", tables.table09, paper_data.TABLE09, 2),
-    ("Table 10 (LAMMPS speedup)", tables.table10, paper_data.TABLE10, 2),
-    ("Table 11 (LAMMPS LJ)", tables.table11, paper_data.TABLE11, 2),
-    ("Table 12 (POP speedup)", tables.table12, paper_data.TABLE12, 2),
-    ("Table 13 (POP baroclinic)", tables.table13, paper_data.TABLE13, 2),
-    ("Table 14 (POP barotropic)", tables.table14, paper_data.TABLE14, 2),
+    ("Table 2 (NAS, Longs)", "tab02", paper_data.TABLE02, 2),
+    ("Table 3 (NAS, DMZ)", "tab03", paper_data.TABLE03, 2),
+    ("Table 4 (NAS efficiency)", "tab04", paper_data.TABLE04, 2),
+    ("Table 7 (JAC FFT)", "tab07", paper_data.TABLE07, 2),
+    ("Table 8 (AMBER speedup)", "tab08", paper_data.TABLE08, 2),
+    ("Table 9 (JAC overall)", "tab09", paper_data.TABLE09, 2),
+    ("Table 10 (LAMMPS speedup)", "tab10", paper_data.TABLE10, 2),
+    ("Table 11 (LAMMPS LJ)", "tab11", paper_data.TABLE11, 2),
+    ("Table 12 (POP speedup)", "tab12", paper_data.TABLE12, 2),
+    ("Table 13 (POP baroclinic)", "tab13", paper_data.TABLE13, 2),
+    ("Table 14 (POP barotropic)", "tab14", paper_data.TABLE14, 2),
 ]
 
 
-def fidelity_table() -> TableResult:
-    """Model-vs-paper agreement for every numeric table of the paper."""
-    # Settle every table cell up front; with --jobs > 1 the cells
-    # simulate in parallel and the serial builders below assemble their
-    # rows from the session's outcome table.
-    from ..service.session import default_session
+def _build_table(target: str) -> TableResult:
+    """Generate the table a ``tabNN`` target names."""
+    return getattr(tables, f"table{target[3:]}")()
 
-    default_session().prefetch(tables.sweep_requests())
+
+def fidelity_table(build: Optional[Callable[[str], TableResult]] = None
+                   ) -> TableResult:
+    """Model-vs-paper agreement for every numeric table of the paper.
+
+    ``build`` turns a target name (``tab02``, ...) into its table
+    (generating it by default); `repro-bench` passes its per-run memo,
+    so the fidelity target scores the very tables ``tab02``-``tab14``
+    print instead of assembling them a second time.
+    """
+    build = build or _build_table
     out = TableResult(
         title="fidelity: model vs paper, per table",
         headers=["Paper table", "cells", "rank corr", "median ratio",
                  "ratio spread"],
     )
-    for name, builder, paper, key_columns in _COMPARISONS:
-        groups = paired_values(builder(), paper, key_columns)
+    for name, target, paper, key_columns in _COMPARISONS:
+        groups = paired_values(build(target), paper, key_columns)
         pairs = [pair for group in groups for pair in group]
         score = score_pairs(pairs, groups, name)
         out.add_row(name, score.cells, score.rank_correlation,

@@ -38,14 +38,14 @@ or pass ``--no-cache`` to ``repro-bench``) to disable both tiers.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..telemetry import metrics as _metrics
 from ..wire import frames as _frames
@@ -91,7 +91,38 @@ def canonical_token(obj: Any) -> Any:
     Raises :class:`Uncacheable` for anything else — notably closures —
     so callers can fall back to running uncached instead of hashing an
     unstable ``repr``.
+
+    The common exact types are dispatched first, and each dataclass's
+    field names are looked up once per class; everything else (and the
+    first instance of every dataclass) takes :func:`_general_token`,
+    which defines the form.
     """
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is float:
+        return ["f", repr(obj)]
+    if kind is list or kind is tuple:
+        return ["seq", [canonical_token(v) for v in obj]]
+    names = _DATACLASS_FIELDS.get(kind)
+    if names is not None:
+        return ["dc", kind.__name__,
+                [[name, canonical_token(getattr(obj, name))]
+                 for name in names]]
+    if kind is dict:
+        return ["map", sorted(
+            [str(k), canonical_token(v)] for k, v in obj.items()
+        )]
+    return _general_token(obj)
+
+
+#: field names of every dataclass :func:`canonical_token` has met, by
+#: exact class (``dataclasses.fields`` is slow enough to dominate keys)
+_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _general_token(obj: Any) -> Any:
+    """:func:`canonical_token` by ``isinstance``, subclasses included."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -99,9 +130,11 @@ def canonical_token(obj: Any) -> Any:
     if isinstance(obj, Enum):
         return ["enum", type(obj).__name__, canonical_token(obj.value)]
     if is_dataclass(obj) and not isinstance(obj, type):
+        names = tuple(f.name for f in fields(obj))
+        _DATACLASS_FIELDS[type(obj)] = names
         return ["dc", type(obj).__name__,
-                [[f.name, canonical_token(getattr(obj, f.name))]
-                 for f in fields(obj)]]
+                [[name, canonical_token(getattr(obj, name))]
+                 for name in names]]
     if isinstance(obj, (list, tuple)):
         return ["seq", [canonical_token(v) for v in obj]]
     if isinstance(obj, dict):
@@ -188,8 +221,15 @@ def job_key(spec, workload, scheme=None, affinity=None, impl=None,
         payload["tier"] = "fast"
     elif tier not in (None, "exact"):
         raise Uncacheable(f"tier must be resolved to fast/exact, got {tier!r}")
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_CANONICAL_JSON.encode(payload).encode()).hexdigest()
+
+
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, built once;
+#: keys and checksums encode freshly built trees, which cannot be
+#: circular, so the cycle check (about a third of the encoding time) is
+#: off without changing a byte
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   check_circular=False)
 
 
 @dataclass
@@ -236,8 +276,8 @@ def result_checksum(result_data: Dict) -> str:
     Stored next to the result so reads can tell *torn or bit-rotted*
     entries apart from entries that simply never existed.
     """
-    text = json.dumps(result_data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_CANONICAL_JSON.encode(result_data).encode()
+                          ).hexdigest()
 
 
 def parse_entry(raw: bytes) -> Dict:
@@ -261,6 +301,33 @@ def parse_entry(raw: bytes) -> Dict:
     if data.get("check") != result_checksum(data["result"]):
         raise ValueError("cache checksum mismatch")
     return data
+
+
+#: per-process sequence of temp-file names (``next`` is atomic under
+#: the GIL, so threads never share one)
+_TEMP_SEQ = itertools.count()
+
+
+def _create_temp(path: Path) -> Tuple[Path, int]:
+    """A new, exclusively created temp file next to ``path``.
+
+    The name (pid and a per-process sequence number) is unique among
+    live writers; ``O_EXCL`` makes a collision with a dead writer's
+    leftover a retry, never a shared file.  The shard directory is
+    made only when the first create in it finds it missing, not once
+    per store.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}."
+                             f"{next(_TEMP_SEQ)}.tmp")
+        try:
+            return tmp, os.open(tmp, flags, 0o600)
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return tmp, os.open(tmp, flags, 0o600)
 
 
 class ResultCache:
@@ -355,14 +422,13 @@ class ResultCache:
             return
         path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             result_data = result.to_dict()
             check = result_checksum(result_data)
             payload = _frames.pack_frames(
                 {"schema": CACHE_STORE_SCHEMA, "check": check,
                  "result": result_data})
             _metrics.inc("cache_disk_write_bytes_total", len(payload))
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            tmp, fd = _create_temp(path)
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(payload)

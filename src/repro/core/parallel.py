@@ -112,12 +112,23 @@ class JobRequest:
             f"tier must be 'fast', 'exact' or 'auto', got {self.tier!r}")
 
     def key(self) -> str:
-        """Content address of this cell (raises :class:`Uncacheable`)."""
-        return job_key(self.spec, self.workload, scheme=self.scheme,
-                       affinity=self.affinity, impl=self.impl or OPENMPI,
-                       lock=self.lock, parked=self.parked,
-                       profile=self.profile, faults=self.faults,
-                       tier=self.effective_tier())
+        """Content address of this cell (raises :class:`Uncacheable`).
+
+        Memoized on the frozen instance like
+        :meth:`MachineSpec.cache_token`, so the session that admits a
+        cell and the executor that runs it key it once between them;
+        the memo is not a field, so ``==``, ``hash`` and ``replace``
+        skip it.  An uncacheable cell is re-tried on every call.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = job_key(self.spec, self.workload, scheme=self.scheme,
+                          affinity=self.affinity, impl=self.impl or OPENMPI,
+                          lock=self.lock, parked=self.parked,
+                          profile=self.profile, faults=self.faults,
+                          tier=self.effective_tier())
+            object.__setattr__(self, "_key", key)
+        return key
 
     def execute(self) -> JobResult:
         """Run the cell; raises :class:`InfeasibleSchemeError` for dashes."""

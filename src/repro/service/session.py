@@ -572,13 +572,14 @@ class Session:
 
     # -- the sync plane ---------------------------------------------------
 
-    def run(self, request: RunRequest) -> RunResult:
+    def run(self, request: Union[RunRequest, JobRequest]) -> RunResult:
         """Execute one cell synchronously and return its result.
 
         Answered from the outcome table, or attached to the cell's job
         in flight; otherwise executes in the calling thread through the
         same cache/executor path the dispatcher uses, so sync and
-        served results are byte-identical.
+        served results are byte-identical.  A bare :class:`JobRequest`
+        (what the bench builders pass) runs like its ``RunRequest``.
         """
         return self._claims([request])[0][0].result()
 
@@ -598,8 +599,9 @@ class Session:
         """Settle a batch of cells in one flight; returns the failed ones.
 
         The bench builders keep their readable serial loops; calling
-        this first (with ``jobs > 1``) simulates their cells in parallel
-        so every later :meth:`run` is answered from the outcome table.
+        this first settles their cells as one flight (in parallel with
+        ``jobs > 1``), so every later :meth:`run` is answered from the
+        outcome table.
         Each failed cell is reported once, ``index`` its first position.
         """
         failed: Dict[int, TargetFailure] = {}  # twins share one entry

@@ -14,7 +14,7 @@ walks both stores and reports:
   does not match their payload (``--fix`` quarantines them to
   ``*.corrupt`` so the cell recomputes);
 * **stale temp files** — ``*.tmp`` droppings from writers that died
-  between ``mkstemp`` and ``os.replace`` (``--fix`` deletes them);
+  between creating one and ``os.replace`` (``--fix`` deletes them);
 * **quarantined entries** — previously quarantined ``*.corrupt`` files
   awaiting inspection (``--fix`` deletes them);
 * **stale cluster state** — a ``.repro/cluster.json`` left behind by a

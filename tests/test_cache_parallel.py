@@ -127,6 +127,80 @@ def test_disabled_cache_recomputes(tmp_path):
     assert cache.stats.lookups == 0
 
 
+def _entry_path(directory, key):
+    return directory / key[:2] / f"{key}.json"
+
+
+def test_concurrent_writers_to_one_key_leave_a_parseable_entry(tmp_path):
+    import threading
+
+    from repro.core.cache import parse_entry
+    from repro.core.execution import JobResult
+
+    request = JobRequest(spec=dmz(), workload=TinyCompute(2))
+    result = run_request(request, cache=ResultCache(disk=False))
+    key = request.key()
+    shared = tmp_path / "shared"
+    # separate cache objects, as separate sessions or processes would be
+    writers = [ResultCache(directory=shared) for _ in range(6)]
+    barrier = threading.Barrier(len(writers))
+
+    def write(cache):
+        barrier.wait()
+        for _ in range(25):
+            cache.put(key, result)
+
+    threads = [threading.Thread(target=write, args=(cache,))
+               for cache in writers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    entry = parse_entry(_entry_path(shared, key).read_bytes())
+    assert JobResult.from_dict(entry["result"]) == result
+    assert list(shared.rglob("*.tmp")) == []
+    assert not any(cache._disk_warned for cache in writers)
+    reader = ResultCache(directory=shared)
+    assert reader.get(key) == result and reader.stats.disk_hits == 1
+
+
+def test_store_steps_past_a_dead_writers_temp_file(tmp_path, monkeypatch):
+    """A leftover temp file with the name a store picks is never
+    opened again (``O_EXCL``): the store takes the next name."""
+    import itertools
+    import os
+
+    from repro.core import cache as cache_module
+
+    request = JobRequest(spec=dmz(), workload=TinyCompute(2))
+    result = run_request(request, cache=ResultCache(disk=False))
+    key = request.key()
+    path = _entry_path(tmp_path, key)
+    path.parent.mkdir(parents=True)
+    stale = path.with_name(f"{path.name}.{os.getpid()}.7.tmp")
+    stale.write_bytes(b"torn")
+    monkeypatch.setattr(cache_module, "_TEMP_SEQ", itertools.count(7))
+    ResultCache(directory=tmp_path).put(key, result)
+    assert stale.read_bytes() == b"torn"
+    assert list(tmp_path.rglob("*.tmp")) == [stale]
+    assert ResultCache(directory=tmp_path).get(key) == result
+
+
+def test_unwritable_cache_directory_degrades_to_memory(tmp_path, caplog):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    cache = ResultCache(directory=blocker)
+    request = JobRequest(spec=dmz(), workload=TinyCompute(2))
+    with caplog.at_level("WARNING", logger="repro.core.cache"):
+        first = run_request(request, cache=cache)
+        cache.put(request.key(), first)
+    assert [r.message for r in caplog.records].count(
+        f"result cache disk writes under {blocker} failing; "
+        "continuing memory-only") == 1
+    assert run_request(request, cache=cache) is first
+    assert cache.stats.memory_hits == 1
+
+
 # -- the executor ------------------------------------------------------------
 
 def _sweep_csv(jobs, cache):

@@ -368,15 +368,15 @@ def test_cli_failed_cell_skips_its_target_and_records_the_run(
     failures = records[0]["failures"]
     assert any(f["label"] == "target fig14" for f in failures)
     assert all(f["kind"] == "fault_exhausted" for f in failures)
-    if jobs == "2":  # the prefetch's own cell failures are kept too
-        cells = [f for f in failures if f["label"] != "target fig14"]
-        assert cells
-        # each cell is reported once; the target points at one of them
-        # instead of repeating its message
-        assert len({f["label"] for f in cells}) == len(cells)
-        assert all(f["label"].startswith("imb-pingpong[") for f in cells)
-        target = next(f for f in failures if f["label"] == "target fig14")
-        assert target["message"] not in {f["message"] for f in cells}
+    # at every --jobs the prefetch's own cell failures are kept too
+    cells = [f for f in failures if f["label"] != "target fig14"]
+    assert cells
+    # each cell is reported once; the target points at one of them
+    # instead of repeating its message
+    assert len({f["label"] for f in cells}) == len(cells)
+    assert all(f["label"].startswith("imb-pingpong[") for f in cells)
+    target = next(f for f in failures if f["label"] == "target fig14")
+    assert target["message"] not in {f["message"] for f in cells}
 
 
 def test_prefetch_enumerates_only_the_requested_figures_cells():
@@ -396,6 +396,35 @@ def test_prefetch_enumerates_only_the_requested_figures_cells():
     every = [name for name in cli.TARGETS if name.startswith("fig")]
     assert [r.key() for r in figures.figure_requests(every)] \
         == [r.key() for r in figures.figure_requests()]
+
+
+def test_prefetch_enumerates_only_the_requested_ablation_and_extension_cells():
+    from repro.bench import ablations, cli, extensions
+
+    class Recording:
+        def prefetch(self, requests):
+            self.requests = list(requests)
+            return []
+
+    session = Recording()
+    cli._prefetch(session, ["abl_topology"])
+    assert len(session.requests) == 6  # 3 topologies x NAS FT and CG
+    assert {r.spec.name for r in session.requests} \
+        == {"longs-ladder", "longs-ring", "longs-crossbar"}
+    assert {r.scheme for r in session.requests} \
+        == {AffinityScheme.INTERLEAVE}
+    cli._prefetch(session, ["ext_npb"])
+    assert len(session.requests) == 24  # 4 NPB kernels x 6 schemes
+    assert {(r.spec.name, r.workload.ntasks) for r in session.requests} \
+        == {("Longs", 8)}
+    cli._prefetch(session, ["tab02", "fig14"])
+    assert not any(r.spec.name.startswith("longs-")
+                   for r in session.requests)
+    # `all` enumerates every ablation's and extension's cells
+    for module, prefix in ((ablations, "abl_"), (extensions, "ext_")):
+        every = [name for name in cli.TARGETS if name.startswith(prefix)]
+        assert [r.key() for r in module.requests(every)] \
+            == [r.key() for r in module.requests()]
 
 
 def test_prefetch_enumerates_only_the_requested_tables_cells(tmp_path):
@@ -446,9 +475,9 @@ def test_no_cache_run_simulates_each_cell_once(monkeypatch, capsys):
 
 def test_serial_failed_cell_runs_once_across_targets(tmp_path, monkeypatch,
                                                      capsys):
-    """Without a prefetch, a failed cell two targets read is simulated
-    once, and the second target points at it instead of repeating its
-    message."""
+    """At ``--jobs 1`` the prefetch is one in-process flight: a failed
+    cell two targets read is simulated once, its message is printed
+    once, and both targets point at it."""
     from repro.bench import cli
 
     executed = []
@@ -475,10 +504,54 @@ def test_serial_failed_cell_runs_once_across_targets(tmp_path, monkeypatch,
     assert len(executed) == len(set(executed))
     lines = [line for line in err.splitlines() if "] target " in line]
     assert len(lines) == 2
-    message = lines[0].split("target fig14: ", 1)[1]
-    assert lines[1].endswith(f"target fig14lat: skipped, cell "
-                             f"{executed[-1]} failed")
-    assert message not in lines[1]
+    label = lines[0].split("target fig14: skipped, cell ", 1)[1][:-len(
+        " failed")]
+    assert label in executed
+    assert lines[1].endswith(f"target fig14lat: skipped, cell {label} "
+                             f"failed")
+    cell_lines = [line for line in err.splitlines()
+                  if line.startswith("  [") and f"] {label}: " in line]
+    assert len(cell_lines) == 1
+    message = cell_lines[0].split(f"] {label}: ", 1)[1]
+    assert all(message not in line for line in lines)
+
+
+def _failure_lines(argv, cache_dir, capsys):
+    """The failure report lines of one ``repro-bench`` run on its own
+    throwaway cache, with its exit code."""
+    from repro.bench import cli
+
+    cache = default_cache()
+    saved = (cache.enabled, cache.directory, cache.disk)
+    configure(enabled=True, directory=cache_dir, disk=True)
+    try:
+        code = cli.main(argv)
+    finally:
+        configure(enabled=saved[0], directory=saved[1], disk=saved[2])
+    err = capsys.readouterr().err
+    return code, [line for line in err.splitlines()
+                  if line.startswith("  [")]
+
+
+def test_serial_and_parallel_runs_report_the_same_failures(tmp_path, capsys):
+    """``--jobs 1`` prefetches like ``--jobs 2``: the same failed cells
+    and the same skipped targets, line for line."""
+    plan = str(ROOT / "benchmarks" / "faultplans" / "msg_exhaust.json")
+    reports = {}
+    for jobs in ("1", "2"):
+        reports[jobs] = _failure_lines(
+            ["fig14", "fig14lat", "--jobs", jobs, "--faults", plan],
+            tmp_path / jobs, capsys)
+    code, lines = reports["1"]
+    assert code == 1
+    assert reports["2"] == reports["1"]
+    targets = [line for line in lines if "] target " in line]
+    assert [line.split(": ", 1)[0] for line in targets] == [
+        "  [fault_exhausted] target fig14",
+        "  [fault_exhausted] target fig14lat"]
+    cells = [line for line in lines if "] target " not in line]
+    assert cells and all("imb-pingpong[" in line for line in cells)
+    assert len(set(cells)) == len(cells)
 
 
 def test_run_many_duplicate_of_a_failed_cell_is_failed(tmp_path):

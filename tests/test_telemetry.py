@@ -322,6 +322,9 @@ def test_cli_records_run_and_timings_json(tmp_path, capsys, fake_target):
     payload = json.loads(timings.read_text())
     assert payload["targets"][0]["name"] == fake_target
     assert payload["total"]["seconds"] >= 0
+    # the prefetch flight is reported beside the targets, not as one
+    assert payload["prefetch"]["name"] == "(prefetch)"
+    assert [t["name"] for t in payload["targets"]] == [fake_target]
     records = ledger.read_records(tmp_path)
     assert len(records) == 1
     record = records[0]
@@ -355,6 +358,7 @@ def test_cli_timings_sorted_slowest_first(tmp_path, capsys, monkeypatch):
     assert cli.main(["fasttab", "slowtab", "--timings"]) == 0
     err = capsys.readouterr().err
     assert err.index("slowtab") < err.index("fasttab")
+    assert "(prefetch)" in err
     assert err.rstrip().splitlines()[-1].split()[0] == "total"
 
 
