@@ -15,10 +15,12 @@ cluster router's shards — schedules cells through one contract,
   binary frames.
 
 Backends run cells; they never see the cache.  Content addressing,
-hit/duplicate coalescing, and stores stay in
+hit/duplicate coalescing, stores and failure accounting stay in
 :func:`repro.core.parallel.run_requests`, which is why the backend
 choice can never leak into a cache key and results are byte-identical
-across all three.
+across all three.  It folds each backend outcome once and hands the
+folded outcomes to the caller, failures included, so a backend keeps
+no failure list of its own.
 
 CLI spellings (``repro-bench --backend`` / ``serve --backend``) are
 resolved by :func:`resolve_backend`: ``threads``, ``processes``, or

@@ -18,8 +18,11 @@ The contract:
   ...})`` — exactly the shape ``_execute_cell`` produces, so backends
   compose with the scheduler's accounting without translation.  A
   future never raises for cell-caused failures; those fold into the
-  ``"failed"`` outcome.  The executor resolves ``jobs``, ``timeout``
-  and ``retries`` before the call; a backend uses them as given.
+  ``"failed"`` outcome, which the executor turns into a
+  :class:`~repro.core.parallel.TargetFailure` for the flight that
+  asked.  An infeasible cell's reason reaches the waiter unchanged.
+  The executor resolves ``jobs``, ``timeout`` and ``retries`` before
+  the call; a backend uses them as given.
 * :meth:`~ExecutionBackend.capacity` reports how many cells the
   backend can usefully run at once (a scheduling hint, not a limit).
 * :meth:`~ExecutionBackend.drain` blocks until previously submitted

@@ -107,7 +107,7 @@ class ThreadBackend(ExecutionBackend):
         # timeout/retries guard against crashed or stalled *worker
         # processes*; threads share this process, so neither applies
         pool = self._executor(jobs)
-        pool_stats().executed_serial += len(batch)
+        pool_stats().add(executed_serial=len(batch))
         return [self._watch(pool.submit(_execute_cell, request))
                 for request in batch]
 
@@ -169,10 +169,10 @@ class ProcessBackend(ExecutionBackend):
                 with self._lock:
                     outcomes = self._run_parallel(list(batch), jobs,
                                                   timeout, retries or 0)
-                pool_stats().executed_parallel += len(batch)
+                pool_stats().add(executed_parallel=len(batch))
         if outcomes is None:
             outcomes = [_execute_cell(request) for request in batch]
-            pool_stats().executed_serial += len(batch)
+            pool_stats().add(executed_serial=len(batch))
         return [self._resolved(outcome) for outcome in outcomes]
 
     def capacity(self) -> int:
@@ -342,7 +342,7 @@ class ProcessBackend(ExecutionBackend):
                         "message": f"{verb} on every attempt",
                     })
                 else:
-                    pool_stats().retried += 1
+                    pool_stats().add(retried=1)
                     _metrics.inc("executor_retries_total")
                     next_remaining.append(index)
             if next_remaining and not isolate:

@@ -19,8 +19,14 @@ backend (by default the crash-isolated worker-process pool of
   ``os._exit``) or stalls past the batch timeout loses only its own
   cells: they are retried with exponential backoff on a fresh pool
   and, when the retry budget runs out, surface as structured
-  :class:`TargetFailure` records (drain with :func:`take_failures`)
-  instead of aborting the sweep.
+  :class:`TargetFailure` records instead of aborting the sweep.
+
+:func:`run_requests` folds each cell's backend outcome once, into
+``("ok", JobResult)``, ``("infeasible", reason)`` or ``("failed",
+TargetFailure)``.  A caller that passes an ``outcomes`` list gets
+exactly its own flight's outcomes there, so concurrent flights need no
+lock; a bare call gets the ``Optional[JobResult]`` list and its
+failures through :func:`take_failures`.
 
 Worker count resolution: an explicit ``jobs=`` argument (a
 :class:`~repro.service.session.Session` passes its own), else the
@@ -37,8 +43,9 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..machine.topology import MachineSpec
@@ -52,6 +59,7 @@ from .workload import Workload
 
 __all__ = [
     "JobRequest",
+    "Outcome",
     "PoolStats",
     "TargetFailure",
     "default_jobs",
@@ -202,6 +210,11 @@ class TargetFailure:
                 "label": self.label, "key": self.key}
 
 
+#: one cell's folded outcome: ``("ok", JobResult)``, ``("infeasible",
+#: reason)`` or ``("failed", TargetFailure)``
+Outcome = Tuple[str, Any]
+
+#: failures of bare :func:`run_requests` calls (no ``outcomes`` list)
 _FAILURES: List[TargetFailure] = []
 
 
@@ -224,6 +237,7 @@ class PoolStats:
     Together with ``cache_hits``, ``duplicates``, and ``failed`` they
     account for every ``cells`` entry, which is what the run ledger's ``pool`` section reports;
     ``retried`` counts extra dispatch attempts after crashes/timeouts.
+    Concurrent flights bump the counters through :meth:`add`.
     """
 
     batches: int = 0
@@ -235,6 +249,12 @@ class PoolStats:
     infeasible: int = 0
     failed: int = 0
     retried: int = 0
+
+    def add(self, **counts: int) -> None:
+        """Bump the named counters atomically."""
+        with _STATS_LOCK:
+            for name, count in counts.items():
+                setattr(self, name, getattr(self, name) + count)
 
     def as_dict(self) -> dict:
         return {
@@ -250,6 +270,7 @@ class PoolStats:
         }
 
 
+_STATS_LOCK = threading.Lock()
 _POOL_STATS = PoolStats()
 
 
@@ -318,8 +339,6 @@ def run_request(request: JobRequest,
                 cache: Optional[ResultCache] = None) -> JobResult:
     """Run one cell through the cache; infeasibility raises."""
     cache = cache if cache is not None else default_cache()
-    stats = _POOL_STATS
-    stats.cells += 1
     try:
         key = request.key()
     except Uncacheable:
@@ -327,9 +346,9 @@ def run_request(request: JobRequest,
     if key is not None:
         hit = cache.get(key)
         if hit is not None:
-            stats.cache_hits += 1
+            _POOL_STATS.add(cells=1, cache_hits=1)
             return hit
-    stats.executed_serial += 1
+    _POOL_STATS.add(cells=1, executed_serial=1)
     result = request.execute()
     if key is not None:
         cache.put(key, result)
@@ -342,13 +361,19 @@ def run_requests(requests: Sequence[JobRequest],
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  backend=None,
+                 outcomes: Optional[List[Outcome]] = None,
                  ) -> List[Optional[JobResult]]:
     """Run a batch of cells, returning results in request order.
 
-    Infeasible cells come back as ``None`` (the paper tables' dashes),
-    as do cells that failed outright — drain :func:`take_failures` to
-    tell the two apart.  Cache hits are served directly; the remaining
-    unique cells are scheduled on ``backend`` (an
+    Each cell's outcome is folded once (see the module docstring); a
+    duplicate of a failed cell gets its own copy of the failure at its
+    own ``index``.  Pass an ``outcomes`` list to receive them in request
+    order; without one, failures go to :func:`take_failures`.  The
+    returned list holds each ``ok`` result and ``None`` for the rest
+    (the paper tables' dashes).
+
+    Cache hits are served directly; the remaining unique cells are
+    scheduled on ``backend`` (an
     :class:`~repro.backends.ExecutionBackend`; the process-wide
     default — the crash-isolated worker-process pool — when ``None``).
     The backend only ever *runs* cells: content addressing, duplicate
@@ -364,17 +389,15 @@ def run_requests(requests: Sequence[JobRequest],
         timeout if timeout > 0 else None)
     retries = default_retries() if retries is None else max(0, retries)
     stats = _POOL_STATS
-    stats.batches += 1
-    stats.cells += len(requests)
+    stats.add(batches=1, cells=len(requests))
     _metrics.inc("executor_batches_total")
     _metrics.inc("executor_cells_total", len(requests))
 
-    results: List[Optional[JobResult]] = [None] * len(requests)
+    folded: List[Any] = [None] * len(requests)  # one Outcome per cell
     keys: List[Optional[str]] = [None] * len(requests)
     pending: List[int] = []
     first_index_for_key: dict = {}
     duplicates: List[Tuple[int, int]] = []  # (index, index of first twin)
-    failed: Dict[int, TargetFailure] = {}
 
     for i, request in enumerate(requests):
         try:
@@ -384,14 +407,14 @@ def run_requests(requests: Sequence[JobRequest],
             continue
         hit = cache.get(keys[i])
         if hit is not None:
-            results[i] = hit
-            stats.cache_hits += 1
+            folded[i] = ("ok", hit)
+            stats.add(cache_hits=1)
             _metrics.inc("executor_cache_hits_total")
             continue
         twin = first_index_for_key.get(keys[i])
         if twin is not None:
             duplicates.append((i, twin))
-            stats.duplicates += 1
+            stats.add(duplicates=1)
             _metrics.inc("executor_duplicates_total")
             continue
         first_index_for_key[keys[i]] = i
@@ -412,17 +435,16 @@ def run_requests(requests: Sequence[JobRequest],
             futures = backend.submit_cells(todo, jobs=jobs,
                                            timeout=timeout,
                                            retries=retries)
-            outcomes = [future.result() for future in futures]
+            answers = [future.result() for future in futures]
             timer.note(parallel=jobs > 1)
-        for i, (status, payload) in zip(pending, outcomes):
+        for i, (status, payload) in zip(pending, answers):
             if status == "infeasible":
-                stats.infeasible += 1
-                continue  # results[i] stays None
-            if status == "failed":
-                stats.failed += 1
+                stats.add(infeasible=1)
+            elif status == "failed":
+                stats.add(failed=1)
                 _metrics.inc("executor_failed_total")
                 detail = payload or {}
-                failed[i] = TargetFailure(
+                payload = TargetFailure(
                     index=i,
                     kind=detail.get("kind", "error"),
                     message=detail.get("message", "unknown failure"),
@@ -431,18 +453,21 @@ def run_requests(requests: Sequence[JobRequest],
                     label=requests[i].label(),
                     key=keys[i],
                 )
-                _FAILURES.append(failed[i])
                 _LOG.error("cell %d (%s) failed: %s", i,
-                           requests[i].label(),
-                           detail.get("message", "unknown failure"))
-                continue  # results[i] stays None
-            results[i] = payload
-            if keys[i] is not None:
+                           requests[i].label(), payload.message)
+            elif keys[i] is not None:
                 cache.put(keys[i], payload)
+            folded[i] = (status, payload)
 
     for i, twin in duplicates:
-        results[i] = results[twin]
-        if twin in failed:  # the same cell fails at every index asking it
-            _FAILURES.append(replace(failed[twin], index=i))
-    return results
-
+        status, payload = folded[twin]
+        if status == "failed":  # the same cell fails at every index asking it
+            payload = replace(payload, index=i)
+        folded[i] = (status, payload)
+    if outcomes is not None:
+        outcomes.extend(folded)
+    else:
+        _FAILURES.extend(payload for status, payload in folded
+                         if status == "failed")
+    return [payload if status == "ok" else None
+            for status, payload in folded]

@@ -56,8 +56,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.cache import ResultCache, Uncacheable, default_cache
 from ..core.metrics import parallel_efficiency
-from ..core.parallel import (JobRequest, TargetFailure, run_requests,
-                             take_failures)
+from ..core.parallel import JobRequest, Outcome, TargetFailure, run_requests
 from ..core.report import TableResult
 from ..errors import (
     NoFeasibleSchemeError,
@@ -76,20 +75,12 @@ DEFAULT_MAX_PENDING = 256
 #: default cap on cells dispatched to the pool as one batch
 DEFAULT_MAX_BATCH = 64
 
-#: guards only the process-wide failure list, which `run_requests` fills
-#: and `take_failures` drains: one flight at a time holds it, so each
-#: flight reads back exactly its own failures
-_EXEC_LOCK = threading.Lock()
-
 #: the failure kinds that depend on the cell alone and so are kept:
 #: every other kind (a crash or stall the backend already retried, a
 #: lost transport, a cancelled job, a rejection relayed by a remote
 #: backend) describes the host, is delivered, then forgotten, and the
 #: next request for the cell simulates it again
 _CELL_FAILURES = frozenset({"fault_exhausted", "error"})
-
-#: ("ok", JobResult) | ("infeasible", message) | ("failed", TargetFailure)
-Outcome = Tuple[str, Any]
 
 
 @dataclass
@@ -363,29 +354,6 @@ class Session:
         except Exception:
             return False
 
-    def _execute_degraded(self, job: _Job) -> Outcome:
-        """Run one shed job inline through the surrogate fast path.
-
-        Called **without** the session lock — the whole point is to
-        bypass the overloaded queue, not to block it.  The normal
-        cache-get/execute/put path keeps the result coherent with
-        queued twins (idempotent content-addressed put).
-        """
-        from ..core.parallel import run_request
-        from ..errors import InfeasibleSchemeError, ReproError
-
-        t0 = time.perf_counter()
-        try:
-            result = run_request(job.job_request, cache=self.cache)
-        except InfeasibleSchemeError as exc:
-            return "infeasible", str(exc)
-        except ReproError as exc:
-            return job.failed("error", str(exc))
-        finally:
-            metrics.observe("service_degraded_seconds",
-                            time.perf_counter() - t0)
-        return "ok", result
-
     # -- the async plane -------------------------------------------------
 
     def _hop(self, request: RunRequest) -> Any:
@@ -473,9 +441,7 @@ class Session:
         if degrade is not None:
             # execute outside the lock: shedding must not block the
             # very queue it is relieving
-            outcome = self._execute_degraded(degrade)
-            with self._cond:
-                self._deliver_locked(degrade, outcome)
+            self._fly([degrade])
         return future
 
     def _admit_locked(self, job: _Job, tag: Optional[str],
@@ -641,8 +607,7 @@ class Session:
     def _fly(self, batch: List[_Job], jobs: Optional[int] = None,
              queued: bool = True) -> None:
         """Execute owned jobs as one flight and deliver them.  A harness
-        fault fails every waiter, keeps nothing, and propagates unless
-        the dispatcher (``queued``) must keep serving."""
+        fault fails every waiter, keeps nothing, and propagates."""
         error = None
         try:
             outcomes = self._execute(batch, jobs=jobs)
@@ -655,29 +620,21 @@ class Session:
             for job, outcome in zip(batch, outcomes):
                 self._deliver_locked(job, outcome, queued=queued,
                                      keep=error is None)
-        if error is not None and not queued:
+        if error is not None:
             raise error
 
     # -- execution core ---------------------------------------------------
 
-    def _flight(self, cells: List[JobRequest], jobs: Optional[int] = None
-                ) -> Tuple[List[Any], List[TargetFailure]]:
-        """One executor flight under this session's settings.
-
-        Returns the executor's results and exactly this flight's
-        failures.
-        """
-        with _EXEC_LOCK:
-            take_failures()  # drop stale records of bare executor calls
-            results = run_requests(
-                cells, jobs=jobs if jobs is not None else self.jobs,
-                cache=self.cache, timeout=self.timeout,
-                retries=self.retries, backend=self.backend)
-            return results, take_failures()
-
     def _execute(self, batch: List[_Job],
                  jobs: Optional[int] = None) -> List[Outcome]:
-        """Run a batch through the executor; fold outcomes to data."""
+        """Run a batch as one executor flight; the executor's outcomes.
+
+        A shed job flies alone, at ``jobs=1`` on the in-process default
+        backend: past the queue, and outside the service-time estimate.
+        """
+        degraded = batch[0].degraded
+        backend = None if degraded else self.backend
+        jobs = 1 if degraded else jobs if jobs is not None else self.jobs
         # the executor hop of each traced job; the whole batch shares one
         # pool flight, so every such span covers the same interval
         workers = []
@@ -688,34 +645,30 @@ class Session:
                                      owner or job.request.parent_span):
                     workers.append(span("worker_batch", session=self.name,
                                         cells=len(batch)))
+        outcomes: List[Outcome] = []
         with span("service_batch", histogram="service_batch_seconds",
                   timed=True, session=self.name,
                   cells=len(batch)) as batch_span:
-            results, failed = self._flight(
-                [job.job_request for job in batch], jobs=jobs)
-            failures = {f.index: f for f in failed}
-            batch_span.note(failed=len(failures))
+            run_requests([job.job_request for job in batch], jobs=jobs,
+                         cache=self.cache, timeout=self.timeout,
+                         retries=self.retries, backend=backend,
+                         outcomes=outcomes)
+            failed = sum(status == "failed" for status, _ in outcomes)
+            batch_span.note(failed=failed)
         elapsed = batch_span.elapsed
         metrics.observe("service_batch_cells", len(batch),
                         bounds=metrics.COUNT_BUCKETS)
         for worker in workers:
-            worker.note(failed=len(failures))
+            worker.note(failed=failed)
             worker.end()
+        if degraded:
+            metrics.observe("service_degraded_seconds", elapsed)
+            return outcomes
         with self._lock:
             self.stats.busy_s_total += elapsed
             # EWMA over per-cell service time feeds retry-after hints
             per_cell = elapsed / max(1, len(batch))
             self._cell_s = 0.7 * self._cell_s + 0.3 * per_cell
-        outcomes: List[Outcome] = []
-        for index, (job, result) in enumerate(zip(batch, results)):
-            if result is not None:
-                outcomes.append(("ok", result))
-            elif index in failures:
-                outcomes.append(("failed", failures[index]))
-            else:
-                outcomes.append(("infeasible",
-                                 f"{job.job_request.label()}: scheme "
-                                 "infeasible for this cell"))
         return outcomes
 
     def _account(self, status: str, computed: bool = True) -> None:
@@ -792,7 +745,10 @@ class Session:
                     self.stats.queue_depth = len(self._queue)
             with self._lock:
                 self.stats.batches += 1
-            self._fly(batch)
+            try:
+                self._fly(batch)
+            except BaseException:
+                pass  # delivered as failures; the dispatcher keeps serving
 
     def clear(self) -> None:
         """Forget the outcome table and the cache memory tier.
