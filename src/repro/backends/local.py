@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import logging
 import pickle
+import queue
 import threading
 import time
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, ThreadPoolExecutor, wait)
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -161,8 +161,9 @@ class ProcessBackend(ExecutionBackend):
         # crash isolation must hold for the last missing cell too
         if jobs > 1:
             try:
-                for request in batch:
-                    pickle.dumps(request)
+                # one probe for the batch: shared specs and workloads
+                # pickle once, not once per cell
+                pickle.dumps(list(batch))
             except Exception:
                 outcomes = None  # unpicklable cell: serial fallback
             else:
@@ -224,6 +225,8 @@ class ProcessBackend(ExecutionBackend):
         and the (possibly wedged) pool is killed.  A worker death breaks
         the whole pool — every in-flight future fails — so lost cells
         come back in ``crashed`` for the caller to retry or isolate.
+        Each future reports its own completion on a queue, so harvesting
+        one cell costs the same however many are still in flight.
         """
         pool = self._executor(jobs)
         outcomes: Dict[int, Outcome] = {}
@@ -235,12 +238,15 @@ class ProcessBackend(ExecutionBackend):
         except BrokenProcessPool:
             self._abandon()
             return outcomes, timed_out, set(indices)
+        finished: "queue.SimpleQueue[Future]" = queue.SimpleQueue()
+        for future in futures:
+            future.add_done_callback(finished.put)
         pending = set(futures)
         try:
             while pending:
-                done, pending = wait(pending, timeout=timeout,
-                                     return_when=FIRST_COMPLETED)
-                if not done:
+                try:
+                    future = finished.get(timeout=timeout)
+                except queue.Empty:
                     # a full window with zero completions: the pool stalled
                     _metrics.inc("executor_watchdog_fires_total")
                     for future in pending:
@@ -248,16 +254,15 @@ class ProcessBackend(ExecutionBackend):
                     timed_out.update(futures[f] for f in pending)
                     self._abandon(kill=True)
                     break
-                for future in done:
-                    index = futures[future]
-                    try:
-                        outcomes[index] = future.result()
-                    except BrokenProcessPool:
-                        crashed.add(index)
-                    except Exception as exc:  # CancelledError and friends
-                        crashed.add(index)
-                        _LOG.debug("future for cell %d failed: %s",
-                                   index, exc)
+                pending.discard(future)
+                index = futures[future]
+                try:
+                    outcomes[index] = future.result()
+                except BrokenProcessPool:
+                    crashed.add(index)
+                except Exception as exc:  # CancelledError and friends
+                    crashed.add(index)
+                    _LOG.debug("future for cell %d failed: %s", index, exc)
         except KeyboardInterrupt:
             for future in futures:
                 future.cancel()

@@ -29,6 +29,12 @@ execution tiers are built from:
   a result-bearing batch response (the hot payload shape of protocol
   v3 and cache schema 3).  These report MB/s, and the combined
   encode+decode ratio is the ≥2× claim the wire format rests on.
+* ``served-key`` — the content address of one served cell:
+  :func:`~repro.service.protocol.cell_from_wire` plus ``key()`` of a
+  ``longs``/``pop``/16-rank wire cell, which a daemon pays once per
+  submit and a cluster once in the router and once in the shard.  It
+  should move with ``serve-daemon`` and ``serve-cluster`` ``warm_ms``
+  of the end-to-end benchmark.
 
 Each benchmark reports best-of-``--repeat`` seconds per iteration
 (minimum over repeats is the standard noise floor for timeit).  With
@@ -180,6 +186,18 @@ def _bench_json_decode() -> Callable[[], None]:
     return body
 
 
+#: the served cell ``served-key`` keys: the widest POP run on Longs
+SERVED_KEY_CELL: Dict[str, Any] = {"system": "longs", "workload": "pop",
+                                   "ntasks": 16, "scheme": "default",
+                                   "tier": "fast"}
+
+
+def _bench_served_key() -> Callable[[], None]:
+    from ..service.protocol import cell_from_wire
+
+    return lambda: cell_from_wire(SERVED_KEY_CELL).key()
+
+
 BENCHMARKS: List[Tuple[str, Callable[[], Callable[[], None]], int]] = [
     ("engine-event-loop", _bench_engine_event_loop, 5),
     ("engine-cell", _bench_engine_cell, 1),
@@ -191,6 +209,7 @@ BENCHMARKS: List[Tuple[str, Callable[[], Callable[[], None]], int]] = [
     ("wire-decode", _bench_wire_decode, 50),
     ("json-encode", _bench_json_encode, 50),
     ("json-decode", _bench_json_decode, 50),
+    ("served-key", _bench_served_key, 200),
 ]
 
 #: the codec quartet, for ``--only``-style selection in CI

@@ -322,23 +322,20 @@ class Router:
         canonical = json.dumps(cell, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _order_for_key(self, key: str) -> List[ShardState]:
-        """Rendezvous order for ``key``, bad shards demoted.
+    def _demoted(self, ranked: Sequence[str]) -> List[ShardState]:
+        """The shards in rendezvous order ``ranked``, bad shards demoted.
 
         Known-dead shards and shards whose breaker is open are demoted,
         not removed (a stale health verdict must not make a key
         unroutable) — they are tried last.  Half-open shards rank with
         healthy ones so the next forward can act as the probe.
         """
-        ranked = [self._shards[name]
-                  for name in rendezvous_order(key, list(self._shards))]
-
         def demotion(shard: ShardState) -> int:
             if not shard.alive:
                 return 2
             return 1 if shard.breaker.state() == CircuitBreaker.OPEN else 0
 
-        return sorted(ranked, key=demotion)
+        return sorted((self._shards[name] for name in ranked), key=demotion)
 
     def _note_breaker(self, shard: ShardState) -> None:
         """Publish a shard's breaker state to the metrics plane."""
@@ -402,12 +399,15 @@ class Router:
         breaker can reorder but never strand a key.
         """
         last_error: Optional[BaseException] = None
-        home = rendezvous_order(key, list(self._shards))[0]
+        # the ranking is fixed per key; only the demotions can change
+        # between passes
+        ranked = rendezvous_order(key, list(self._shards))
+        home = ranked[0]
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff_s * (2 ** (attempt - 1)))
             deferred: List[ShardState] = []
-            for shard in self._order_for_key(key):
+            for shard in self._demoted(ranked):
                 if not shard.breaker.allow():
                     deferred.append(shard)
                     continue

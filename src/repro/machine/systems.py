@@ -11,10 +11,18 @@
   models probe broadcast across the ladder and yields the paper's
   observation that best single-core bandwidth is less than half of a
   small system's.
+
+Each preset factory returns one shared :class:`MachineSpec` per
+process: ``longs() is longs()``.  The spec is frozen, so sharing it is
+safe, and its memoized :meth:`MachineSpec.cache_token` is then computed
+once per preset per process instead of once per served request.  A
+variant is a new instance (``dataclasses.replace(longs(), ...)`` or
+:func:`~repro.machine.whatif.hypothetical`) with a token of its own.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, List
 
 from .params import DEFAULT_PARAMS, GB, KB, MB
@@ -24,6 +32,7 @@ __all__ = ["tiger", "dmz", "longs", "chiplet", "by_name", "all_systems",
            "SYSTEM_TABLE"]
 
 
+@cache
 def tiger() -> MachineSpec:
     """Cray XD-1 node: 2 × single-core Opteron 248 @ 2.2 GHz."""
     core = CoreSpec(frequency_hz=2.2e9)
@@ -38,6 +47,7 @@ def tiger() -> MachineSpec:
     )
 
 
+@cache
 def dmz() -> MachineSpec:
     """DMZ cluster node: 2 × dual-core Opteron 275 @ 2.2 GHz."""
     core = CoreSpec(frequency_hz=2.2e9)
@@ -52,6 +62,7 @@ def dmz() -> MachineSpec:
     )
 
 
+@cache
 def longs() -> MachineSpec:
     """Iwill H8501: 8 × dual-core Opteron 865 @ 1.8 GHz in a 2x4 ladder."""
     core = CoreSpec(frequency_hz=1.8e9)
@@ -69,6 +80,7 @@ def longs() -> MachineSpec:
     )
 
 
+@cache
 def chiplet() -> MachineSpec:
     """CCX-style chiplet package: 4 CCDs × 4 cores with split L3 slices.
 
