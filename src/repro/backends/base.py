@@ -24,7 +24,9 @@ The contract:
   The executor resolves ``jobs``, ``timeout`` and ``retries`` before
   the call; a backend uses them as given.
 * :meth:`~ExecutionBackend.capacity` reports how many cells the
-  backend can usefully run at once (a scheduling hint, not a limit).
+  backend can usefully run at once (a scheduling hint, not a limit);
+  :meth:`~ExecutionBackend.workers` how many a batch submitted at a
+  given ``jobs`` runs at once (a sized local pool ignores ``jobs``).
 * :meth:`~ExecutionBackend.drain` blocks until previously submitted
   work is finished; :meth:`~ExecutionBackend.close` releases pools and
   connections.  Both are idempotent.
@@ -77,6 +79,10 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def capacity(self) -> int:
         """How many cells this backend can usefully run at once."""
+
+    def workers(self, jobs: int) -> int:
+        """How many cells a batch submitted at ``jobs`` runs at once."""
+        return self.capacity()
 
     def drain(self) -> None:
         """Block until previously submitted cells finish (idempotent)."""

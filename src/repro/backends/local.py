@@ -114,6 +114,9 @@ class ThreadBackend(ExecutionBackend):
     def capacity(self) -> int:
         return self._size or self._workers or default_jobs()
 
+    def workers(self, jobs: int) -> int:
+        return self._workers or jobs
+
     def drain(self) -> None:
         with self._pool_lock:
             pool = self._pool
@@ -178,6 +181,9 @@ class ProcessBackend(ExecutionBackend):
 
     def capacity(self) -> int:
         return self._jobs or default_jobs()
+
+    def workers(self, jobs: int) -> int:
+        return self._jobs or jobs
 
     def close(self) -> None:
         with self._lock:

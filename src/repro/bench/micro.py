@@ -18,9 +18,11 @@ execution tiers are built from:
   STREAM sends almost no messages, so this mostly times compute costing.
 * ``surrogate-comm`` — POP on 16 ranks of longs through the fast tier:
   thousands of halo and allreduce messages, so this times the virtual-
-  clock scheduler (message matching and message costing), and also
-  program generation: the POP generators and their flattening into
-  steps by :meth:`SurrogateEvaluator._program_steps`.
+  clock scheduler (message matching and clock arithmetic), and also
+  program generation: the POP generators and their compilation into
+  bound steps by :meth:`SurrogateEvaluator._program_steps`, which is
+  where each message shape is costed.  It should move with
+  ``serve-daemon`` ``tail_ms`` of the end-to-end benchmark.
 * ``surrogate-build`` — :class:`~repro.surrogate.SurrogateEvaluator`
   construction (topology/coefficient precompute), the fixed cost paid
   once per (spec, affinity) pair.

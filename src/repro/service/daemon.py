@@ -170,7 +170,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--batch-window", type=float, default=0.005,
                         metavar="S",
                         help="seconds to accumulate near-simultaneous "
-                             "submits into one batch (default: 0.005)")
+                             "submits into one batch when batches run on "
+                             "more than one worker (default: 0.005)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="stall watchdog for served batches")

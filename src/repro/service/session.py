@@ -56,7 +56,8 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.cache import ResultCache, Uncacheable, default_cache
 from ..core.metrics import parallel_efficiency
-from ..core.parallel import JobRequest, Outcome, TargetFailure, run_requests
+from ..core.parallel import (JobRequest, Outcome, TargetFailure, default_jobs,
+                             run_requests)
 from ..core.report import TableResult
 from ..errors import (
     NoFeasibleSchemeError,
@@ -306,16 +307,20 @@ class Session:
             key = None
         return _Job(request, cell, key)
 
-    def _retry_after(self) -> float:
-        """Backpressure hint: when the backlog should have drained."""
+    def _workers(self) -> int:
+        """How many cells one flight of this session runs at once."""
         from ..backends import default_backend
 
         backend = self.backend if self.backend is not None \
             else default_backend()
+        jobs = default_jobs() if self.jobs is None else max(1, self.jobs)
         # a sized backend runs that many workers whatever jobs= says
-        workers = max(self.jobs or 1, backend.capacity())
+        return backend.workers(jobs)
+
+    def _retry_after(self) -> float:
+        """Backpressure hint: when the backlog should have drained."""
         backlog = len(self._queue) + 1
-        return max(0.05, self._cell_s * backlog / workers)
+        return max(0.05, self._cell_s * backlog / self._workers())
 
     def wait_p99(self) -> float:
         """p99 of recent queue waits (0 until samples accumulate)."""
@@ -735,9 +740,11 @@ class Session:
                 while self._queue and len(batch) < self.max_batch:
                     batch.append(self._queue.popleft())
                 self.stats.queue_depth = len(self._queue)
-            if self.batch_window > 0 and len(batch) < self.max_batch:
+            if (self.batch_window > 0 and len(batch) < self.max_batch
+                    and self._workers() > 1):
                 # brief accumulation window: let near-simultaneous
-                # submits ride the same pool batch
+                # submits ride the same pool batch (a serial flight
+                # runs its cells one by one, so waiting gains nothing)
                 time.sleep(self.batch_window)
                 with self._cond:
                     while self._queue and len(batch) < self.max_batch:

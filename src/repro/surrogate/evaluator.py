@@ -33,21 +33,28 @@ message.  :meth:`SurrogateEvaluator.run` walks each rank's program once:
 that pass is also the fast tier's only support check (wildcard receives
 and unknown ops raise there, through the same per-op classifier as
 :func:`unsupported_reason`; malformed messages raise the exact tier's
-``ValueError``), and it flattens the program into step tuples.
+``ValueError``), and it compiles the program into bound step tuples.
 Workloads yield a repeated op as one shared object, so the pass keeps
 an identity memo: ``id(op)`` maps to the op and the steps it produced,
 and a repeat extends the rank's steps with that stored slice without
 rebuilding, rechecking or rehashing the op.  Only a new object is
-checked and costed; behind the identity memo an equality memo costs
+checked and bound; behind the identity memo an equality memo costs
 each unique ``(Compute op, rank)`` and expands each unique
 ``(collective, rank)`` once for programs that yield fresh but equal
-objects.  Each message shape ``(src, dst, nbytes)`` is costed once per
-run into its clock-free pieces (half the protocol overhead, eager flag,
-copy-in, wire latency, and the receive tail: eager copy-out, or
-fragment locks plus bulk transfer).  The scheduler then adds those
-pieces to the clocks in one fixed order — e.g.
-``((t0 + oh2) + lock) + copy`` — and never pre-sums two pieces, so
-every float rounds the same way however often a shape recurs.
+objects.  Binding a message step costs its shape ``(src, dst,
+nbytes)`` — once per run — into clock-free pieces (half the protocol
+overhead, eager flag, copy-in, wire latency, and the receive tail:
+eager copy-out, or fragment locks plus bulk transfer), and attaches the
+inbox the step posts into and the inbox it matches from.  Message and
+byte totals are summed per slice at build time, so the scheduler loop
+only moves records between inboxes and adds pieces to clocks.  It adds
+them in one fixed order — e.g. ``((t0 + oh2) + lock) + copy`` — and
+never pre-sums two pieces, so every float rounds the same way however
+often a shape recurs.  A piece that is exactly ``0.0`` for the
+message's protocol (a rendezvous copy-in, an eager bulk tail) is added
+rather than branched around: clocks and pieces are never negative, and
+``x + 0.0 == x`` for every such ``x``, so the sum is unchanged bit for
+bit.
 """
 
 from __future__ import annotations
@@ -145,10 +152,14 @@ def _check_message(dst: int, nbytes: int, size: int) -> None:
 
 
 # -- the step tuples the scheduler runs ------------------------------------
-# (kind, dst, src, nbytes, tag, end): a _SEND uses dst/nbytes/tag, a
-# _RECV src/tag, a _SENDRECV all four; a _COMPUTE step carries its cost
-# in the dst slot; unused slots are 0.  ``end`` is ``(category, phase)``
-# on an op's last step and ``None`` on the others.
+# A collective expands into (kind, dst, src, nbytes, tag) sub-steps;
+# binding them to a run gives (kind, cost, post, box, tag, end).  A
+# _SEND carries its message's cost pieces in ``cost`` and the inbox it
+# posts into (``inboxes[dst][rank]``) in ``post``; a _RECV carries the
+# inbox it matches from (``inboxes[rank][src]``) in ``box``; a _SENDRECV
+# carries all three.  A _COMPUTE step carries its cost in seconds.
+# Unused slots are ``None`` (``tag`` 0).  ``end`` is ``(category,
+# phase)`` on an op's last step and ``None`` on the others.
 _COMPUTE, _SEND, _RECV, _SENDRECV, _NOOP = range(5)
 
 
@@ -238,6 +249,16 @@ def _expand_collective(op: Op, rank: int, p: int) -> List[tuple]:
             mask *= 2
         return subops
     raise TypeError(f"not a collective: {op!r}")  # pragma: no cover
+
+
+def _take(box: list, tag: int) -> Optional[list]:
+    """Remove and return the first record in ``box`` carrying ``tag``
+    (``None`` if none does): a receive that matches out of order."""
+    for i, msg in enumerate(box):
+        if msg[0] == tag:
+            del box[i]
+            return msg
+    return None
 
 
 class SurrogateEvaluator:
@@ -436,37 +457,46 @@ class SurrogateEvaluator:
 
     # -- the virtual-clock scheduler -----------------------------------
 
-    def _program_steps(self, workload: Workload, rank: int,
-                       n: int) -> List[tuple]:
-        """One pass over a rank's program: check, cost and flatten it.
+    def _program_steps(self, workload: Workload, rank: int, n: int,
+                       inboxes: List[List[list]],
+                       costs: Dict[Tuple[int, int, int], tuple]
+                       ) -> Tuple[List[tuple], int, int]:
+        """One pass over a rank's program: check, cost, bind and flatten.
 
-        Each distinct op object is checked and turned into steps once.
-        ``seen`` maps ``id(op)`` to ``(op, its steps)``; holding ``op``
-        keeps the object alive, so its id cannot be reused during the
-        pass.  Behind it, ``memo`` shares the steps of equal Compute and
-        collective ops that a generator yields as fresh objects.
+        Returns the rank's bound steps and its message and byte totals.
+        Each distinct op object is checked and bound once.  ``seen``
+        maps ``id(op)`` to ``(op, its steps, messages, bytes)``; holding
+        ``op`` keeps the object alive, so its id cannot be reused during
+        the pass.  Behind it, ``memo`` shares the steps of equal Compute
+        and collective ops that a generator yields as fresh objects.
         """
         steps: List[tuple] = []
-        seen: Dict[int, Tuple[Op, List[tuple]]] = {}
-        memo: Dict[Op, List[tuple]] = {}
+        seen: Dict[int, tuple] = {}
+        memo: Dict[Op, tuple] = {}
         lookup, extend = seen.get, steps.extend
+        messages = nbytes = 0
         for op in workload.program(rank):
             hit = lookup(id(op))
             if hit is None:
-                hit = seen[id(op)] = (op, self._op_steps(op, rank, n, memo))
+                hit = seen[id(op)] = (op, *self._op_steps(
+                    op, rank, n, memo, inboxes, costs))
             extend(hit[1])
-        return steps
+            messages += hit[2]
+            nbytes += hit[3]
+        return steps, messages, nbytes
 
-    def _op_steps(self, op: Op, rank: int, n: int,
-                  memo: Dict[Op, List[tuple]]) -> List[tuple]:
-        """Check one op and build its steps (none for a marker)."""
+    def _op_steps(self, op: Op, rank: int, n: int, memo: Dict[Op, tuple],
+                  inboxes: List[List[list]],
+                  costs: Dict[Tuple[int, int, int], tuple]) -> tuple:
+        """Check one op and bind its steps (none for a marker):
+        ``(steps, messages, bytes)``."""
         if isinstance(op, Compute):
             own = memo.get(op)
             if own is None:
                 self._check_thread_team(op, rank)
-                own = memo[op] = [(
+                own = memo[op] = ([(
                     _COMPUTE, self._compute_cost_scalar(op, rank),
-                    0, 0, 0, ("compute", op.phase))]
+                    None, None, 0, ("compute", op.phase))], 0, 0)
             return own
         if isinstance(op, _COLLECTIVES):
             own = memo.get(op)
@@ -477,25 +507,51 @@ class SurrogateEvaluator:
                         _check_message(dst, nbytes, n)
                 if not subops:  # e.g. a collective at p == 1
                     subops = [(_NOOP, 0, 0, 0, 0)]
-                own = memo[op] = [sub + (None,) for sub in subops[:-1]]
-                own.append(subops[-1] + (("comm", op.phase),))
+                own = memo[op] = self._bind(subops, ("comm", op.phase),
+                                            rank, inboxes, costs)
             return own
         if isinstance(op, SendRecv):
             # the exact tier posts the receive before the send checks run
             _check_rank(op.recv_from, n)
             _check_message(op.send_to, op.nbytes, n)
-            return [(_SENDRECV, op.send_to, op.recv_from, op.nbytes,
-                     op.tag, ("comm", op.phase))]
-        if isinstance(op, Send):
+            sub = (_SENDRECV, op.send_to, op.recv_from, op.nbytes, op.tag)
+        elif isinstance(op, Send):
             _check_message(op.dst, op.nbytes, n)
-            return [(_SEND, op.dst, 0, op.nbytes, op.tag,
-                     ("comm", op.phase))]
-        if isinstance(op, Recv) and op.src is not None:
+            sub = (_SEND, op.dst, 0, op.nbytes, op.tag)
+        elif isinstance(op, Recv) and op.src is not None:
             _check_rank(op.src, n)
-            return [(_RECV, 0, op.src, 0, op.tag, ("comm", op.phase))]
-        if isinstance(op, (MarkerStart, MarkerStop)):
-            return []  # markers are zero-cost observability brackets
-        raise SurrogateUnsupportedError(_op_reason(op))
+            sub = (_RECV, 0, op.src, 0, op.tag)
+        elif isinstance(op, (MarkerStart, MarkerStop)):
+            return [], 0, 0  # markers are zero-cost observability brackets
+        else:
+            raise SurrogateUnsupportedError(_op_reason(op))
+        return self._bind([sub], ("comm", op.phase), rank, inboxes, costs)
+
+    def _bind(self, subops: List[tuple], end: tuple, rank: int,
+              inboxes: List[List[list]],
+              costs: Dict[Tuple[int, int, int], tuple]) -> tuple:
+        """Bind checked ``(kind, dst, src, nbytes, tag)`` sub-steps of one
+        op to this run: ``(steps, messages, bytes)``.  ``end`` goes on
+        the last step."""
+        steps: List[tuple] = []
+        messages = total = 0
+        last = len(subops) - 1
+        for i, (kind, dst, src, nbytes, tag) in enumerate(subops):
+            pieces = post = box = None
+            if kind == _SEND or kind == _SENDRECV:
+                key = (rank, dst, nbytes)
+                pieces = costs.get(key)
+                if pieces is None:
+                    pieces = costs[key] = self._message_pieces(rank, dst,
+                                                               nbytes)
+                post = inboxes[dst][rank]
+                messages += 1
+                total += nbytes
+            if kind == _RECV or kind == _SENDRECV:
+                box = inboxes[rank][src]
+            steps.append((kind, pieces, post, box, tag,
+                          end if i == last else None))
+        return steps, messages, total
 
     def run(self, workload: Workload) -> JobResult:
         """Evaluate the workload; mirrors ``JobRunner.run`` accounting.
@@ -511,26 +567,32 @@ class SurrogateEvaluator:
                 f"provides {self.affinity.ntasks}"
             )
         n = workload.ntasks
-        programs = [self._program_steps(workload, rank, n)
-                    for rank in range(n)]
+        #: inboxes[dst][src]: FIFO of [tag, avail, send_end, pieces]
+        inboxes: List[List[list]] = [[[] for _ in range(n)]
+                                     for _ in range(n)]
+        costs: Dict[Tuple[int, int, int], tuple] = {}
+        programs = []
+        messages = bytes_sent = 0
+        for rank in range(n):
+            steps, sent, nbytes = self._program_steps(workload, rank, n,
+                                                      inboxes, costs)
+            programs.append(steps)
+            messages += sent
+            bytes_sent += nbytes
 
         # Advance per-rank virtual clocks to completion.  A rank runs
         # until it blocks: on an unmatched receive, or on its own
         # rendezvous send (``out``) until the receiver fills in the
         # record's send end.  ``rend`` is a sendrecv's receive end while
-        # its rendezvous half is still in flight.
+        # its rendezvous half is still in flight.  A record's pieces
+        # are added in one fixed order, exact zeros included: adding
+        # 0.0 to a non-negative clock returns it unchanged.
         lock = self.lock_cost
-        pieces_of = self._message_pieces
-        costs: Dict[Tuple[int, int, int], tuple] = {}
-        #: inboxes[dst][src]: FIFO of [tag, avail, send_end, pieces]
-        inboxes = [[[] for _ in range(n)] for _ in range(n)]
         positions = [0] * n
         clocks = [0.0] * n
         starts = [0.0] * n  # when each rank's current op began
         outs: List[Optional[list]] = [None] * n
         rends: List[Optional[float]] = [None] * n
-        messages = 0
-        bytes_sent = 0
         category_times: List[Dict[str, float]] = [dict() for _ in range(n)]
         phase_times: List[Dict[str, float]] = [dict() for _ in range(n)]
 
@@ -540,70 +602,80 @@ class SurrogateEvaluator:
             for rank in range(n):
                 steps = programs[rank]
                 nsteps = len(steps)
-                pos = positions[rank]
-                if pos >= nsteps:
+                first = positions[rank]
+                if first >= nsteps:
                     continue
                 clock = clocks[rank]
                 start = starts[rank]
                 out = outs[rank]
                 rend = rends[rank]
-                inbox = inboxes[rank]
                 buckets = category_times[rank]
                 phases = phase_times[rank]
-                while pos < nsteps:
-                    kind, dst, src, nbytes, tag, end = steps[pos]
-                    if kind == _COMPUTE:
-                        clock += dst  # the dst slot holds the cost
-                    elif kind != _NOOP:
-                        if kind != _RECV and out is None:
-                            # post the outgoing message
-                            messages += 1
-                            bytes_sent += nbytes
-                            key = (rank, dst, nbytes)
-                            pieces = costs.get(key)
-                            if pieces is None:
-                                pieces = costs[key] = pieces_of(rank, dst,
-                                                                nbytes)
-                            avail = clock + pieces[1] + lock
-                            if pieces[0]:
-                                avail = avail + pieces[2]
-                                out = [tag, avail, avail, pieces]
-                            else:
-                                out = [tag, avail, None, pieces]
-                            inboxes[dst][rank].append(out)
+                for pos in range(first, nsteps):
+                    kind, cost, post, box, tag, end = steps[pos]
+                    # posting and matching are written out in each
+                    # branch: a call per message would cost more than
+                    # the rest of the step
+                    if kind == _SENDRECV:
+                        if out is None:  # post the outgoing message
+                            avail = clock + cost[1] + lock + cost[2]
+                            out = [tag, avail, avail if cost[0] else None,
+                                   cost]
+                            post.append(out)
                             progressed = True
-                        if kind != _SEND and rend is None:
-                            queue = inbox[src]
-                            for i, msg in enumerate(queue):
-                                if tag is None or msg[0] == tag:
-                                    break
-                            else:
+                        if rend is None:
+                            if not box:
                                 break  # no match yet
-                            del queue[i]
+                            msg = box[0]
+                            if tag is None or msg[0] == tag:
+                                del box[0]
+                            else:
+                                msg = _take(box, tag)
+                                if msg is None:
+                                    break
                             eager, oh2, _, wire, tail_a, tail_b = msg[3]
                             matched = clock + lock
                             if msg[1] > matched:
                                 matched = msg[1]
-                            rend = matched + oh2 + wire
-                            if eager:
-                                rend = rend + tail_a
-                            else:
-                                rend = rend + tail_a + tail_b
+                            rend = matched + oh2 + wire + tail_a + tail_b
+                            if not eager:
                                 msg[2] = rend
                             progressed = True
-                        if kind == _RECV:
-                            clock = rend
-                        else:
-                            send_end = out[2]
-                            if send_end is None:
-                                break  # rendezvous: wait for the receiver
-                            if kind == _SEND or send_end > rend:
-                                clock = send_end
-                            else:
-                                clock = rend
+                        send_end = out[2]
+                        if send_end is None:
+                            break  # rendezvous: wait for the receiver
+                        clock = send_end if send_end > rend else rend
                         out = rend = None
-                    pos += 1
-                    progressed = True
+                    elif kind == _COMPUTE:
+                        clock += cost
+                    elif kind == _SEND:
+                        if out is None:
+                            avail = clock + cost[1] + lock + cost[2]
+                            out = [tag, avail, avail if cost[0] else None,
+                                   cost]
+                            post.append(out)
+                            progressed = True
+                        if out[2] is None:
+                            break  # rendezvous: wait for the receiver
+                        clock = out[2]
+                        out = None
+                    elif kind == _RECV:
+                        if not box:
+                            break  # no match yet
+                        msg = box[0]
+                        if tag is None or msg[0] == tag:
+                            del box[0]
+                        else:
+                            msg = _take(box, tag)
+                            if msg is None:
+                                break
+                        eager, oh2, _, wire, tail_a, tail_b = msg[3]
+                        matched = clock + lock
+                        if msg[1] > matched:
+                            matched = msg[1]
+                        clock = matched + oh2 + wire + tail_a + tail_b
+                        if not eager:
+                            msg[2] = clock
                     if end is not None:
                         elapsed = clock - start
                         category, phase = end
@@ -612,6 +684,10 @@ class SurrogateEvaluator:
                         if phase:
                             phases[phase] = phases.get(phase, 0.0) + elapsed
                         start = clock
+                else:
+                    pos = nsteps
+                if pos > first:
+                    progressed = True
                 positions[rank] = pos
                 clocks[rank] = clock
                 starts[rank] = start

@@ -688,3 +688,25 @@ def test_retry_after_divides_by_the_backends_workers(tmp_path, backend,
     with _session(tmp_path, backend=backend) as session:
         session._cell_s = 1.0
         assert session._retry_after() == pytest.approx(hint)
+
+
+@pytest.mark.parametrize("kwargs,waits", [
+    ({"jobs": 1}, False),
+    ({"backend": "threads:2"}, True),
+    ({"jobs": 1, "backend": "threads:2"}, True),
+])
+def test_batch_window_only_when_flights_run_in_parallel(tmp_path,
+                                                        monkeypatch,
+                                                        kwargs, waits):
+    # a serial flight runs its cells one by one: collecting companions
+    # for it only delays the cell in hand
+    from repro.service import session as session_module
+
+    # an explicit jobs=1 runs serially whatever the environment says
+    monkeypatch.setenv("REPRO_BENCH_JOBS", "4")
+    slept = []
+    monkeypatch.setattr(session_module.time, "sleep", slept.append)
+    with _session(tmp_path, batch_window=0.25, **kwargs) as session:
+        request = RunRequest(system=longs(), workload=TinyCompute(4))
+        assert session.submit(request).result(timeout=30).ok
+    assert (0.25 in slept) is waits
