@@ -40,8 +40,8 @@ from .local import ProcessBackend, ThreadBackend
 from .remote import RemoteBackend
 
 __all__ = ["ExecutionBackend", "Outcome", "ProcessBackend",
-           "RemoteBackend", "ThreadBackend", "default_backend",
-           "resolve_backend"]
+           "RemoteBackend", "ThreadBackend", "close_default",
+           "default_backend", "resolve_backend"]
 
 _DEFAULT_LOCK = threading.Lock()
 _DEFAULT: Optional[ExecutionBackend] = None
@@ -86,3 +86,9 @@ def default_backend() -> ExecutionBackend:
         if _DEFAULT is None:
             _DEFAULT = ProcessBackend()
         return _DEFAULT
+
+
+def close_default() -> None:
+    """Close the process-wide backend if one was ever created."""
+    if _DEFAULT is not None:
+        _DEFAULT.close()

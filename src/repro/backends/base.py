@@ -13,16 +13,16 @@ The contract:
 * :meth:`~ExecutionBackend.submit_cells` takes a batch of
   :class:`~repro.core.parallel.JobRequest` values and returns one
   :class:`~concurrent.futures.Future` per cell, in batch order.  Each
-  future resolves to the executor outcome pair ``("ok", JobResult)``,
-  ``("infeasible", reason)`` or ``("failed", {"kind": ..., "message":
-  ...})`` — exactly the shape ``_execute_cell`` produces, so backends
-  compose with the scheduler's accounting without translation.  A
-  future never raises for cell-caused failures; those fold into the
-  ``"failed"`` outcome, which the executor turns into a
-  :class:`~repro.core.parallel.TargetFailure` for the flight that
-  asked.  An infeasible cell's reason reaches the waiter unchanged.
-  The executor resolves ``jobs``, ``timeout`` and ``retries`` before
-  the call; a backend uses them as given.
+  future resolves to ``("ok", JobResult)`` or ``("failed", {"kind":
+  ..., "message": ...})`` — exactly the shape ``_execute_cell``
+  produces, so backends compose with the scheduler's accounting
+  without translation.  A future never raises for cell-caused
+  failures; those fold into the ``"failed"`` outcome, which the
+  executor turns into a :class:`~repro.core.parallel.TargetFailure`
+  for the flight that asked.  A backend never sees an infeasible
+  cell: the executor settles placement before dispatch.  It resolves
+  ``jobs``, ``timeout`` and ``retries`` before the call too; a
+  backend uses them as given.
 * :meth:`~ExecutionBackend.capacity` reports how many cells the
   backend can usefully run at once (a scheduling hint, not a limit);
   :meth:`~ExecutionBackend.workers` how many a batch submitted at a
@@ -48,8 +48,8 @@ from ..telemetry import metrics as _metrics
 
 __all__ = ["ExecutionBackend", "Outcome"]
 
-#: what every per-cell future resolves to: ``("ok", JobResult)``,
-#: ``("infeasible", reason)`` or ``("failed", {"kind", "message"})``
+#: what every per-cell future resolves to: ``("ok", JobResult)`` or
+#: ``("failed", {"kind", "message"})``
 Outcome = Tuple[str, object]
 
 

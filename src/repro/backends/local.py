@@ -32,7 +32,6 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.affinity import InfeasibleSchemeError
 from ..core.parallel import JobRequest, default_jobs, pool_stats
 from ..faults.plan import TransportExhaustedError
 from ..telemetry import metrics as _metrics
@@ -49,15 +48,12 @@ _RETRY_BACKOFF_S = 0.05
 def _execute_cell(request: JobRequest) -> Outcome:
     """Worker entry point: run one cell, folding every outcome to data.
 
-    Infeasible placements are expected data (the paper tables' dashes).
-    Any other exception — including an injected transport fault
-    exhausting its retries — becomes a ``("failed", ...)`` outcome so
-    one bad cell never aborts a whole sweep.
+    Any exception — including an injected transport fault exhausting
+    its retries — becomes a ``("failed", ...)`` outcome so one bad cell
+    never aborts a whole sweep.
     """
     try:
         return ("ok", request.execute())
-    except InfeasibleSchemeError as exc:
-        return ("infeasible", str(exc))
     except TransportExhaustedError as exc:
         return ("failed", {"kind": "fault_exhausted", "message": str(exc)})
     except Exception as exc:

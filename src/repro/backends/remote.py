@@ -168,9 +168,6 @@ class RemoteBackend(ExecutionBackend):
             except (KeyError, TypeError, ValueError) as exc:
                 return ("failed", {"kind": "error",
                                    "message": f"undecodable result: {exc}"})
-        if status == "infeasible":
-            return ("infeasible",
-                    wire.get("error") or "scheme infeasible for this cell")
         return ("failed", {
             "kind": wire.get("kind") or wire.get("code") or "error",
             "message": wire.get("error") or wire.get("message")

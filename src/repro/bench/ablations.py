@@ -7,14 +7,14 @@ future direction) hybrid MPI+OpenMP.  Each ablation sweeps one
 mechanism while holding the rest fixed, quantifying how much of the
 reproduced behaviour that mechanism carries.
 
-Every cell goes through :func:`repro.bench.common.run`, keyed on the
-*hypothetical* spec itself, so a what-if parameter change can never
-replay a stale result.
+Each ablation's rows are one :class:`~repro.bench.common.Sweep`, keyed
+on the *hypothetical* spec itself, so a what-if parameter change can
+never replay a stale result.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..core import AffinityScheme, JobRequest, TableResult
 from ..machine import GB, longs
@@ -22,7 +22,7 @@ from ..machine.whatif import hypothetical
 from ..mpi import LAM
 from ..workloads import HpccPtrans, HpccRandomAccess, NasCG, NasFT, StreamTriad, triad_bytes_moved
 from ..workloads.hybrid import HybridNasCG, HybridNasFT, hybrid_affinity
-from .common import Row, bound_spread_affinity, run_cell, target_requests
+from .common import Row, bound_spread_affinity, read, sweep, sweep_cells
 
 __all__ = [
     "ablation_probe_cost",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 
+@sweep("abl_probe_cost")
 def _probe_cost_rows() -> List[Row]:
     rows: List[Row] = []
     for cost in (0.0, 0.05, 0.175, 0.30):
@@ -56,16 +57,16 @@ def ablation_probe_cost() -> TableResult:
         title="ablation: coherence-probe cost (8-socket ladder)",
         headers=["probe cost", "1-core STREAM (GB/s)", "NAS CG 8 tasks (s)"],
     )
-    for cost, (stream, cg) in _probe_cost_rows():
-        result = run_cell(stream)
+    for cost, (stream, _cg), (result, cg) in read(_probe_cost_rows()):
         bandwidth = (triad_bytes_moved(stream.workload)
                      / result.phase_time("triad") / GB)
-        table.add_row(cost, bandwidth, run_cell(cg).wall_time)
+        table.add_row(cost, bandwidth, cg.wall_time)
     table.notes.append("probe cost drives both the bandwidth collapse and "
                        "the CG slowdown on 8 sockets (DESIGN.md)")
     return table
 
 
+@sweep("abl_topology")
 def _topology_rows() -> List[Row]:
     rows: List[Row] = []
     for topology in ("ladder", "ring", "crossbar"):
@@ -92,15 +93,15 @@ def ablation_topology() -> TableResult:
         headers=["topology", "max hops", "NAS FT 16 tasks (s)",
                  "NAS CG 16 tasks (s)"],
     )
-    for topology, (ft, cg) in _topology_rows():
-        hops = Machine(ft.spec).net.max_hops()
-        table.add_row(topology, hops, run_cell(ft).wall_time,
-                      run_cell(cg).wall_time)
+    for topology, (cell, _cg), (ft, cg) in read(_topology_rows()):
+        hops = Machine(cell.spec).net.max_hops()
+        table.add_row(topology, hops, ft.wall_time, cg.wall_time)
     table.notes.append("a crossbar removes multi-hop remote penalties; the "
                        "ladder is the paper's Figure 1")
     return table
 
 
+@sweep("abl_lock_cost")
 def _lock_cost_rows() -> List[Row]:
     spec = longs()
     return [(lock, (JobRequest(spec, HpccRandomAccess(16, mode="mpi"),
@@ -115,17 +116,17 @@ def ablation_lock_cost() -> TableResult:
         title="ablation: lock-layer cost vs MPI RandomAccess (Longs)",
         headers=["lock layer", "lock cost (us)", "MPI RA (MUP/s)"],
     )
-    for lock, (cell,) in _lock_cost_rows():
+    for lock, (cell,), (result,) in read(_lock_cost_rows()):
         params = cell.spec.params
         cost = {"usysv": params.usysv_lock_cost,
                 "pthread": params.pthread_lock_cost,
                 "sysv": params.sysv_lock_cost}[lock]
-        result = run_cell(cell)
         total = result.phase_time("ra") + result.phase_time("ra-exchange")
         table.add_row(lock, cost * 1e6, cell.workload.updates / total / 1e6)
     return table
 
 
+@sweep("abl_fragmentation")
 def _fragmentation_rows() -> List[Row]:
     rows: List[Row] = []
     for frag_kb in (16, 64, 256, 1024):
@@ -147,14 +148,15 @@ def ablation_fragmentation() -> TableResult:
         title="ablation: shm fragment size vs PTRANS under SysV (Longs)",
         headers=["fragment (KB)", "PTRANS (GB/s)"],
     )
-    for frag_kb, (cell,) in _fragmentation_rows():
-        exchange = run_cell(cell).phase_time("exchange")
+    for frag_kb, (cell,), (result,) in read(_fragmentation_rows()):
+        exchange = result.phase_time("exchange")
         table.add_row(frag_kb, 8.0 * cell.workload.n ** 2 / exchange / GB)
     table.notes.append("smaller fragments pay the SysV semaphore more often "
                        "(the Figure 12 mechanism)")
     return table
 
 
+@sweep("abl_hybrid")
 def _hybrid_rows() -> List[Row]:
     spec = longs()
     affinity = hybrid_affinity(spec, 8, 2)
@@ -176,8 +178,7 @@ def ablation_hybrid() -> TableResult:
         headers=["Kernel", "pure MPI 16 ranks (s)", "hybrid 8x2 (s)",
                  "messages pure", "messages hybrid"],
     )
-    for name, (pure_cell, hybrid_cell) in _hybrid_rows():
-        pure, hybrid = run_cell(pure_cell), run_cell(hybrid_cell)
+    for name, _cells, (pure, hybrid) in read(_hybrid_rows()):
         table.add_row(name, pure.wall_time, hybrid.wall_time,
                       pure.messages, hybrid.messages)
     table.notes.append("hybrid quarters the message count; wall-time parity "
@@ -185,14 +186,9 @@ def ablation_hybrid() -> TableResult:
     return table
 
 
-#: each `repro-bench` ablation target's rows
-_ROWS: Dict[str, Callable[[], List[Row]]] = {
-    "abl_probe_cost": _probe_cost_rows,
-    "abl_topology": _topology_rows,
-    "abl_lock_cost": _lock_cost_rows,
-    "abl_fragmentation": _fragmentation_rows,
-    "abl_hybrid": _hybrid_rows,
-}
+#: each `repro-bench` ablation target's sweep
+_SWEEPS = (_probe_cost_rows, _topology_rows, _lock_cost_rows,
+           _fragmentation_rows, _hybrid_rows)
 
 
 def requests(targets: Optional[Iterable[str]] = None) -> List[JobRequest]:
@@ -203,4 +199,4 @@ def requests(targets: Optional[Iterable[str]] = None) -> List[JobRequest]:
     ablations it names (``abl_topology``, ...); other names in it are
     ignored.
     """
-    return target_requests(_ROWS, targets)
+    return sweep_cells(_SWEEPS, targets)

@@ -7,23 +7,18 @@ hybrid MPI+OpenMP scaling curve its conclusion only conjectures about.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from ..core import (
-    ALL_SCHEMES,
-    AffinityScheme,
-    InfeasibleSchemeError,
-    JobRequest,
-    TableResult,
-)
+from ..core import ALL_SCHEMES, AffinityScheme, JobRequest, TableResult
 from ..machine import longs
 from ..workloads import NasCG, NasEP, NasFT, NasMG
 from ..workloads.hybrid import HybridNasCG, hybrid_affinity
-from .common import Row, run_cell, target_requests
+from .common import Row, read, sweep, sweep_cells
 
 __all__ = ["ext_npb_spectrum", "ext_hybrid_scaling", "requests"]
 
 
+@sweep("ext_npb")
 def _npb_rows() -> List[Row]:
     spec = longs()
     return [(name, tuple(JobRequest(spec, factory(), scheme)
@@ -45,19 +40,15 @@ def ext_npb_spectrum() -> TableResult:
         title="extension: NPB spectrum x numactl at 8 tasks (Longs, seconds)",
         headers=["Kernel"] + [str(s) for s in ALL_SCHEMES],
     )
-    for name, cells in _npb_rows():
-        row: List = [name]
-        for cell in cells:
-            try:
-                row.append(run_cell(cell).wall_time)
-            except InfeasibleSchemeError:
-                row.append(None)
-        table.add_row(*row)
+    for name, _cells, results in read(_npb_rows()):
+        table.add_row(name, *[None if result is None else result.wall_time
+                              for result in results])
     table.notes.append("placement sensitivity grows with memory/latency "
                        "dependence: EP flat, MG moderate, CG extreme")
     return table
 
 
+@sweep("ext_hybrid")
 def _hybrid_rows() -> List[Row]:
     spec = longs()
     return [(sockets, (
@@ -83,8 +74,7 @@ def ext_hybrid_scaling() -> TableResult:
         headers=["sockets", "cores", "pure MPI (s)", "hybrid (s)",
                  "hybrid msgs / pure msgs"],
     )
-    for sockets, (pure_cell, hybrid_cell) in _hybrid_rows():
-        pure, hybrid = run_cell(pure_cell), run_cell(hybrid_cell)
+    for sockets, _cells, (pure, hybrid) in read(_hybrid_rows()):
         table.add_row(sockets, 2 * sockets, pure.wall_time, hybrid.wall_time,
                       hybrid.messages / max(1, pure.messages))
     table.notes.append("the hybrid model eliminates intra-socket MPI "
@@ -92,11 +82,8 @@ def ext_hybrid_scaling() -> TableResult:
     return table
 
 
-#: each `repro-bench` extension target's rows
-_ROWS: Dict[str, Callable[[], List[Row]]] = {
-    "ext_npb": _npb_rows,
-    "ext_hybrid": _hybrid_rows,
-}
+#: each `repro-bench` extension target's sweep
+_SWEEPS = (_npb_rows, _hybrid_rows)
 
 
 def requests(targets: Optional[Iterable[str]] = None) -> List[JobRequest]:
@@ -106,4 +93,4 @@ def requests(targets: Optional[Iterable[str]] = None) -> List[JobRequest]:
     limits the list to the extensions it names (``ext_npb``,
     ``ext_hybrid``); other names in it are ignored.
     """
-    return target_requests(_ROWS, targets)
+    return sweep_cells(_SWEEPS, targets)

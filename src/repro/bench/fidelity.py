@@ -6,7 +6,7 @@ the transcribed measurements (:mod:`repro.bench.paper_data`) and score:
 * **rank correlation** (Spearman) over each row's scheme/column values —
   "does the model order the configurations the way the paper measured
   them?", the reproduction's primary claim.  It is the same pure-python
-  :func:`repro.surrogate.calibration.spearman` the surrogate gate uses;
+  :func:`repro.core.metrics.spearman` the surrogate gate uses;
 * the **median magnitude ratio** model/paper — how close absolute
   numbers land;
 * the **ratio spread** (max/min of per-cell ratios) — whether the model
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.metrics import spearman
 from ..core.report import TableResult
-from ..surrogate.calibration import spearman
 from . import paper_data, tables
 
 __all__ = ["TableFidelity", "score_pairs", "fidelity_table", "paired_values"]

@@ -8,18 +8,16 @@ simulating the corresponding workload on the modeled systems.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..core import (
     AffinityScheme,
-    JobResult,
+    JobRequest,
     ResolvedAffinity,
     SeriesResult,
     TableResult,
     resolve_scheme,
 )
-from ..core.affinity import ResolvedAffinity
-from ..kernels.hpl import hpl_flops
 from ..machine import GB, MachineSpec, all_systems, dmz, longs
 from ..mpi import LAM, MPICH2, OPENMPI
 from ..numa import LocalAlloc
@@ -42,8 +40,8 @@ from ..workloads import (
     pingpong_oneway_time,
     triad_bytes_moved,
 )
-from ..core.parallel import JobRequest
-from .common import RUNTIME_CONFIGS, bound_spread_affinity, run
+from .common import (RUNTIME_CONFIGS, Row, Sweep, bound_spread_affinity,
+                     read, sweep, sweep_cells)
 
 __all__ = [
     "figure02", "figure03", "figure04", "figure05", "figure06", "figure07",
@@ -59,24 +57,30 @@ US = 1e6  # seconds -> microseconds
 
 # -- Figures 2 and 3: STREAM bandwidth scaling -------------------------------
 
-def _stream_scaling(spec: MachineSpec) -> List[Tuple[int, float]]:
-    """(active cores, aggregate triad GB/s), filling sockets first.
+@sweep("fig02", "fig03")
+def _stream_rows() -> List[Row]:
+    """Per system, triad on 1..all cores, filling sockets first."""
+    return [(spec.name, tuple(
+        JobRequest(spec, StreamTriad(ncores),
+                   affinity=bound_spread_affinity(spec, ncores))
+        for ncores in range(1, spec.total_cores + 1)))
+        for spec in all_systems()]
+
+
+def _stream_scaling() -> Iterator[Tuple[str, int, float]]:
+    """(system, active cores, aggregate triad GB/s) points.
 
     Aggregate bandwidth is the sum of per-stream rates (lmbench
     convention), not total bytes over the slowest stream's time.
     """
-    points = []
-    for ncores in range(1, spec.total_cores + 1):
-        workload = StreamTriad(ncores)
-        result = run(spec, workload,
-                     affinity=bound_spread_affinity(spec, ncores))
-        per_task = triad_bytes_moved(workload) / ncores
-        bandwidth = sum(
-            per_task / result.phase_times[rank]["triad"]
-            for rank in range(ncores)
-        )
-        points.append((ncores, bandwidth / GB))
-    return points
+    for system, cells, results in read(_stream_rows()):
+        for cell, result in zip(cells, results):
+            ncores = cell.workload.ntasks
+            per_task = triad_bytes_moved(cell.workload) / ncores
+            yield system, ncores, sum(
+                per_task / result.phase_times[rank]["triad"]
+                for rank in range(ncores)
+            ) / GB
 
 
 def figure02() -> SeriesResult:
@@ -85,9 +89,8 @@ def figure02() -> SeriesResult:
         title="Figure 2: Memory bandwidth (STREAM triad)",
         x_label="active cores", y_label="aggregate GB/s",
     )
-    for spec in all_systems():
-        for ncores, bandwidth in _stream_scaling(spec):
-            fig.add_point(spec.name, ncores, bandwidth)
+    for system, ncores, bandwidth in _stream_scaling():
+        fig.add_point(system, ncores, bandwidth)
     fig.notes.append(
         "first core of each socket is activated before any second core"
     )
@@ -100,9 +103,8 @@ def figure03() -> SeriesResult:
         title="Figure 3: Memory bandwidth per core (STREAM triad)",
         x_label="active cores", y_label="GB/s per core",
     )
-    for spec in all_systems():
-        for ncores, bandwidth in _stream_scaling(spec):
-            fig.add_point(spec.name, ncores, bandwidth / ncores)
+    for system, ncores, bandwidth in _stream_scaling():
+        fig.add_point(system, ncores, bandwidth / ncores)
     return fig
 
 
@@ -112,52 +114,92 @@ DAXPY_LENGTHS = [1_000, 10_000, 100_000, 1_000_000, 4_000_000]
 DGEMM_SIZES = [100, 250, 500, 1000, 1500]
 
 
-def _blas_figure(title: str, workload_cls, sizes: List[int],
-                 vendor: bool) -> SeriesResult:
+def _blas_rows(workload_cls, sizes: List[int], vendor: bool) -> List[Row]:
+    """One ``(tasks, size)`` row per cell, bound one core per socket
+    first, on DMZ."""
     spec = dmz()
+    return [((ntasks, n), (JobRequest(
+        spec, workload_cls(ntasks, n, vendor=vendor),
+        affinity=bound_spread_affinity(spec, ntasks)),))
+        for ntasks in (1, 2, 4) for n in sizes]
+
+
+_BLAS = {figure: Sweep(_blas_rows, workload_cls, sizes, vendor,
+                       readers=(figure,))
+         for figure, workload_cls, sizes, vendor in (
+             ("fig04", DaxpyBench, DAXPY_LENGTHS, True),
+             ("fig05", DaxpyBench, DAXPY_LENGTHS, False),
+             ("fig06", DgemmBench, DGEMM_SIZES, True),
+             ("fig07", DgemmBench, DGEMM_SIZES, False))}
+
+
+def _blas_figure(title: str, figure: str) -> SeriesResult:
     fig = SeriesResult(title=title, x_label="problem size n",
                        y_label="GFlop/s", log_x=True)
-    for ntasks in (1, 2, 4):
-        for n in sizes:
-            workload = workload_cls(ntasks, n, vendor=vendor)
-            result = run(spec, workload,
-                         affinity=bound_spread_affinity(spec, ntasks))
-            phase = "daxpy" if workload_cls is DaxpyBench else "dgemm"
-            rate = workload.flops_per_task * ntasks / result.phase_time(phase)
-            fig.add_point(f"Total ({ntasks} cores)", n, rate / 1e9)
-            fig.add_point(f"{ntasks}T per core", n, rate / 1e9 / ntasks)
+    for (ntasks, n), (cell,), (result,) in read(_BLAS[figure]()):
+        workload = cell.workload
+        phase = "daxpy" if type(workload) is DaxpyBench else "dgemm"
+        rate = workload.flops_per_task * ntasks / result.phase_time(phase)
+        fig.add_point(f"Total ({ntasks} cores)", n, rate / 1e9)
+        fig.add_point(f"{ntasks}T per core", n, rate / 1e9 / ntasks)
     return fig
 
 
 def figure04() -> SeriesResult:
     """Figure 4: DAXPY performance, vendor (ACML) implementation."""
-    return _blas_figure("Figure 4: BLAS1 DAXPY (ACML), DMZ",
-                        DaxpyBench, DAXPY_LENGTHS, vendor=True)
+    return _blas_figure("Figure 4: BLAS1 DAXPY (ACML), DMZ", "fig04")
 
 
 def figure05() -> SeriesResult:
     """Figure 5: DAXPY per-core performance, vanilla implementation."""
     return _blas_figure("Figure 5: BLAS1 DAXPY (vanilla) per core, DMZ",
-                        DaxpyBench, DAXPY_LENGTHS, vendor=False)
+                        "fig05")
 
 
 def figure06() -> SeriesResult:
     """Figure 6: DGEMM performance, vendor (ACML) implementation."""
-    return _blas_figure("Figure 6: BLAS3 DGEMM (ACML), DMZ",
-                        DgemmBench, DGEMM_SIZES, vendor=True)
+    return _blas_figure("Figure 6: BLAS3 DGEMM (ACML), DMZ", "fig06")
 
 
 def figure07() -> SeriesResult:
     """Figure 7: DGEMM per-core performance, vanilla implementation."""
     return _blas_figure("Figure 7: BLAS3 DGEMM (vanilla) per core, DMZ",
-                        DgemmBench, DGEMM_SIZES, vendor=False)
+                        "fig07")
 
 
 # -- Figures 8-13: HPCC with LAM/NUMA runtime options ---------------------------
 
-def _hpcc_run(spec: MachineSpec, workload, scheme: AffinityScheme,
-              lock: str) -> JobResult:
-    return run(spec, workload, scheme, impl=LAM, lock=lock)
+@sweep("fig08", "fig09", "fig10", "fig11", "fig12", "fig13")
+def _hpcc_rows() -> List[Row]:
+    """Per runtime configuration, each figure's HPCC cells on Longs
+    under LAM; then the one DMZ cell Figure 8 adds."""
+    msg = 1 << 20
+    figures = (
+        ("fig08", [HpccHpl(16)]),
+        ("fig09", [HpccDgemm(16, mode="single"), HpccDgemm(16, mode="star"),
+                   HpccFft(16, mode="single"), HpccFft(16, mode="star")]),
+        ("fig10", [HpccStream(16, mode=m) for m in ("single", "star")]),
+        ("fig11", [HpccRandomAccess(16, mode=m)
+                   for m in ("single", "star", "mpi")]),
+        ("fig12", [HpccPtrans(16), PingPong(msg, ntasks=16),
+                   RingExchange(16, msg)]),
+        ("fig13", [PingPong(8, ntasks=16), RingExchange(16, 8)]),
+    )
+    rows: List[Row] = [((label, figure), tuple(
+        JobRequest(longs(), workload, scheme=scheme, impl=LAM, lock=lock)
+        for workload in workloads))
+        for label, scheme, lock in RUNTIME_CONFIGS
+        for figure, workloads in figures]
+    rows.append((("DMZ", "fig08"), (JobRequest(
+        dmz(), HpccHpl(4), scheme=AffinityScheme.DEFAULT, impl=LAM,
+        lock="sysv"),)))
+    return rows
+
+
+def _runtime_rows(figure: str) -> List[Row]:
+    """Each runtime configuration's label and its cells for ``figure``."""
+    return [(label, cells) for (label, name), cells in _hpcc_rows()
+            if name == figure]
 
 
 def figure08() -> TableResult:
@@ -166,15 +208,13 @@ def figure08() -> TableResult:
         title="Figure 8: HPL performance with LAM/NUMA options (GFlop/s)",
         headers=["Configuration", "Longs (16 cores)", "DMZ (4 cores)"],
     )
-    spec_l, spec_d = longs(), dmz()
-    hpl_l, hpl_d = HpccHpl(16), HpccHpl(4)
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        result = _hpcc_run(spec_l, hpl_l, scheme, lock)
-        gflops_l = hpl_l.total_flops / result.wall_time / 1e9
+    *configs, (_label, (cell_d,), (result_d,)) = read(
+        _runtime_rows("fig08"))
+    for label, (cell,), (result,) in configs:
+        gflops_l = cell.workload.total_flops / result.wall_time / 1e9
         dmz_val = None
         if label == "Default":
-            result_d = _hpcc_run(spec_d, hpl_d, scheme, lock)
-            dmz_val = hpl_d.total_flops / result_d.wall_time / 1e9
+            dmz_val = cell_d.workload.total_flops / result_d.wall_time / 1e9
         table.add_row(label, gflops_l, dmz_val)
     table.notes.append("DMZ is minimally affected by NUMA options; "
                        "a single DMZ result is shown (paper Section 3.3)")
@@ -183,44 +223,33 @@ def figure08() -> TableResult:
 
 def figure09() -> TableResult:
     """Figure 9: Single vs Star DGEMM and FFT with runtime options."""
-    spec = longs()
     table = TableResult(
         title="Figure 9: processor performance with runtime options "
               "(GFlop/s per process)",
         headers=["Configuration", "Single DGEMM", "Star DGEMM",
                  "Single FFT", "Star FFT"],
     )
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        row: List = [label]
-        for workload_cls in (HpccDgemm, HpccFft):
-            for mode in ("single", "star"):
-                workload = workload_cls(16, mode=mode)
-                result = _hpcc_run(spec, workload, scheme, lock)
-                phase = "dgemm" if workload_cls is HpccDgemm else "fft"
-                row.append(workload.flops_per_task
-                           / result.phase_time(phase) / 1e9)
-        table.add_row(row[0], row[1], row[2], row[3], row[4])
+    for label, cells, results in read(_runtime_rows("fig09")):
+        table.add_row(label, *[
+            cell.workload.flops_per_task / result.phase_time(phase) / 1e9
+            for cell, result, phase in zip(
+                cells, results, ("dgemm", "dgemm", "fft", "fft"))])
     return table
 
 
 def figure10() -> TableResult:
     """Figure 10: Single vs Star STREAM with runtime options."""
-    spec = longs()
     table = TableResult(
         title="Figure 10: STREAM triad with LAM/NUMA options "
               "(GB/s per process)",
         headers=["Configuration", "Single STREAM", "Star STREAM",
                  "Single:Star ratio"],
     )
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        values = {}
-        for mode in ("single", "star"):
-            workload = HpccStream(16, mode=mode)
-            result = _hpcc_run(spec, workload, scheme, lock)
-            values[mode] = (workload.bytes_per_task
-                            / result.phase_time("triad") / GB)
-        table.add_row(label, values["single"], values["star"],
-                      values["single"] / values["star"])
+    for label, cells, results in read(_runtime_rows("fig10")):
+        single, star = (cell.workload.bytes_per_task
+                        / result.phase_time("triad") / GB
+                        for cell, result in zip(cells, results))
+        table.add_row(label, single, star, single / star)
     table.notes.append("ratios above 2 mean the second core causes a net "
                        "per-socket bandwidth loss (paper Section 3.3)")
     return table
@@ -228,45 +257,36 @@ def figure10() -> TableResult:
 
 def figure11() -> TableResult:
     """Figure 11: Single vs Star RandomAccess with runtime options."""
-    spec = longs()
     table = TableResult(
         title="Figure 11: RandomAccess with LAM/NUMA options "
               "(MUP/s per process)",
         headers=["Configuration", "Single RA", "Star RA", "MPI RA"],
     )
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        row: List = [label]
-        for mode in ("single", "star", "mpi"):
-            workload = HpccRandomAccess(16, mode=mode)
-            result = _hpcc_run(spec, workload, scheme, lock)
-            phase_total = (result.phase_time("ra")
-                           + result.phase_time("ra-exchange"))
-            row.append(workload.updates / phase_total / 1e6)
-        table.add_row(*row)
+    for label, cells, results in read(_runtime_rows("fig11")):
+        table.add_row(label, *[
+            cell.workload.updates / (result.phase_time("ra")
+                                     + result.phase_time("ra-exchange")) / 1e6
+            for cell, result in zip(cells, results)])
     return table
 
 
 def figure12() -> TableResult:
     """Figure 12: PTRANS and Ring/PingPong bandwidth with runtime options."""
-    spec = longs()
     table = TableResult(
         title="Figure 12: communication bandwidth with LAM/NUMA options",
         headers=["Configuration", "PTRANS (GB/s)",
                  "PingPong bw (MB/s)", "Ring bw (MB/s)"],
     )
     msg = 1 << 20
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        ptrans = HpccPtrans(16)
-        result = _hpcc_run(spec, ptrans, scheme, lock)
+    for label, (ptrans, pp, ring), (result, pp_result, ring_result) in read(
+            _runtime_rows("fig12")):
         # total matrix volume crossing the network over the exchange phase
-        ptrans_bw = 8.0 * ptrans.n ** 2 / result.phase_time("exchange") / GB
-        pp = PingPong(msg, ntasks=16)
-        pp_result = _hpcc_run(spec, pp, scheme, lock)
+        ptrans_bw = (8.0 * ptrans.workload.n ** 2
+                     / result.phase_time("exchange") / GB)
         pp_bw = msg / pingpong_oneway_time(
-            pp_result.phase_time("pingpong"), pp.reps) / MB
-        ring = RingExchange(16, msg)
-        ring_result = _hpcc_run(spec, ring, scheme, lock)
-        ring_bw = msg * ring.reps / ring_result.phase_time("ring") / MB
+            pp_result.phase_time("pingpong"), pp.workload.reps) / MB
+        ring_bw = (msg * ring.workload.reps
+                   / ring_result.phase_time("ring") / MB)
         table.add_row(label, ptrans_bw, pp_bw, ring_bw)
     table.notes.append("USysV spin locks give PTRANS a clear advantage "
                        "over SysV semaphores (paper Section 3.3)")
@@ -275,19 +295,15 @@ def figure12() -> TableResult:
 
 def figure13() -> TableResult:
     """Figure 13: Ring/PingPong latency with runtime options."""
-    spec = longs()
     table = TableResult(
         title="Figure 13: communication latency with LAM/NUMA options (us)",
         headers=["Configuration", "PingPong latency", "Ring latency"],
     )
-    for label, scheme, lock in RUNTIME_CONFIGS:
-        pp = PingPong(8, ntasks=16)
-        pp_result = _hpcc_run(spec, pp, scheme, lock)
+    for label, (pp, ring), (pp_result, ring_result) in read(
+            _runtime_rows("fig13")):
         pp_lat = pingpong_oneway_time(pp_result.phase_time("pingpong"),
-                                      pp.reps) * US
-        ring = RingExchange(16, 8)
-        ring_result = _hpcc_run(spec, ring, scheme, lock)
-        ring_lat = ring_result.phase_time("ring") / ring.reps * US
+                                      pp.workload.reps) * US
+        ring_lat = ring_result.phase_time("ring") / ring.workload.reps * US
         table.add_row(label, pp_lat, ring_lat)
     table.notes.append("ring latencies exceed PingPong; SysV overwhelms both "
                        "(paper Section 3.3)")
@@ -299,18 +315,26 @@ def figure13() -> TableResult:
 IMB_SWEEP = [64, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304]
 
 
-def _imb_impl_results(workload_cls) -> Dict[str, Dict[int, JobResult]]:
+def _imb_impl_build() -> List[Row]:
+    """One ``(implementation, bytes)`` row per size: its PingPong cell
+    (Figure 14), then its Exchange cell (Figure 15), on DMZ."""
     spec = dmz()
-    out: Dict[str, Dict[int, JobResult]] = {}
-    for impl in (MPICH2, LAM, OPENMPI):
-        out[impl.name] = {}
-        for nbytes in IMB_SWEEP:
-            workload = (workload_cls(nbytes)
-                        if workload_cls is ImbPingPong
-                        else workload_cls(2, nbytes))
-            out[impl.name][nbytes] = run(spec, workload,
-                                         AffinityScheme.DEFAULT, impl=impl)
-    return out
+    return [((impl.name, nbytes), (
+        JobRequest(spec, ImbPingPong(nbytes), AffinityScheme.DEFAULT,
+                   impl=impl),
+        JobRequest(spec, ImbExchange(2, nbytes), AffinityScheme.DEFAULT,
+                   impl=impl)))
+        for impl in (MPICH2, LAM, OPENMPI) for nbytes in IMB_SWEEP]
+
+
+_IMB_IMPL = Sweep(_imb_impl_build, columns=(("fig14",), ("fig15",)))
+
+
+def _imb_impl_results(column: int):
+    """``(implementation, bytes, result)`` of one column of the sweep."""
+    return [(impl, nbytes, result) for (impl, nbytes), _cells, (result,)
+            in read([(label, cells[column:column + 1])
+                     for label, cells in _IMB_IMPL()])]
 
 
 def figure14() -> SeriesResult:
@@ -319,10 +343,9 @@ def figure14() -> SeriesResult:
         title="Figure 14: intra-node IMB PingPong bandwidth (DMZ)",
         x_label="message bytes", y_label="MB/s", log_x=True,
     )
-    for impl, results in _imb_impl_results(ImbPingPong).items():
-        for nbytes, result in results.items():
-            t = pingpong_oneway_time(result.phase_time("pingpong"), 20)
-            fig.add_point(impl, nbytes, nbytes / t / MB)
+    for impl, nbytes, result in _imb_impl_results(0):
+        t = pingpong_oneway_time(result.phase_time("pingpong"), 20)
+        fig.add_point(impl, nbytes, nbytes / t / MB)
     return fig
 
 
@@ -332,10 +355,9 @@ def figure14_latency() -> SeriesResult:
         title="Figure 14 (latency): intra-node IMB PingPong (DMZ)",
         x_label="message bytes", y_label="us", log_x=True,
     )
-    for impl, results in _imb_impl_results(ImbPingPong).items():
-        for nbytes, result in results.items():
-            t = pingpong_oneway_time(result.phase_time("pingpong"), 20)
-            fig.add_point(impl, nbytes, t * US)
+    for impl, nbytes, result in _imb_impl_results(0):
+        t = pingpong_oneway_time(result.phase_time("pingpong"), 20)
+        fig.add_point(impl, nbytes, t * US)
     return fig
 
 
@@ -345,11 +367,10 @@ def figure15() -> SeriesResult:
         title="Figure 15: intra-node IMB Exchange bandwidth (DMZ)",
         x_label="message bytes", y_label="MB/s", log_x=True,
     )
-    for impl, results in _imb_impl_results(ImbExchange).items():
-        for nbytes, result in results.items():
-            fig.add_point(impl, nbytes,
-                          exchange_bandwidth(result.phase_time("exchange"),
-                                             20, nbytes) / MB)
+    for impl, nbytes, result in _imb_impl_results(1):
+        fig.add_point(impl, nbytes,
+                      exchange_bandwidth(result.phase_time("exchange"),
+                                         20, nbytes) / MB)
     return fig
 
 
@@ -359,10 +380,9 @@ def figure15_latency() -> SeriesResult:
         title="Figure 15 (latency): intra-node IMB Exchange (DMZ)",
         x_label="message bytes", y_label="us per repetition", log_x=True,
     )
-    for impl, results in _imb_impl_results(ImbExchange).items():
-        for nbytes, result in results.items():
-            fig.add_point(impl, nbytes,
-                          result.phase_time("exchange") / 20 * US)
+    for impl, nbytes, result in _imb_impl_results(1):
+        fig.add_point(impl, nbytes,
+                      result.phase_time("exchange") / 20 * US)
     return fig
 
 
@@ -393,52 +413,69 @@ def _affinity_configs(spec: MachineSpec):
     ]
 
 
-def _affinity_figure(workload_factory, phase: str, title: str,
-                     metric: str) -> SeriesResult:
+def _affinity_build() -> List[Row]:
+    """One ``(configuration, bytes)`` row per size: its OpenMPI PingPong
+    cell (Figure 16), then its Exchange cell (Figure 17), on DMZ."""
     spec = dmz()
+    return [((label, nbytes), (
+        JobRequest(spec, ImbPingPong(nbytes, ntasks=2), impl=OPENMPI,
+                   **kwargs),
+        JobRequest(spec, ImbExchange(2, nbytes), impl=OPENMPI, **kwargs)))
+        for label, kwargs in _affinity_configs(spec) for nbytes in IMB_SWEEP]
+
+
+_AFFINITY = Sweep(_affinity_build, columns=(("fig16",), ("fig17",)))
+
+
+@sweep("fig17")
+def _four_procs_rows() -> List[Row]:
+    """Figure 17's extra "4 procs" OpenMPI Exchange cells."""
+    spec = dmz()
+    return [(nbytes, (JobRequest(spec, ImbExchange(4, nbytes),
+                                 AffinityScheme.DEFAULT, impl=OPENMPI),))
+            for nbytes in IMB_SWEEP]
+
+
+def _affinity_figure(column: int, title: str, metric: str) -> SeriesResult:
+    phase = ("pingpong", "exchange")[column]
     fig = SeriesResult(title=title, x_label="message bytes",
                        y_label=metric, log_x=True)
-    for label, kwargs in _affinity_configs(spec):
-        for nbytes in IMB_SWEEP:
-            workload = workload_factory(nbytes, 2)
-            result = run(spec, workload, impl=OPENMPI, **kwargs)
-            if phase == "pingpong":
-                t = pingpong_oneway_time(result.phase_time(phase), 20)
-                value = nbytes / t / MB if metric == "MB/s" else t * US
+    for (label, nbytes), _cells, (result,) in read(
+            [(label, cells[column:column + 1])
+             for label, cells in _AFFINITY()]):
+        if phase == "pingpong":
+            t = pingpong_oneway_time(result.phase_time(phase), 20)
+            value = nbytes / t / MB if metric == "MB/s" else t * US
+        else:
+            if metric == "MB/s":
+                value = exchange_bandwidth(result.phase_time(phase),
+                                           20, nbytes) / MB
             else:
-                if metric == "MB/s":
-                    value = exchange_bandwidth(result.phase_time(phase),
-                                               20, nbytes) / MB
-                else:
-                    value = result.phase_time(phase) / 20 * US
-            fig.add_point(label, nbytes, value)
+                value = result.phase_time(phase) / 20 * US
+        fig.add_point(label, nbytes, value)
     return fig
 
 
 def figure16() -> SeriesResult:
     """Figure 16: OpenMPI PingPong bandwidth with scheduler affinity."""
     return _affinity_figure(
-        lambda n, p: ImbPingPong(n, ntasks=p), "pingpong",
-        "Figure 16: intra-node OpenMPI PingPong with affinity (DMZ)", "MB/s")
+        0, "Figure 16: intra-node OpenMPI PingPong with affinity (DMZ)",
+        "MB/s")
 
 
 def figure16_latency() -> SeriesResult:
     """Figure 16 (latency panel)."""
     return _affinity_figure(
-        lambda n, p: ImbPingPong(n, ntasks=p), "pingpong",
-        "Figure 16 (latency): OpenMPI PingPong with affinity (DMZ)", "us")
+        0, "Figure 16 (latency): OpenMPI PingPong with affinity (DMZ)", "us")
 
 
 def figure17() -> SeriesResult:
     """Figure 17: OpenMPI Exchange bandwidth with scheduler affinity."""
     fig = _affinity_figure(
-        lambda n, p: ImbExchange(p, n), "exchange",
-        "Figure 17: intra-node OpenMPI Exchange with affinity (DMZ)", "MB/s")
+        1, "Figure 17: intra-node OpenMPI Exchange with affinity (DMZ)",
+        "MB/s")
     # the paper's extra "4 procs" configuration
-    spec = dmz()
-    for nbytes in IMB_SWEEP:
-        workload = ImbExchange(4, nbytes)
-        result = run(spec, workload, AffinityScheme.DEFAULT, impl=OPENMPI)
+    for nbytes, _cells, (result,) in read(_four_procs_rows()):
         fig.add_point("4 procs", nbytes,
                       exchange_bandwidth(result.phase_time("exchange"),
                                          20, nbytes) / MB)
@@ -448,11 +485,15 @@ def figure17() -> SeriesResult:
 def figure17_latency() -> SeriesResult:
     """Figure 17 (latency panel)."""
     return _affinity_figure(
-        lambda n, p: ImbExchange(p, n), "exchange",
-        "Figure 17 (latency): OpenMPI Exchange with affinity (DMZ)", "us")
+        1, "Figure 17 (latency): OpenMPI Exchange with affinity (DMZ)", "us")
 
 
 # -- Parallel prefetch -------------------------------------------------------
+
+#: every figure's sweeps, in the order the prefetch lists their cells
+_SWEEPS = (_stream_rows, *_BLAS.values(), _hpcc_rows, _IMB_IMPL, _AFFINITY,
+           _four_procs_rows)
+
 
 def figure_requests(targets: Optional[Iterable[str]] = None
                     ) -> List[JobRequest]:
@@ -460,88 +501,10 @@ def figure_requests(targets: Optional[Iterable[str]] = None
 
     Feeding this list through :func:`repro.core.parallel.run_requests`
     warms the content-addressed cache in parallel; the figure builders
-    above then assemble their series from cache hits.  Requests are
+    above then read the same instances as cache hits.  Requests are
     content-keyed, so duplicates across figures (the latency panels
     reuse the bandwidth runs) cost nothing.  ``targets`` limits the
     list to the named figures (``fig14``, ``fig14lat``, ...).
     """
-    wanted = None if targets is None else {name[:5] for name in targets}
-
-    def want(*figures: str) -> bool:
-        return wanted is None or not wanted.isdisjoint(figures)
-
-    requests: List[JobRequest] = []
-    # Figures 2/3: STREAM scaling on every system.
-    if want("fig02", "fig03"):
-        for spec in all_systems():
-            for ncores in range(1, spec.total_cores + 1):
-                requests.append(JobRequest(
-                    spec=spec, workload=StreamTriad(ncores),
-                    affinity=bound_spread_affinity(spec, ncores)))
-    # Figures 4-7: BLAS on DMZ, vendor and vanilla.
-    spec_d = dmz()
-    for figure, workload_cls, sizes, vendor in (
-            ("fig04", DaxpyBench, DAXPY_LENGTHS, True),
-            ("fig05", DaxpyBench, DAXPY_LENGTHS, False),
-            ("fig06", DgemmBench, DGEMM_SIZES, True),
-            ("fig07", DgemmBench, DGEMM_SIZES, False)):
-        if not want(figure):
-            continue
-        for ntasks in (1, 2, 4):
-            for n in sizes:
-                requests.append(JobRequest(
-                    spec=spec_d,
-                    workload=workload_cls(ntasks, n, vendor=vendor),
-                    affinity=bound_spread_affinity(spec_d, ntasks)))
-    # Figures 8-13: HPCC under the six LAM/NUMA runtime configurations.
-    if want("fig08", "fig09", "fig10", "fig11", "fig12", "fig13"):
-        spec_l = longs()
-        msg = 1 << 20
-        hpcc_workloads = [
-            HpccHpl(16),
-            HpccDgemm(16, mode="single"), HpccDgemm(16, mode="star"),
-            HpccFft(16, mode="single"), HpccFft(16, mode="star"),
-            HpccStream(16, mode="single"), HpccStream(16, mode="star"),
-            HpccRandomAccess(16, mode="single"),
-            HpccRandomAccess(16, mode="star"),
-            HpccRandomAccess(16, mode="mpi"),
-            HpccPtrans(16),
-            PingPong(msg, ntasks=16), RingExchange(16, msg),
-            PingPong(8, ntasks=16), RingExchange(16, 8),
-        ]
-        for _label, scheme, lock in RUNTIME_CONFIGS:
-            for workload in hpcc_workloads:
-                requests.append(JobRequest(
-                    spec=spec_l, workload=workload, scheme=scheme,
-                    impl=LAM, lock=lock))
-        requests.append(JobRequest(
-            spec=spec_d, workload=HpccHpl(4), scheme=AffinityScheme.DEFAULT,
-            impl=LAM, lock="sysv"))
-    # Figures 14/15: IMB across MPI implementations on DMZ.
-    for impl in (MPICH2, LAM, OPENMPI):
-        for nbytes in IMB_SWEEP:
-            if want("fig14"):
-                requests.append(JobRequest(
-                    spec=spec_d, workload=ImbPingPong(nbytes),
-                    scheme=AffinityScheme.DEFAULT, impl=impl))
-            if want("fig15"):
-                requests.append(JobRequest(
-                    spec=spec_d, workload=ImbExchange(2, nbytes),
-                    scheme=AffinityScheme.DEFAULT, impl=impl))
-    # Figures 16/17: OpenMPI with scheduler affinity on DMZ.
-    for _label, kwargs in _affinity_configs(spec_d):
-        for nbytes in IMB_SWEEP:
-            if want("fig16"):
-                requests.append(JobRequest(
-                    spec=spec_d, workload=ImbPingPong(nbytes, ntasks=2),
-                    impl=OPENMPI, **kwargs))
-            if want("fig17"):
-                requests.append(JobRequest(
-                    spec=spec_d, workload=ImbExchange(2, nbytes),
-                    impl=OPENMPI, **kwargs))
-    if want("fig17"):
-        for nbytes in IMB_SWEEP:
-            requests.append(JobRequest(
-                spec=spec_d, workload=ImbExchange(4, nbytes),
-                scheme=AffinityScheme.DEFAULT, impl=OPENMPI))
-    return requests
+    return sweep_cells(_SWEEPS, None if targets is None
+                       else {name[:5] for name in targets})

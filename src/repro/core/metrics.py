@@ -2,13 +2,14 @@
 
 Small, well-defined functions used everywhere in the benches: speedup,
 parallel efficiency (the paper's Table 4 "multi-core speedup", which can
-exceed 1.0 for superlinear cases), per-core normalization, and bandwidth
-conversions.
+exceed 1.0 for superlinear cases), per-core normalization, bandwidth
+conversions, and the Spearman rank correlation the surrogate gate and
+the fidelity scores share.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "speedup",
@@ -18,6 +19,7 @@ __all__ = [
     "bandwidth",
     "improvement_percent",
     "best_scheme",
+    "spearman",
 ]
 
 
@@ -80,3 +82,44 @@ def best_scheme(times_by_scheme: Dict[str, float]) -> str:
     if not times_by_scheme:
         raise ValueError("no schemes to compare")
     return min(sorted(times_by_scheme), key=lambda k: times_by_scheme[k])
+
+
+def _ranks(values: Sequence[float]) -> List[float]:
+    """Average ranks (1-based; ties share the mean of their positions)."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while (j + 1 < len(order)
+               and values[order[j + 1]] == values[order[i]]):
+            j += 1
+        mean_rank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = mean_rank
+        i = j + 1
+    return ranks
+
+
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Spearman rank correlation (tie-aware, pure python).
+
+    The one Spearman of the repository, shared by the surrogate gate
+    and the fidelity gate; tests pin it to ``scipy.stats.spearmanr``.
+
+    ``None`` when fewer than two pairs or either side is constant —
+    a degenerate table neither passes nor fails on correlation alone.
+    """
+    if len(xs) != len(ys):
+        raise ValueError("length mismatch")
+    if len(xs) < 2:
+        return None
+    rx, ry = _ranks(xs), _ranks(ys)
+    mx = sum(rx) / len(rx)
+    my = sum(ry) / len(ry)
+    sxx = sum((r - mx) ** 2 for r in rx)
+    syy = sum((r - my) ** 2 for r in ry)
+    if sxx == 0 or syy == 0:
+        return None
+    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    return sxy / (sxx * syy) ** 0.5

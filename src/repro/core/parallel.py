@@ -21,9 +21,12 @@ backend (by default the crash-isolated worker-process pool of
   and, when the retry budget runs out, surface as structured
   :class:`TargetFailure` records instead of aborting the sweep.
 
-:func:`run_requests` folds each cell's backend outcome once, into
-``("ok", JobResult)``, ``("infeasible", reason)`` or ``("failed",
-TargetFailure)``.  A caller that passes an ``outcomes`` list gets
+:func:`run_requests` folds each cell's outcome once, into ``("ok",
+JobResult)``, ``("infeasible", reason)`` or ``("failed",
+TargetFailure)``.  Infeasibility (the paper tables' dashes) is a pure
+function of scheme, machine, task count and parked cores, so it is
+settled here, after the cache miss and before dispatch: a backend only
+ever runs feasible cells.  A caller that passes an ``outcomes`` list gets
 exactly its own flight's outcomes there, so concurrent flights need no
 lock; a bare call gets the ``Optional[JobResult]`` list and its
 failures through :func:`take_failures`.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
@@ -52,7 +56,8 @@ from ..machine.topology import MachineSpec
 from ..mpi import MpiImplementation, OPENMPI
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracing import span
-from .affinity import AffinityScheme, ResolvedAffinity, resolve_scheme
+from .affinity import (AffinityScheme, InfeasibleSchemeError,
+                       ResolvedAffinity, resolve_scheme)
 from .cache import ResultCache, Uncacheable, default_cache, job_key
 from .execution import JobResult, JobRunner
 from .workload import Workload
@@ -137,6 +142,20 @@ class JobRequest:
                           tier=self.effective_tier())
             object.__setattr__(self, "_key", key)
         return key
+
+    def filled(self, tier: Optional[str],
+               faults: Optional[FaultPlan]) -> "JobRequest":
+        """This cell with ``tier`` and ``faults`` where it leaves
+        ``None``; the twin is memoized on the instance like :meth:`key`."""
+        tier = self.tier if self.tier is not None else tier
+        faults = self.faults if self.faults is not None else faults
+        if tier is self.tier and faults is self.faults:
+            return self
+        twin = self.__dict__.get("_twin")
+        if twin is None or twin.tier != tier or twin.faults is not faults:
+            twin = replace(self, tier=tier, faults=faults)
+            object.__setattr__(self, "_twin", twin)
+        return twin
 
     def execute(self) -> JobResult:
         """Run the cell; raises :class:`InfeasibleSchemeError` for dashes."""
@@ -327,10 +346,11 @@ def default_retries() -> int:
 
 
 def shutdown_pool() -> None:
-    """Close the default backend and its worker pool (tests / CLI exit)."""
-    from ..backends import default_backend
-
-    default_backend().close()
+    """Close the default backend and its worker pool (tests / CLI exit);
+    a process that never loaded the backends has none to close."""
+    backends = sys.modules.get(f"{__package__.rpartition('.')[0]}.backends")
+    if backends is not None:
+        backends.close_default()
 
 
 # -- the executor ----------------------------------------------------------
@@ -372,7 +392,10 @@ def run_requests(requests: Sequence[JobRequest],
     returned list holds each ``ok`` result and ``None`` for the rest
     (the paper tables' dashes).
 
-    Cache hits are served directly; the remaining unique cells are
+    Cache hits are served directly; a remaining unique cell whose scheme
+    cannot be placed folds to ``("infeasible", reason)`` without being
+    dispatched (the reason is the text the placement raises, which a
+    cell's own ``execute`` would raise too).  The feasible rest are
     scheduled on ``backend`` (an
     :class:`~repro.backends.ExecutionBackend`; the process-wide
     default — the crash-isolated worker-process pool — when ``None``).
@@ -420,6 +443,19 @@ def run_requests(requests: Sequence[JobRequest],
         first_index_for_key[keys[i]] = i
         pending.append(i)
 
+    for i in list(pending):
+        cell = requests[i]
+        try:
+            if cell.affinity is None:
+                resolve_scheme(cell.scheme, cell.spec, cell.workload.ntasks,
+                               parked=cell.parked)
+        except InfeasibleSchemeError as exc:
+            folded[i] = ("infeasible", str(exc))
+            pending.remove(i)
+            stats.add(infeasible=1)
+        except Exception:
+            pass  # not a dash: the backend runs the cell and folds the error
+
     if pending:
         todo = [requests[i] for i in pending]
         _metrics.inc("executor_dispatched_total", len(todo))
@@ -438,9 +474,7 @@ def run_requests(requests: Sequence[JobRequest],
             answers = [future.result() for future in futures]
             timer.note(parallel=jobs > 1)
         for i, (status, payload) in zip(pending, answers):
-            if status == "infeasible":
-                stats.add(infeasible=1)
-            elif status == "failed":
+            if status == "failed":
                 stats.add(failed=1)
                 _metrics.inc("executor_failed_total")
                 detail = payload or {}

@@ -32,8 +32,8 @@ it is delivered, then forgotten.  On top sits an **async job queue**:
 
 ``run(request)`` is the synchronous form: it executes in the calling
 thread (attaching to an in-flight twin when one exists) and returns the
-:class:`RunResult` directly; ``run_many`` and ``prefetch`` are its
-batch forms.  The sweep methods (:meth:`scheme_sweep`,
+:class:`RunResult` directly; ``run_many``, ``outcomes`` and
+``prefetch`` are its batch forms.  The sweep methods (:meth:`scheme_sweep`,
 :meth:`compare_schemes`, :meth:`scaling_study`) are the typed,
 session-routed sweep drivers.
 
@@ -289,11 +289,7 @@ class Session:
         cells live under their own cache addresses and worker processes
         receive the settings by value.
         """
-        tier = job.tier if job.tier is not None else self.tier
-        faults = job.faults if job.faults is not None else self.faults
-        if tier is job.tier and faults is job.faults:
-            return job
-        return replace(job, tier=tier, faults=faults)
+        return job.filled(self.tier, self.faults)
 
     def _job(self, request: Union[RunRequest, JobRequest]) -> _Job:
         """A job for ``request``: its cell and content address."""
@@ -566,22 +562,29 @@ class Session:
         return [future.result()
                 for future, _entry in self._claims(requests, jobs=jobs)]
 
+    def outcomes(self, requests: Sequence[Any]) -> List[Outcome]:
+        """Each cell's outcome, in order: the batch read, answered from
+        the outcome table, the rest run as one executor flight."""
+        outcomes = []
+        for future, entry in self._claims(requests):
+            future.result()  # a twin another thread owns may still fly
+            outcomes.append(entry.outcome if isinstance(entry, _Job)
+                            else entry)
+        return outcomes
+
     def prefetch(self, requests: Sequence[JobRequest]) -> List[TargetFailure]:
         """Settle a batch of cells in one flight; returns the failed ones.
 
-        The bench builders keep their readable serial loops; calling
-        this first settles their cells as one flight (in parallel with
-        ``jobs > 1``), so every later :meth:`run` is answered from the
-        outcome table.
-        Each failed cell is reported once, ``index`` its first position.
+        Calling this first settles the cells of several later reads as
+        one flight (in parallel with ``jobs > 1``), so every later
+        :meth:`run` or :meth:`outcomes` is answered from the outcome
+        table.  Each failed cell is reported once, ``index`` its first
+        position.
         """
-        failed: Dict[int, TargetFailure] = {}  # twins share one entry
-        for index, (future, entry) in enumerate(self._claims(requests)):
-            future.result()
-            status, payload = entry.outcome if isinstance(entry, _Job) \
-                else entry
+        failed: Dict[int, TargetFailure] = {}  # twins share one payload
+        for index, (status, payload) in enumerate(self.outcomes(requests)):
             if status == "failed":
-                failed.setdefault(id(entry), replace(payload, index=index))
+                failed.setdefault(id(payload), replace(payload, index=index))
         return list(failed.values())
 
     def failure(self, key: Optional[str]) -> Optional[TargetFailure]:

@@ -15,22 +15,23 @@ correlations plus wall-clock totals; ``repro-bench regress
 table's correlation falls below ``1 - RANK_CORRELATION_DROP`` (the same
 tolerance the fidelity gate applies to model-vs-paper agreement).
 
-Everything here is dependency-light on purpose: the rank correlation is
-computed in pure python (no scipy), so the gate also runs on the
-numpy-less fallback path.
+Everything here is dependency-light on purpose: the rank correlation
+(:func:`repro.core.metrics.spearman`) is computed in pure python (no
+scipy), so the gate also runs on the numpy-less fallback path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..core.metrics import spearman
 
 __all__ = [
     "calibration_tables",
     "compare",
     "format_report",
-    "spearman",
 ]
 
 
@@ -74,47 +75,6 @@ def calibration_tables() -> List[Tuple[str, List[Any]]]:
             ]
             tables.append((f"{spec.name.lower()}:{family}", requests))
     return tables
-
-
-def _ranks(values: Sequence[float]) -> List[float]:
-    """Average ranks (1-based; ties share the mean of their positions)."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while (j + 1 < len(order)
-               and values[order[j + 1]] == values[order[i]]):
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
-
-
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Spearman rank correlation (tie-aware, pure python).
-
-    The one Spearman of the repository, shared by the surrogate gate
-    and the fidelity gate; tests pin it to ``scipy.stats.spearmanr``.
-
-    ``None`` when fewer than two pairs or either side is constant —
-    a degenerate table neither passes nor fails on correlation alone.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    if len(xs) < 2:
-        return None
-    rx, ry = _ranks(xs), _ranks(ys)
-    mx = sum(rx) / len(rx)
-    my = sum(ry) / len(ry)
-    sxx = sum((r - mx) ** 2 for r in rx)
-    syy = sum((r - my) ** 2 for r in ry)
-    if sxx == 0 or syy == 0:
-        return None
-    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    return sxy / (sxx * syy) ** 0.5
 
 
 def _sweep(requests, tier: str, jobs, cache) -> Tuple[List[Any], float]:

@@ -20,8 +20,6 @@ import itertools
 import json
 import hashlib
 import os
-import platform
-import subprocess
 import threading
 import time
 from pathlib import Path
@@ -196,6 +194,8 @@ def hit_rate(record: Dict[str, Any]) -> Optional[float]:
 
 def git_sha() -> Optional[str]:
     """The repository HEAD commit, or None outside a usable checkout."""
+    import subprocess  # only a recorded run pays for the import
+
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"],
                               capture_output=True, text=True, timeout=5)
@@ -208,6 +208,8 @@ def git_sha() -> Optional[str]:
 
 def machine_info() -> Dict[str, Any]:
     """Where this run happened (folded into the machine hash)."""
+    import platform
+
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),

@@ -221,12 +221,18 @@ def test_session_accepts_backend_and_reports_gauges(tmp_path):
 def test_backend_accounting_counts_failures():
     backend = ThreadBackend()
     try:
-        # an unregistered in-memory workload still executes locally
-        futures = backend.submit_cells(
+        # the executor settles the infeasible cell; the backend runs and
+        # counts only the feasible one
+        outcomes = []
+        run_requests(
             [JobRequest(spec=tiger(),
                         workload=resolve_workload("stream", 16),
-                        scheme=AffinityScheme.ONE_MPI_LOCAL)])
-        status, _ = futures[0].result()
+                        scheme=AffinityScheme.ONE_MPI_LOCAL),
+             JobRequest(spec=tiger(),
+                        workload=resolve_workload("stream", 2))],
+            cache=ResultCache(disk=False), backend=backend,
+            outcomes=outcomes)
+        status, _ = outcomes[0]
         assert status == "infeasible"
         gauges = backend.gauges()
         assert gauges["backend_submitted"] == 1

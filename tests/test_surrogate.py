@@ -29,6 +29,7 @@ from repro.core.affinity import AffinityScheme, resolve_scheme
 from repro.core.ops import (Allgather, Allreduce, Alltoall, Barrier, Bcast,
                             Compute, MarkerStart, MarkerStop, Recv, Reduce,
                             Send, SendRecv)
+from repro.core.metrics import spearman
 from repro.core.parallel import JobRequest
 from repro.core.workload import Workload
 from repro.errors import SurrogateUnsupportedError
@@ -37,7 +38,6 @@ from repro.machine import dmz, longs
 from repro.mpi.implementations import LAM, MPICH2
 from repro.service.session import Session
 from repro.surrogate import SurrogateEvaluator, unsupported_reason
-from repro.surrogate.calibration import spearman
 from repro.workloads.hpcc import (HpccDgemm, HpccHpl, HpccRandomAccess,
                                   HpccStream, RingExchange)
 from repro.workloads.hybrid import HybridNasCG, HybridNasFT, hybrid_affinity
