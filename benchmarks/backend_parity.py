@@ -40,7 +40,7 @@ from repro.backends import (  # noqa: E402
 )
 from repro.core.affinity import AffinityScheme  # noqa: E402
 from repro.core.cache import ResultCache  # noqa: E402
-from repro.core.parallel import run_requests, take_failures  # noqa: E402
+from repro.core.parallel import run_requests  # noqa: E402
 from repro.service.protocol import handle_request  # noqa: E402
 from repro.service.registry import resolve_workload  # noqa: E402
 from repro.service.session import Session  # noqa: E402
@@ -78,13 +78,15 @@ def canonical(results) -> str:
 
 def run_backend(backend, cache_dir) -> str:
     start = time.perf_counter()
+    outcomes = []
     try:
         results = run_requests(build_cells(),
                                cache=ResultCache(directory=cache_dir),
-                               jobs=4, backend=backend)
+                               jobs=4, backend=backend, outcomes=outcomes)
     finally:
         backend.close()
-    failures = take_failures()
+    failures = [payload for status, payload in outcomes
+                if status == "failed"]
     if failures:
         for failure in failures:
             print(f"  failure: {failure.message}", file=sys.stderr)

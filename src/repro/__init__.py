@@ -17,7 +17,7 @@ The package provides:
 * :mod:`repro.apps` — molecular-dynamics (AMBER-like, LAMMPS-like) and
   ocean-model (POP-like) applications;
 * :mod:`repro.core` — the characterization toolkit: affinity schemes,
-  experiments, sweeps, metrics, reports;
+  the cell value and its executor, metrics, reports;
 * :mod:`repro.bench` — one generator per paper table and figure.
 
 Quickstart::
@@ -32,7 +32,7 @@ Quickstart::
 """
 
 from . import core, machine, mpi, numa, osmodel, sim
-from .core import AffinityScheme, Experiment, JobResult, run_workload
+from .core import AffinityScheme, JobResult, run_workload
 from .machine import by_name, dmz, longs, tiger
 
 __version__ = "1.0.0"
@@ -45,7 +45,6 @@ __all__ = [
     "osmodel",
     "sim",
     "AffinityScheme",
-    "Experiment",
     "JobResult",
     "run_workload",
     "tiger",

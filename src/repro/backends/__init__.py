@@ -1,8 +1,8 @@
 """Pluggable execution backends behind one scheduling API.
 
-Every execution plane in the repo — ``Experiment.run()``, the sweep
-executor, the service :class:`~repro.service.session.Session`, the
-cluster router's shards — schedules cells through one contract,
+Every execution plane in the repo — the sweep executor, the service
+:class:`~repro.service.session.Session`, the cluster router's shards —
+schedules cells through one contract,
 :class:`~repro.backends.base.ExecutionBackend`:
 
 * :class:`~repro.backends.local.ProcessBackend` (the default) — a

@@ -113,19 +113,6 @@ class SleeperWorkload(Workload):
         yield Compute(flops=1.0)  # pragma: no cover - cancelled first
 
 
-def _build_request(cell: Dict[str, Any], tier: Optional[str] = None,
-                   faults: Any = None):
-    from ..core.parallel import JobRequest
-    from ..service.registry import (resolve_scheme_name, resolve_system,
-                                    resolve_workload)
-
-    return JobRequest(
-        spec=resolve_system(cell["system"]),
-        workload=resolve_workload(cell["workload"], cell["ntasks"]),
-        scheme=resolve_scheme_name(cell["scheme"]),
-        tier=tier, faults=faults)
-
-
 # -- cell determinism and cache-key soundness --------------------------------
 
 
@@ -133,18 +120,18 @@ def _check_cell_invariants(cell: Dict[str, Any], tier: Optional[str],
                            faults: Any) -> None:
     from ..core.parallel import run_request
     from ..errors import InfeasibleSchemeError
+    from ..service.protocol import cell_from_wire
 
-    request = _build_request(cell, tier=tier, faults=faults)
-    twin = _build_request(cell, tier=tier, faults=faults)
+    request = replace(cell_from_wire(cell).cell, tier=tier, faults=faults)
+    twin = replace(cell_from_wire(cell).cell, tier=tier, faults=faults)
     assert request.key() == twin.key(), \
         "cache key is not a pure function of the cell"
     if faults is not None:
-        healthy = _build_request(cell, tier=tier, faults=None)
+        healthy = replace(request, faults=None)
         assert request.key() != healthy.key(), \
             "a faulted cell shares its healthy twin's cache key"
     if tier == "auto":
-        resolved = _build_request(cell, tier=request.effective_tier(),
-                                  faults=faults)
+        resolved = replace(request, tier=request.effective_tier())
         assert request.key() == resolved.key(), \
             "tier=auto does not share the resolved tier's cache key"
 
@@ -184,17 +171,11 @@ def _check_shed_degrade(cell_list: List[Dict[str, Any]],
                         depth: int) -> None:
     from ..core.parallel import run_request
     from ..errors import QueueFullError
-    from ..service.api import RunRequest
-    from ..service.registry import (resolve_scheme_name, resolve_system,
-                                    resolve_workload)
+    from ..service.protocol import cell_from_wire
     from ..service.session import Session
 
-    def to_run_request(cell):
-        return RunRequest(
-            system=resolve_system(cell["system"]),
-            workload=resolve_workload(cell["workload"], cell["ntasks"]),
-            scheme=resolve_scheme_name(cell["scheme"]),
-            tier="auto")
+    jobs = [replace(cell_from_wire(cell).cell, tier="auto")
+            for cell in cell_list]
 
     with tempfile.TemporaryDirectory() as tmp:
         session = Session(cache=ResultCache(directory=os.path.join(
@@ -205,33 +186,31 @@ def _check_shed_degrade(cell_list: List[Dict[str, Any]],
         with session:
             # every submit beyond the queue depth must shed: auto cells
             # degrade to the surrogate inline instead of erroring out
-            for cell in cell_list:
+            for job in jobs:
                 try:
-                    futures.append((cell, session.submit(
-                        to_run_request(cell))))
+                    futures.append((job, session.submit(job)))
                 except QueueFullError:
                     rejected += 1
             session.resume()
             assert session.drain(timeout=60.0), \
                 "session failed to drain its accepted jobs"
-            results = [(cell, future.result()) for cell, future in futures]
+            results = [(job, future.result()) for job, future in futures]
         assert rejected == 0, \
             "an auto-tier cell was rejected instead of degraded"
         assert len(results) == len(cell_list), "an accepted job was lost"
         # duplicates coalesce (or hit the cache) at admission, so only
         # cells with distinct content addresses ever occupy queue slots
-        distinct = len({to_run_request(cell).key() for cell in cell_list})
+        distinct = len({job.key() for job in jobs})
         assert session.stats.degraded >= max(0, distinct - depth), \
             "overload did not shed to the surrogate fast path"
 
-        for cell, result in results:
+        for job, result in results:
             if result.status == "infeasible":
                 continue
             assert result.ok, \
                 f"accepted cell resolved as {result.status}: {result.error}"
             baseline = run_request(
-                _build_request(cell, tier="auto"),
-                cache=ResultCache(directory=os.path.join(tmp, "base")))
+                job, cache=ResultCache(directory=os.path.join(tmp, "base")))
             assert result.job.to_dict() == baseline.to_dict(), \
                 "a degraded result diverged from the serial baseline " \
                 "(cache-coherence violation)"
@@ -254,14 +233,14 @@ def _check_worker_loss(quick: int, victim: int, stall: bool, retries: int,
     resolves as a structured ``failed`` result of its kind.
     """
     from ..core import parallel
+    from ..core.parallel import JobRequest
     from ..machine import tiger
-    from ..service.api import RunRequest
     from ..service.session import Session
 
     spec = tiger()
-    cells = [RunRequest(system=spec, workload=_QuickWorkload(salt=i))
+    cells = [JobRequest(spec=spec, workload=_QuickWorkload(salt=i))
              for i in range(quick)]
-    lost = RunRequest(system=spec, workload=SleeperWorkload()
+    lost = JobRequest(spec=spec, workload=SleeperWorkload()
                       if stall else KamikazeWorkload())
     batch = cells[:victim] + [lost] + cells[victim:]
     kind = "timeout" if stall else "crash"
@@ -423,9 +402,9 @@ def _check_fault_effects(link_factor: float, lossy: Any,
     """
     from ..core.affinity import AffinityScheme
     from ..core.execution import run_workload
+    from ..core.parallel import JobRequest
     from ..faults import LinkDegrade, TransportExhaustedError
     from ..machine import longs
-    from ..service.api import RunRequest
     from ..service.session import Session
     from ..workloads import HpccStream, PingPong
 
@@ -451,7 +430,7 @@ def _check_fault_effects(link_factor: float, lossy: Any,
     else:
         raise AssertionError("retry exhaustion did not raise")
 
-    pingpong = RunRequest(system=spec, workload=PingPong(nbytes=65536))
+    pingpong = JobRequest(spec=spec, workload=PingPong(nbytes=65536))
     with tempfile.TemporaryDirectory() as tmp, \
             Session(cache=ResultCache(directory=tmp), jobs=1,
                     name="chaos") as session:

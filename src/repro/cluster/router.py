@@ -3,7 +3,7 @@
 The router speaks the same protocol as a single daemon — clients
 cannot tell the difference — and forwards every cell to one of N shards
 picked by **rendezvous (highest-random-weight) hashing of the cell's
-cache content address** (:meth:`RunRequest.key`).  That choice is what
+cache content address** (:meth:`JobRequest.key`).  That choice is what
 keeps the PR-5 coalescing guarantee cluster-wide: identical cells from
 any client hash to the same shard, whose session collapses them onto
 one in-flight simulation, while the shards' shared content-addressed

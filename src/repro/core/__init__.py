@@ -1,7 +1,8 @@
 """The characterization toolkit: the paper's methodology as a library.
 
-Affinity schemes (Table 5), the workload execution runtime, experiment
-and sweep drivers, metrics, and report rendering.
+Affinity schemes (Table 5), the workload execution runtime, the cell
+value (:class:`JobRequest`) and its executor, metrics, and report
+rendering.
 """
 
 from .affinity import (
@@ -17,11 +18,7 @@ from .parallel import JobRequest, run_request, run_requests
 from .analysis import ResourceReport, analyze
 from .execution import JobResult, JobRunner, run_workload
 from .timeline import render_timeline, to_chrome_trace
-from .experiment import (
-    ALL_SCHEMES,
-    Experiment,
-    SchemeComparison,
-)
+from .experiment import ALL_SCHEMES, SchemeComparison
 from .metrics import (
     bandwidth,
     best_scheme,
@@ -71,7 +68,6 @@ __all__ = [
     "JobRunner",
     "JobResult",
     "run_workload",
-    "Experiment",
     "SchemeComparison",
     "Op",
     "Compute",

@@ -1,11 +1,12 @@
 """Content-addressed result cache for deterministic experiment cells.
 
-Every ``Experiment.run()`` is deterministic by construction (DESIGN.md):
-the outcome is a pure function of the machine spec, the workload
-parameters, the resolved affinity, the MPI implementation, the lock
-sub-layer, and the parked-process count.  That makes each cell safe to
-memoize under a *content-addressed* key — a SHA-256 over the canonical
-form of exactly those inputs — rather than an ad-hoc name.
+Every cell (:class:`~repro.core.parallel.JobRequest`) is deterministic
+by construction (DESIGN.md): the outcome is a pure function of the
+machine spec, the workload parameters, the resolved affinity, the MPI
+implementation, the lock sub-layer, and the parked-process count.
+That makes each cell safe to memoize under a *content-addressed* key —
+a SHA-256 over the canonical form of exactly those inputs — rather
+than an ad-hoc name.
 
 Two tiers:
 

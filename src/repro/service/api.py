@@ -1,12 +1,12 @@
 """Typed request/result values of the characterization service.
 
-:class:`RunRequest` is the one description of "simulate this cell" that
-every entry point now routes through — the :class:`~.session.Session`
-facade, the sweep helpers, the wire protocol, and (via shims) the
-legacy free functions.  It is a frozen value: two requests describing
-the same cell hash to the same content address
-(:func:`repro.core.cache.job_key`), which is what request coalescing
-and the result cache key on.
+:class:`RunRequest` is what a served request adds to its cell: the
+cell itself is a :class:`~repro.core.parallel.JobRequest`, the one
+description of "simulate this cell" every layer carries.  Every
+:class:`~.session.Session` entry point takes either a bare cell or a
+:class:`RunRequest` around one; the wire protocol builds the latter.
+The content address (:meth:`JobRequest.key`) is the cell's alone, so
+tagged and traced twins still coalesce.
 
 :class:`RunResult` wraps the simulation outcome
 (:class:`~repro.core.execution.JobResult`) together with service
@@ -26,68 +26,41 @@ from typing import Any, Dict, Optional
 from ..core.cache import Uncacheable
 from ..core.execution import JobResult
 from ..core.parallel import JobRequest
-from ..core.workload import Workload
 from ..errors import InfeasibleSchemeError, JobFailedError
-from ..machine.topology import MachineSpec
 
 __all__ = ["RunRequest", "RunResult"]
 
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One characterization cell, fully described by value.
+    """One served cell: the :class:`JobRequest` plus request metadata.
 
-    The typed replacement for the old ad-hoc ``run(spec, workload,
-    scheme=..., lock=...)`` kwargs.  ``tag`` is a free-form client
-    label carried through to the matching :class:`RunResult`; it is
-    *not* part of the cell's content address, so differently-tagged
-    twins still coalesce.
+    ``tag`` is a free-form client label carried through to the matching
+    :class:`RunResult`; ``trace_id`` and ``parent_span`` are its
+    distributed-trace identity (see :mod:`repro.telemetry.tracing`).
+    None of them is part of the cell's content address.
     """
 
-    system: MachineSpec
-    workload: Workload
-    scheme: Any = None          # AffinityScheme; None = Default
-    affinity: Any = None        # ResolvedAffinity override
-    impl: Any = None            # MpiImplementation; None = OpenMPI
-    lock: Optional[str] = None
-    parked: int = 0
-    profile: bool = False
-    faults: Any = None          # FaultPlan
-    #: "fast" | "exact" | "auto"; None defers to the session's tier
-    tier: Optional[str] = None
+    cell: JobRequest
     tag: Optional[str] = None
-    #: distributed-trace identity (see telemetry.tracing); like ``tag``,
-    #: never part of the content address, so traced twins still coalesce
     trace_id: Optional[str] = None
     parent_span: Optional[str] = None
 
     def to_job(self) -> JobRequest:
-        """The executor/cache form of this request, taken as written.
+        """The cell, taken as written.
 
         A :class:`~.session.Session` fills its own ``tier`` and fault
         plan into a cell that leaves them ``None``; see
         :meth:`~.session.Session.cell`.
         """
-        from ..core.affinity import AffinityScheme
-
-        scheme = self.scheme if self.scheme is not None \
-            else AffinityScheme.DEFAULT
-        return JobRequest(spec=self.system, workload=self.workload,
-                          scheme=scheme, affinity=self.affinity,
-                          impl=self.impl, lock=self.lock,
-                          parked=self.parked, profile=self.profile,
-                          faults=self.faults, tier=self.tier)
+        return self.cell
 
     def key(self) -> Optional[str]:
         """Content address of the cell, or ``None`` when uncacheable."""
         try:
-            return self.to_job().key()
+            return self.cell.key()
         except Uncacheable:
             return None
-
-    def label(self) -> str:
-        """Short human-readable cell description (for logs/failures)."""
-        return self.to_job().label()
 
 
 @dataclass

@@ -49,6 +49,7 @@ import json
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.parallel import JobRequest
 from ..errors import ProtocolError, ReproError, error_code
 from ..telemetry import metrics as metrics_mod
 from ..telemetry import tracing
@@ -73,7 +74,8 @@ def encode_line(message: Dict[str, Any]) -> bytes:
 
 
 def cell_from_wire(cell: Any) -> RunRequest:
-    """Build a typed :class:`RunRequest` from a wire cell description."""
+    """The :class:`RunRequest` (its cell a :class:`JobRequest`) a wire
+    cell describes."""
     if not isinstance(cell, dict):
         raise ProtocolError("cell must be a JSON object")
     try:
@@ -100,11 +102,10 @@ def cell_from_wire(cell: Any) -> RunRequest:
             "'tier' must be 'fast', 'exact', 'auto' or null")
     tag = cell.get("tag")
     trace_id, parent_span = tracing.trace_from_cell(cell)
-    return RunRequest(system=system, workload=workload, scheme=scheme,
-                      lock=lock, parked=int(cell.get("parked", 0)),
-                      profile=bool(cell.get("profile", False)),
-                      tier=tier,
-                      tag=str(tag) if tag is not None else None,
+    job = JobRequest(spec=system, workload=workload, scheme=scheme,
+                     lock=lock, parked=int(cell.get("parked", 0)),
+                     profile=bool(cell.get("profile", False)), tier=tier)
+    return RunRequest(job, tag=str(tag) if tag is not None else None,
                       trace_id=trace_id, parent_span=parent_span)
 
 

@@ -33,7 +33,9 @@ it is delivered, then forgotten.  On top sits an **async job queue**:
 ``run(request)`` is the synchronous form: it executes in the calling
 thread (attaching to an in-flight twin when one exists) and returns the
 :class:`RunResult` directly; ``run_many``, ``outcomes`` and
-``prefetch`` are its batch forms.  The sweep methods (:meth:`scheme_sweep`,
+``prefetch`` are its batch forms.  Every entry point takes a bare
+:class:`~repro.core.parallel.JobRequest` or a :class:`~.api.RunRequest`
+around one.  The sweep methods (:meth:`scheme_sweep`,
 :meth:`compare_schemes`, :meth:`scaling_study`) are the typed,
 session-routed sweep drivers.
 
@@ -68,6 +70,9 @@ from ..errors import (
 from ..telemetry import metrics, tracing
 from ..telemetry.tracing import span
 from .api import RunRequest, RunResult
+
+#: what every entry point takes: a bare cell or a served request around one
+Request = Union[RunRequest, JobRequest]
 
 __all__ = ["ServiceStats", "Session", "default_session", "set_default_session"]
 
@@ -138,7 +143,7 @@ class ServiceStats:
 
 class _Job:
     """One cell in flight and its waiters; ``request`` (``None`` for a
-    prefetch cell) names the trace the executor hop joins."""
+    bare cell) carries the tag and the trace the executor hop joins."""
 
     __slots__ = ("request", "job_request", "key", "waiters",
                  "submitted_at", "outcome", "degraded")
@@ -155,6 +160,10 @@ class _Job:
         self.degraded = False
         #: the terminal outcome once delivered
         self.outcome: Optional[Outcome] = None
+
+    @property
+    def tag(self) -> Optional[str]:
+        return self.request.tag if self.request is not None else None
 
     def failed(self, kind: str, message: str) -> Outcome:
         """A ``failed`` outcome for this cell, shaped like the executor's."""
@@ -291,12 +300,13 @@ class Session:
         """
         return job.filled(self.tier, self.faults)
 
-    def _job(self, request: Union[RunRequest, JobRequest]) -> _Job:
-        """A job for ``request``: its cell and content address."""
-        if isinstance(request, JobRequest):  # a bare prefetch cell
+    def _job(self, request: Request) -> _Job:
+        """A job for ``request``: its cell and content address.  The one
+        place a :class:`RunRequest` is unwrapped."""
+        if isinstance(request, JobRequest):
             request, cell = None, self.cell(request)
         else:
-            cell = self.cell(request.to_job())
+            cell = self.cell(request.cell)
         try:
             key = cell.key()
         except Uncacheable:
@@ -357,14 +367,15 @@ class Session:
 
     # -- the async plane -------------------------------------------------
 
-    def _hop(self, request: RunRequest) -> Any:
+    def _hop(self, job: _Job) -> Any:
         """A traced waiter's ``session_job`` span, submit to delivery."""
-        if request.trace_id is None:
+        request = job.request
+        if request is None or request.trace_id is None:
             return tracing.NULL_SPAN
         with tracing.context(request.trace_id, request.parent_span):
             return span("session_job", session=self.name)
 
-    def submit(self, request: RunRequest) -> "Future[RunResult]":
+    def submit(self, request: Request) -> "Future[RunResult]":
         """Queue one cell; the future resolves to its :class:`RunResult`.
 
         Admission order: coalesce onto an in-flight twin (free), answer
@@ -382,7 +393,8 @@ class Session:
         address as the queued path would produce); everything else is
         rejected with a live ``retry_after``.
         """
-        hop = self._hop(request)
+        job = self._job(request)
+        hop = self._hop(job)
         degrade: Optional[_Job] = None
         with self._cond:
             if self._closed or self._draining:
@@ -393,13 +405,12 @@ class Session:
                     f"{'closed' if self._closed else 'draining'}")
             self.stats.submitted += 1
             metrics.inc("service_submitted_total")
-            job = self._job(request)
             key = job.key
             if key is not None and key not in self._table:
                 hit = self.cache.get(key)
                 if hit is not None:
                     self._table[key] = ("ok", hit)
-            future, entry = self._admit_locked(job, request.tag, hop)
+            future, entry = self._admit_locked(job, hop)
             if entry is not job:
                 return future
             overloaded = len(self._queue) >= self.max_pending
@@ -445,8 +456,7 @@ class Session:
             self._fly([degrade])
         return future
 
-    def _admit_locked(self, job: _Job, tag: Optional[str],
-                      hop: Any = tracing.NULL_SPAN
+    def _admit_locked(self, job: _Job, hop: Any = tracing.NULL_SPAN
                       ) -> Tuple["Future[RunResult]", Union[_Job, Outcome]]:
         """Look ``job``'s cell up in the outcome table (caller holds the
         lock): the waiter's future and the entry that answers it.
@@ -460,7 +470,7 @@ class Session:
         if isinstance(entry, _Job):
             self.stats.coalesced += 1
             metrics.inc("service_coalesce_hits_total")
-            entry.waiters.append((future, hop, tag))
+            entry.waiters.append((future, hop, job.tag))
             return future, entry
         if entry is not None:
             self.stats.cache_hits += 1
@@ -468,9 +478,9 @@ class Session:
             self._account(entry[0], computed=False)
             hop.note(source="cache")
             hop.end()
-            future.set_result(_result(entry, job.key, tag, "cache"))
+            future.set_result(_result(entry, job.key, job.tag, "cache"))
             return future, entry
-        job.waiters.append((future, hop, tag))
+        job.waiters.append((future, hop, job.tag))
         if job.key is not None:
             self._table[job.key] = job
         return future, job
@@ -539,18 +549,17 @@ class Session:
 
     # -- the sync plane ---------------------------------------------------
 
-    def run(self, request: Union[RunRequest, JobRequest]) -> RunResult:
+    def run(self, request: Request) -> RunResult:
         """Execute one cell synchronously and return its result.
 
         Answered from the outcome table, or attached to the cell's job
         in flight; otherwise executes in the calling thread through the
         same cache/executor path the dispatcher uses, so sync and
-        served results are byte-identical.  A bare :class:`JobRequest`
-        (what the bench builders pass) runs like its ``RunRequest``.
+        served results are byte-identical.
         """
         return self._claims([request])[0][0].result()
 
-    def run_many(self, requests: Sequence[RunRequest],
+    def run_many(self, requests: Sequence[Request],
                  jobs: Optional[int] = None) -> List[RunResult]:
         """Execute a batch synchronously, in request order.
 
@@ -562,7 +571,7 @@ class Session:
         return [future.result()
                 for future, _entry in self._claims(requests, jobs=jobs)]
 
-    def outcomes(self, requests: Sequence[Any]) -> List[Outcome]:
+    def outcomes(self, requests: Sequence[Request]) -> List[Outcome]:
         """Each cell's outcome, in order: the batch read, answered from
         the outcome table, the rest run as one executor flight."""
         outcomes = []
@@ -572,7 +581,7 @@ class Session:
                             else entry)
         return outcomes
 
-    def prefetch(self, requests: Sequence[JobRequest]) -> List[TargetFailure]:
+    def prefetch(self, requests: Sequence[Request]) -> List[TargetFailure]:
         """Settle a batch of cells in one flight; returns the failed ones.
 
         Calling this first settles the cells of several later reads as
@@ -595,7 +604,7 @@ class Session:
             return entry[1]
         return None
 
-    def _claims(self, requests: Sequence[Any], jobs: Optional[int] = None
+    def _claims(self, requests: Sequence[Request], jobs: Optional[int] = None
                 ) -> List[Tuple["Future[RunResult]", Union[_Job, Outcome]]]:
         """Admit a batch of cells and run the ones this thread owns as
         one flight; each cell's future and the entry answering it."""
@@ -604,8 +613,7 @@ class Session:
             if self._closed:
                 raise SessionClosedError(f"session {self.name!r} is closed")
             self.stats.submitted += len(batch)
-            claims = [self._admit_locked(job, job.request and job.request.tag)
-                      for job in batch]
+            claims = [self._admit_locked(job) for job in batch]
         owned = [job for job, (_f, entry) in zip(batch, claims)
                  if entry is job]
         if owned:
@@ -819,7 +827,7 @@ class Session:
         for ntasks in task_counts:
             workload = workload_factory(ntasks)
             for scheme in schemes:
-                requests.append(RunRequest(system=system, workload=workload,
+                requests.append(JobRequest(spec=system, workload=workload,
                                            scheme=scheme, impl=impl,
                                            lock=lock, tier=tier))
         with span("sweep", kind="scheme_sweep", table=table.title,
@@ -843,7 +851,7 @@ class Session:
         schemes = tuple(ALL_SCHEMES) if schemes is None else tuple(schemes)
         value = value if value is not None else (lambda r: r.wall_time)
         workload = workload_factory()
-        requests = [RunRequest(system=system, workload=workload,
+        requests = [JobRequest(spec=system, workload=workload,
                                scheme=scheme, impl=impl, lock=lock,
                                tier=tier)
                     for scheme in schemes]
@@ -877,15 +885,14 @@ class Session:
         requests = []
         cells: List[Tuple[Any, Optional[int]]] = []
         for system in systems:
-            requests.append(RunRequest(system=system,
+            requests.append(JobRequest(spec=system,
                                        workload=workload_factory(1),
-                                       scheme=AffinityScheme.DEFAULT,
                                        impl=impl, tier=tier))
             cells.append((system, None))
             for n in task_counts:
                 if n > system.total_cores:
                     continue
-                requests.append(RunRequest(system=system,
+                requests.append(JobRequest(spec=system,
                                            workload=workload_factory(n),
                                            scheme=scheme, impl=impl,
                                            tier=tier))
@@ -916,8 +923,7 @@ _DEFAULT_SESSION_LOCK = threading.Lock()
 def default_session() -> Session:
     """The process-wide session (shares the default result cache).
 
-    The compatibility shims in :mod:`repro.core.experiment` and
-    :mod:`repro.bench.common` delegate here, so legacy callers and new
+    :mod:`repro.bench.common` delegates here, so the bench builders and
     session-based code share one outcome table and one cache.
     """
     global _DEFAULT_SESSION

@@ -10,10 +10,10 @@ measures per-table Spearman rank correlation of fast-vs-exact wall
 times.
 
 :func:`compare` runs the sweep in both tiers and returns the per-table
-correlations plus wall-clock totals; ``repro-bench regress
---surrogate-gate`` and the CI ``surrogate-gate`` job fail when any
-table's correlation falls below ``1 - RANK_CORRELATION_DROP`` (the same
-tolerance the fidelity gate applies to model-vs-paper agreement).
+correlations plus wall-clock totals; ``benchmarks/surrogate_gate.py``
+(CI's ``surrogate-gate`` job) fails when any table's correlation falls
+below ``1 - RANK_CORRELATION_DROP`` (the same tolerance the fidelity
+gate applies to model-vs-paper agreement).
 
 Everything here is dependency-light on purpose: the rank correlation
 (:func:`repro.core.metrics.spearman`) is computed in pure python (no

@@ -357,68 +357,32 @@ def main(argv=None) -> int:
                         metavar="DELTA",
                         help="subtract DELTA from the candidate's rank "
                              "correlations before gating (gate self-test)")
-    parser.add_argument("--surrogate-gate", action="store_true",
-                        help="also run the pinned calibration sweep in "
-                             "both execution tiers and fail when any "
-                             "table's fast-vs-exact rank correlation "
-                             "drops below 1 - RANK_CORRELATION_DROP")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the calibration sweep "
-                             "(only with --surrogate-gate)")
     args = parser.parse_args(argv)
 
-    failures: List[str] = []
-    notes: List[str] = []
-    if args.surrogate_gate:
-        from ..surrogate.calibration import compare, format_report
-
-        report = compare(jobs=args.jobs)
-        print(format_report(report))
-        floor = 1.0 - RANK_CORRELATION_DROP
-        for table, scores in sorted(report["tables"].items()):
-            rho = scores["rank_correlation"]
-            if rho is not None and rho < floor:
-                failures.append(
-                    f"surrogate: {table} fast-vs-exact rank correlation "
-                    f"{rho:.3f} < {floor:g}")
-        mean = report["mean_rank_correlation"]
-        if mean is None:
-            failures.append("surrogate: calibration sweep produced no "
-                            "scorable tables")
-        elif mean < floor:
-            failures.append(f"surrogate: mean fast-vs-exact rank "
-                            f"correlation {mean:.3f} < {floor:g}")
-
     records = ledger.read_records(args.ledger_dir)
-    summary = None
     try:
-        summary, ledger_failures, ledger_notes = evaluate(
+        summary, failures, notes = evaluate(
             records, window=max(1, args.window),
             inject_slowdown=args.inject_slowdown,
             inject_fidelity_drop=args.inject_fidelity_drop)
-        failures.extend(ledger_failures)
-        notes.extend(ledger_notes)
     except ValueError as exc:
-        if not args.surrogate_gate:
-            print(f"regress: {exc} under "
-                  f"{ledger.ledger_dir(args.ledger_dir)} "
-                  "(run repro-bench with --ledger first)", file=sys.stderr)
-            return 2
-        notes.append(f"{exc}; ledger gates skipped")
+        print(f"regress: {exc} under "
+              f"{ledger.ledger_dir(args.ledger_dir)} "
+              "(run repro-bench with --ledger first)", file=sys.stderr)
+        return 2
 
-    if summary is not None:
-        print(f"candidate: {summary['run_id']} ({summary['class']}, "
-              f"{summary['elapsed_s']:.2f}s)")
-        if summary["baseline_runs"]:
-            print(f"baseline:  median of {len(summary['baseline_runs'])} "
-                  f"comparable run(s)")
+    print(f"candidate: {summary['run_id']} ({summary['class']}, "
+          f"{summary['elapsed_s']:.2f}s)")
+    if summary["baseline_runs"]:
+        print(f"baseline:  median of {len(summary['baseline_runs'])} "
+              f"comparable run(s)")
     for note in notes:
         print(f"note: {note}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         print("ok: no regressions against the rolling baseline")
-    if args.export and summary is not None:
+    if args.export:
         export_history(records, summary, failures, notes, args.export)
         print(f"[history summary written to {args.export}]")
     return 1 if failures else 0

@@ -19,20 +19,13 @@ from repro.backends import (
 )
 from repro.core.affinity import AffinityScheme
 from repro.core.cache import ResultCache
-from repro.core.parallel import JobRequest, run_requests, take_failures
+from repro.core.parallel import JobRequest, run_requests
 from repro.errors import ProtocolError
 from repro.machine import longs, tiger
 from repro.service.protocol import cell_from_wire, handle_request
 from repro.service.registry import resolve_workload, wire_cell_for
 from repro.service.session import Session
 from repro.service.transport import make_server, serve_in_thread
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    take_failures()
-    yield
-    take_failures()
 
 
 def _cells():
@@ -56,14 +49,24 @@ def _canon(results):
                        for r in results], sort_keys=True)
 
 
+def _run(cells, **kwargs):
+    """``run_requests`` with its outcomes read back: the results and
+    the failed cells."""
+    outcomes = []
+    results = run_requests(cells, outcomes=outcomes, **kwargs)
+    return results, [payload for status, payload in outcomes
+                     if status == "failed"]
+
+
 def _run_with(backend, tmp_path, sub):
     cache = ResultCache(directory=tmp_path / sub)
     try:
-        return run_requests(_cells(), cache=cache, jobs=2,
-                            backend=backend)
+        results, failures = _run(_cells(), cache=cache, jobs=2,
+                                 backend=backend)
     finally:
         backend.close()
-        take_failures()
+    assert failures == []
+    return results
 
 
 # -- parity ------------------------------------------------------------------
@@ -84,10 +87,10 @@ def test_remote_backend_matches_local_byte_for_byte(tmp_path):
     serve_in_thread(server, "backend-parity")
     backend = RemoteBackend(f"127.0.0.1:{server.address[1]}")
     try:
-        via_remote = run_requests(
+        via_remote, failures = _run(
             _cells(), cache=ResultCache(directory=tmp_path / "remote"),
             jobs=2, backend=backend)
-        take_failures()
+        assert failures == []
         assert _canon(via_remote) == _canon(via_threads)
         assert backend.healthy()
     finally:
@@ -100,16 +103,15 @@ def test_remote_backend_matches_local_byte_for_byte(tmp_path):
 def test_backend_never_in_the_cache_key(tmp_path):
     """One warm cache serves every backend: keys are backend-free."""
     cache_dir = tmp_path / "shared"
-    first = run_requests(_cells(), cache=ResultCache(directory=cache_dir),
-                         jobs=2, backend=ThreadBackend())
+    first, _ = _run(_cells(), cache=ResultCache(directory=cache_dir),
+                    jobs=2, backend=ThreadBackend())
     warm = ResultCache(directory=cache_dir)
-    second = run_requests(_cells(), cache=warm, jobs=2,
-                          backend=ProcessBackend())
-    assert _canon(first) == _canon(second)
+    second, failures = _run(_cells(), cache=warm, jobs=2,
+                            backend=ProcessBackend())
+    assert _canon(first) == _canon(second) and failures == []
     # every feasible cell was a hit; only the infeasible one (which is
     # never stored) re-dispatched
     assert warm.stats.disk_hits == 3 and warm.stats.misses == 1
-    take_failures()
 
 
 # -- wire spelling -----------------------------------------------------------
@@ -152,12 +154,11 @@ def test_remote_isolates_inexpressible_cells_per_cell(tmp_path):
                      affinity=resolve_scheme(AffinityScheme.DEFAULT,
                                              spec, 4))
     try:
-        results = run_requests([good, bad],
-                               cache=ResultCache(directory=tmp_path / "c"),
-                               backend=backend)
+        results, failures = _run([good, bad],
+                                 cache=ResultCache(directory=tmp_path / "c"),
+                                 backend=backend)
         assert results[0] is not None and results[0].wall_time > 0
         assert results[1] is None
-        failures = take_failures()
         assert len(failures) == 1
         assert "wire spelling" in failures[0].message
     finally:
@@ -208,9 +209,8 @@ def test_resolve_backend_spellings():
 def test_session_accepts_backend_and_reports_gauges(tmp_path):
     with Session(cache=ResultCache(directory=tmp_path),
                  backend="threads:2") as session:
-        from repro.service import RunRequest
-        result = session.run(RunRequest(
-            system=longs(), workload=resolve_workload("stream", 4)))
+        result = session.run(JobRequest(
+            spec=longs(), workload=resolve_workload("stream", 4)))
         assert result.ok
         gauges = session.gauges()
         assert gauges.get("backend_submitted", 0) >= 1
@@ -252,11 +252,11 @@ def test_closing_one_process_backend_keeps_anothers_workers(tmp_path):
     before = workers()
     first, second = ProcessBackend(jobs=2), ProcessBackend(jobs=2)
     try:
-        run_requests(_cells(), cache=ResultCache(directory=tmp_path / "a"),
-                     jobs=2, backend=first)
+        _run(_cells(), cache=ResultCache(directory=tmp_path / "a"),
+             jobs=2, backend=first)
         first_pids = workers() - before
-        run_requests(_cells(), cache=ResultCache(directory=tmp_path / "b"),
-                     jobs=2, backend=second)
+        _run(_cells(), cache=ResultCache(directory=tmp_path / "b"),
+             jobs=2, backend=second)
         second_pids = workers() - before - first_pids
         assert first_pids and second_pids
         first.close()
@@ -264,16 +264,15 @@ def test_closing_one_process_backend_keeps_anothers_workers(tmp_path):
         assert not first_pids & alive
         assert second_pids <= alive
         # the surviving pool still serves, on the same workers
-        again = run_requests(_cells(),
-                             cache=ResultCache(directory=tmp_path / "c"),
-                             jobs=2, backend=second)
+        again, _ = _run(_cells(),
+                        cache=ResultCache(directory=tmp_path / "c"),
+                        jobs=2, backend=second)
         assert _canon(again) == _canon(_run_with(ThreadBackend(), tmp_path,
                                                  "threads"))
         assert second_pids <= workers()
     finally:
         first.close()
         second.close()
-        take_failures()
 
 
 def test_concurrent_flights_share_one_process_backend(tmp_path):
@@ -285,9 +284,9 @@ def test_concurrent_flights_share_one_process_backend(tmp_path):
     got = {}
 
     def flight(name):
-        got[name] = _canon(run_requests(
+        got[name] = _canon(_run(
             _cells(), cache=ResultCache(directory=tmp_path / name),
-            jobs=2, backend=backend))
+            jobs=2, backend=backend)[0])
 
     threads = [threading.Thread(target=flight, args=(f"flight-{i}",))
                for i in range(3)]
@@ -300,4 +299,3 @@ def test_concurrent_flights_share_one_process_backend(tmp_path):
         assert got == {f"flight-{i}": expected for i in range(3)}
     finally:
         backend.close()
-        take_failures()

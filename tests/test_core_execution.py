@@ -9,7 +9,6 @@ from repro.core import (
     Allreduce,
     Barrier,
     Compute,
-    Experiment,
     JobRunner,
     Op,
     SendRecv,
@@ -197,15 +196,6 @@ def test_unknown_op_raises():
     wl = OpsWorkload([Bogus()], ntasks=1)
     with pytest.raises(TypeError):
         run_workload(spec, wl)
-
-
-def test_experiment_wrapper_runs():
-    spec = dmz()
-    wl = OpsWorkload([Compute(flops=1e8, flop_efficiency=1.0)], ntasks=2)
-    result = Experiment(spec, wl, AffinityScheme.DEFAULT).run()
-    assert result.system == "DMZ"
-    assert result.scheme == "Default"
-    assert result.ntasks == 2
 
 
 def test_determinism_of_runs():

@@ -8,9 +8,9 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-#: fast examples run in CI; the omitted ones (md_simulation, ocean_model,
-#: placement_study, custom_machine) cover the same code paths but take
-#: minutes of full sweeps
+#: the examples this suite runs; CI's examples job runs every script,
+#: the omitted ones (md_simulation, ocean_model, placement_study,
+#: custom_machine) included
 FAST_EXAMPLES = ["quickstart.py", "mpi_comparison.py",
                  "bottleneck_analysis.py", "hybrid_programming.py",
                  "characterize_your_app.py"]
@@ -18,9 +18,8 @@ FAST_EXAMPLES = ["quickstart.py", "mpi_comparison.py",
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
 def test_example_runs(script):
-    # -W error::DeprecationWarning: examples must use the Session API,
-    # never the deprecated shims (those are exercised only in
-    # tests/test_deprecations.py)
+    # -W error::DeprecationWarning: examples must run warning-free, as
+    # CI's examples job runs them
     result = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning",
          str(EXAMPLES / script)],

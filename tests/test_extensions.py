@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.md import lj_forces, neighbor_pairs, steepest_descent
 from repro.bench.extensions import ext_hybrid_scaling
-from repro.core import AffinityScheme, run_workload
+from repro.core import AffinityScheme, JobRequest, run_workload
 from repro.core import cache as result_cache
 from repro.machine import describe, distance_table, dmz, hypothetical, longs
 from repro.numa import (
@@ -17,8 +17,7 @@ from repro.numa import (
     PageTable,
     numastat,
 )
-from repro.service import (RunRequest, Session, default_session,
-                           set_default_session)
+from repro.service import Session, default_session, set_default_session
 from repro.sim.engine import Engine
 from repro.surrogate.evaluator import SurrogateEvaluator
 from repro.workloads import ImbAllreduce, ImbBcast, ImbSendRecv
@@ -227,8 +226,8 @@ def test_hybrid_cells_agree_across_tiers(tmp_path):
             with Session(cache=result_cache.ResultCache(
                     directory=tmp_path / tier, disk=False),
                     tier=tier) as session:
-                results[tier] = session.run(RunRequest(
-                    system=spec, workload=HybridNasCG(sockets, 2),
+                results[tier] = session.run(JobRequest(
+                    spec=spec, workload=HybridNasCG(sockets, 2),
                     affinity=hybrid_affinity(spec, sockets, 2))).require()
         exact, fast = results["exact"], results["fast"]
         assert fast.wall_time == pytest.approx(exact.wall_time, rel=1e-12)

@@ -56,10 +56,8 @@ class _WideWorkload(_QuickWorkload):
 def _clean_executor_state():
     """Isolate the process-wide executor accounting per test."""
     reset_pool_stats()
-    take_failures()
     yield
     parallel.shutdown_pool()
-    take_failures()
     reset_pool_stats()
 
 
@@ -252,28 +250,39 @@ def test_infeasible_cell_in_parallel_sweep_stays_a_dash(tmp_path):
                 for i in range(2)]
     infeasible = JobRequest(spec=dmz(), workload=_WideWorkload(salt=9),
                             scheme=AffinityScheme.ONE_MPI_LOCAL)
-    results = run_requests(feasible + [infeasible], jobs=2, cache=cache)
+    outcomes = []
+    results = run_requests(feasible + [infeasible], jobs=2, cache=cache,
+                           outcomes=outcomes)
     assert results[0] is not None and results[1] is not None
     assert results[2] is None
     assert parallel.pool_stats().infeasible == 1
     # infeasibility is the paper's dash, not a pipeline failure
-    assert take_failures() == []
+    assert [status for status, _ in outcomes] == ["ok", "ok", "infeasible"]
 
 
-def test_take_failures_drains():
-    failure = TargetFailure(index=0, kind="crash", message="boom",
-                            attempts=2, label="x on y [default]")
-    parallel._FAILURES.append(failure)
-    assert take_failures() == [failure]
+def test_take_failures_drains(tmp_path):
+    """A bare batch (no ``outcomes`` list) still leaves its failures for
+    :func:`take_failures`, which hands each out once."""
+    from repro.backends import ThreadBackend
+
+    plan = FaultPlan.from_dict(json.loads(
+        (ROOT / "benchmarks" / "faultplans" / "msg_exhaust.json").read_text()))
+    cell = JobRequest(dmz(), ImbPingPong(1024), faults=plan)
+    take_failures()
+    results = run_requests([cell], cache=ResultCache(directory=tmp_path),
+                           backend=ThreadBackend())
+    [failure] = take_failures()
+    assert results == [None]
     assert take_failures() == []
-    assert failure.as_dict()["kind"] == "crash"
+    assert isinstance(failure, TargetFailure)
+    assert failure.as_dict()["kind"] == "fault_exhausted"
 
 
 def test_default_faults_materialize_into_requests(tmp_path):
-    from repro.service import RunRequest, Session
+    from repro.service import Session
 
     cache = ResultCache(directory=tmp_path)
-    request = RunRequest(system=tiger(), workload=_QuickWorkload())
+    request = JobRequest(spec=tiger(), workload=_QuickWorkload())
     healthy = Session(cache=cache).run(request).require()
     assert healthy.faults is None
 
@@ -558,11 +567,11 @@ def test_run_many_duplicate_of_a_failed_cell_is_failed(tmp_path):
     """A failing cell asked twice in one batch fails twice; the twin is
     not mistaken for an infeasible dash."""
     from repro.backends import ThreadBackend
-    from repro.service import RunRequest, Session
+    from repro.service import Session
 
     plan = FaultPlan.from_dict({"seed": 3, "faults": [
         {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]})
-    request = RunRequest(system=dmz(), workload=ImbPingPong(1024),
+    request = JobRequest(spec=dmz(), workload=ImbPingPong(1024),
                          faults=plan)
     with Session(cache=ResultCache(directory=tmp_path),
                  backend=ThreadBackend()) as session:
@@ -578,10 +587,11 @@ def test_run_requests_reports_each_duplicate_of_a_failed_cell(tmp_path):
     plan = FaultPlan.from_dict(json.loads(
         (ROOT / "benchmarks" / "faultplans" / "msg_exhaust.json").read_text()))
     cell = JobRequest(dmz(), ImbPingPong(1024), faults=plan)
-    take_failures()
+    outcomes = []
     results = run_requests([cell, cell], cache=ResultCache(directory=tmp_path),
-                           backend=ThreadBackend())
-    failures = take_failures()
+                           backend=ThreadBackend(), outcomes=outcomes)
+    assert [status for status, _ in outcomes] == ["failed"] * 2
+    failures = [payload for _, payload in outcomes]
     assert results == [None, None]
     assert [f.index for f in failures] == [0, 1]
     assert [f.kind for f in failures] == ["fault_exhausted"] * 2
@@ -594,7 +604,7 @@ def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):
     failure by a later run, not simulated again."""
     from repro.backends import ThreadBackend
     from repro.errors import JobFailedError
-    from repro.service import RunRequest, Session
+    from repro.service import Session
 
     executed = []
     real_execute = JobRequest.execute
@@ -606,10 +616,10 @@ def test_failed_prefetch_cell_runs_once(tmp_path, monkeypatch):
     monkeypatch.setattr(JobRequest, "execute", counting_execute)
     plan = FaultPlan.from_dict({"seed": 3, "faults": [
         {"kind": "message_faults", "drop_prob": 0.95, "max_retries": 1}]})
-    request = RunRequest(system=dmz(), workload=ImbPingPong(1024))
+    request = JobRequest(spec=dmz(), workload=ImbPingPong(1024))
     with Session(cache=ResultCache(directory=tmp_path), faults=plan,
                  backend=ThreadBackend()) as session:
-        failures = session.prefetch([request.to_job()])
+        failures = session.prefetch([request])
         assert len(failures) == 1 and len(executed) == 1
         with pytest.raises(JobFailedError) as excinfo:
             session.run(request).require()

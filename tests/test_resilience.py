@@ -40,9 +40,10 @@ from repro.cluster.supervisor import (
     atomic_write_json,
 )
 from repro.core.cache import ResultCache
+from repro.core.parallel import JobRequest
 from repro.errors import QueueFullError
 from repro.machine import tiger
-from repro.service import RunRequest, Session
+from repro.service import Session
 from repro.service.transport import TcpFrameServer, serve_in_thread
 from repro.workloads.lmbench import StreamTriad
 from repro.workloads.nas import NasCG
@@ -431,7 +432,7 @@ def test_supervisor_external_stop_wins(tmp_path):
 
 
 def _auto_cell(workload):
-    return RunRequest(system=tiger(), workload=workload, tier="auto")
+    return JobRequest(spec=tiger(), workload=workload, tier="auto")
 
 
 def test_overload_sheds_auto_tier_to_surrogate(tmp_path):
@@ -459,7 +460,7 @@ def test_overload_sheds_auto_tier_to_surrogate(tmp_path):
     # cache coherence: the shed path produced exactly what the queued
     # path would have (auto resolves its tier before cache keying)
     baseline = run_request(
-        _auto_cell(NasCG(2)).to_job(),
+        _auto_cell(NasCG(2)),
         cache=ResultCache(directory=tmp_path / "base"))
     assert degraded.job.to_dict() == baseline.to_dict()
 
@@ -468,10 +469,10 @@ def test_overload_rejects_non_degradable_with_retry_after(tmp_path):
     with Session(cache=ResultCache(directory=tmp_path / "svc"), jobs=1,
                  max_pending=1, paused=True, shed_threshold=0.5,
                  name="shed-reject") as session:
-        session.submit(RunRequest(system=tiger(),
+        session.submit(JobRequest(spec=tiger(),
                                   workload=StreamTriad(2), tier="exact"))
         with pytest.raises(QueueFullError) as excinfo:
-            session.submit(RunRequest(system=tiger(),
+            session.submit(JobRequest(spec=tiger(),
                                       workload=NasCG(2), tier="exact"))
         assert excinfo.value.retry_after > 0
         assert excinfo.value.code == "queue_full"

@@ -21,6 +21,7 @@ import pytest
 from repro.core import Compute, Workload
 from repro.core import parallel
 from repro.core.cache import ResultCache
+from repro.core.parallel import JobRequest
 from repro.errors import (
     InfeasibleSchemeError,
     NoFeasibleSchemeError,
@@ -67,7 +68,7 @@ def _session(tmp_path, **kwargs):
 def test_concurrent_identical_submits_run_one_simulation(tmp_path):
     """16 identical cells: one compute, coalesce counter 15, one payload."""
     with _session(tmp_path, paused=True) as session:
-        futures = [session.submit(RunRequest(system=longs(),
+        futures = [session.submit(JobRequest(spec=longs(),
                                              workload=TinyCompute(4)))
                    for _ in range(16)]
         before = _executed()
@@ -83,7 +84,7 @@ def test_concurrent_identical_submits_run_one_simulation(tmp_path):
 
 
 def test_coalesced_results_identical_to_direct_run(tmp_path):
-    request = RunRequest(system=longs(), workload=TinyCompute(4))
+    request = JobRequest(spec=longs(), workload=TinyCompute(4))
     with _session(tmp_path, paused=True) as session:
         futures = [session.submit(request) for _ in range(4)]
         session.resume()
@@ -98,12 +99,10 @@ def test_coalesced_results_identical_to_direct_run(tmp_path):
 def test_coalesce_sources_and_tags(tmp_path):
     """First waiter is 'computed', twins 'coalesced'; tags pass through."""
     with _session(tmp_path, paused=True) as session:
-        first = session.submit(RunRequest(system=longs(),
-                                          workload=TinyCompute(4),
-                                          tag="alpha"))
-        twin = session.submit(RunRequest(system=longs(),
-                                         workload=TinyCompute(4),
-                                         tag="beta"))
+        first = session.submit(RunRequest(
+            JobRequest(spec=longs(), workload=TinyCompute(4)), tag="alpha"))
+        twin = session.submit(RunRequest(
+            JobRequest(spec=longs(), workload=TinyCompute(4)), tag="beta"))
         session.resume()
         a, b = first.result(timeout=120), twin.result(timeout=120)
     assert (a.source, b.source) == ("computed", "coalesced")
@@ -114,7 +113,7 @@ def test_coalesce_sources_and_tags(tmp_path):
 
 
 def test_cache_hit_answers_at_admission(tmp_path):
-    request = RunRequest(system=longs(), workload=TinyCompute(4))
+    request = JobRequest(spec=longs(), workload=TinyCompute(4))
     with _session(tmp_path) as session:
         session.run(request)
         future = session.submit(request)
@@ -125,12 +124,12 @@ def test_cache_hit_answers_at_admission(tmp_path):
 
 def test_sync_run_attaches_to_inflight_twin(tmp_path):
     with _session(tmp_path, paused=True) as session:
-        future = session.submit(RunRequest(system=longs(),
+        future = session.submit(JobRequest(spec=longs(),
                                            workload=TinyCompute(4)))
         got = {}
 
         def sync_twin():
-            got["result"] = session.run(RunRequest(system=longs(),
+            got["result"] = session.run(JobRequest(spec=longs(),
                                                    workload=TinyCompute(4)))
 
         thread = threading.Thread(target=sync_twin)
@@ -150,18 +149,18 @@ def test_sync_run_attaches_to_inflight_twin(tmp_path):
 
 def test_queue_full_submits_rejected_not_dropped(tmp_path):
     with _session(tmp_path, max_pending=2, paused=True) as session:
-        accepted = [session.submit(RunRequest(system=longs(),
+        accepted = [session.submit(JobRequest(spec=longs(),
                                               workload=TinyCompute(4, flops=f)))
                     for f in (1e6, 2e6)]
         with pytest.raises(QueueFullError) as excinfo:
-            session.submit(RunRequest(system=longs(),
+            session.submit(JobRequest(spec=longs(),
                                       workload=TinyCompute(4, flops=3e6)))
         assert excinfo.value.retry_after > 0
         assert excinfo.value.code == "queue_full"
         assert session.stats.rejected == 1
         # a coalescing twin of an accepted cell still gets in: it joins
         # an in-flight job rather than consuming queue depth
-        twin = session.submit(RunRequest(system=longs(),
+        twin = session.submit(JobRequest(spec=longs(),
                                          workload=TinyCompute(4, flops=1e6)))
         session.resume()
         results = [f.result(timeout=120) for f in accepted + [twin]]
@@ -171,9 +170,9 @@ def test_queue_full_submits_rejected_not_dropped(tmp_path):
 
 def test_rejected_submit_leaves_no_promise(tmp_path):
     with _session(tmp_path, max_pending=1, paused=True) as session:
-        session.submit(RunRequest(system=longs(), workload=TinyCompute(4)))
+        session.submit(JobRequest(spec=longs(), workload=TinyCompute(4)))
         with pytest.raises(QueueFullError):
-            session.submit(RunRequest(system=longs(),
+            session.submit(JobRequest(spec=longs(),
                                       workload=TinyCompute(8)))
         assert session.stats.accepted == 1
         session.resume()
@@ -185,7 +184,7 @@ def test_rejected_submit_leaves_no_promise(tmp_path):
 
 def test_drain_completes_accepted_jobs(tmp_path):
     with _session(tmp_path, paused=True) as session:
-        futures = [session.submit(RunRequest(system=longs(),
+        futures = [session.submit(JobRequest(spec=longs(),
                                              workload=TinyCompute(4, flops=f)))
                    for f in (1e6, 2e6, 3e6)]
         session.resume()
@@ -193,20 +192,20 @@ def test_drain_completes_accepted_jobs(tmp_path):
         assert all(f.done() for f in futures)
         assert all(f.result().ok for f in futures)
         with pytest.raises(SessionClosedError):
-            session.submit(RunRequest(system=longs(),
+            session.submit(JobRequest(spec=longs(),
                                       workload=TinyCompute(4)))
 
 
 def test_close_without_drain_fails_jobs_instead_of_dropping(tmp_path):
     session = _session(tmp_path, paused=True)
-    future = session.submit(RunRequest(system=longs(),
+    future = session.submit(JobRequest(spec=longs(),
                                        workload=TinyCompute(4)))
     session.close(drain=False)
     result = future.result(timeout=10)
     assert result.status == "failed"
     assert result.kind == "cancelled"
     with pytest.raises(SessionClosedError):
-        session.submit(RunRequest(system=longs(), workload=TinyCompute(4)))
+        session.submit(JobRequest(spec=longs(), workload=TinyCompute(4)))
 
 
 # -- results and sweeps ------------------------------------------------------
@@ -215,8 +214,8 @@ def test_infeasible_cell_is_a_status_not_an_exception(tmp_path):
     from repro.core import AffinityScheme
 
     with _session(tmp_path) as session:
-        result = session.run(RunRequest(
-            system=dmz(), workload=TinyCompute(4),
+        result = session.run(JobRequest(
+            spec=dmz(), workload=TinyCompute(4),
             scheme=AffinityScheme.ONE_MPI_LOCAL))
     assert result.status == "infeasible"
     assert result.code == "infeasible_scheme"
@@ -228,10 +227,10 @@ def test_run_many_preserves_request_order(tmp_path):
     from repro.core import AffinityScheme
 
     requests = [
-        RunRequest(system=longs(), workload=TinyCompute(4)),
-        RunRequest(system=dmz(), workload=TinyCompute(4),
+        JobRequest(spec=longs(), workload=TinyCompute(4)),
+        JobRequest(spec=dmz(), workload=TinyCompute(4),
                    scheme=AffinityScheme.ONE_MPI_LOCAL),   # infeasible
-        RunRequest(system=longs(), workload=TinyCompute(8)),
+        JobRequest(spec=longs(), workload=TinyCompute(8)),
     ]
     with _session(tmp_path) as session:
         results = session.run_many(requests)
@@ -271,22 +270,76 @@ def test_session_api_is_warning_free(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with _session(tmp_path) as session:
-            result = session.run(RunRequest(system=longs(),
+            result = session.run(JobRequest(spec=longs(),
                                             workload=TinyCompute(4)))
             session.scheme_sweep(dmz(), lambda n: TinyCompute(n), (2,))
     assert result.ok
 
 
 def test_experiment_routes_through_session():
-    from repro.core import AffinityScheme, Experiment
+    """A bare cell run on the process-wide session goes through its
+    outcome table, warning-free."""
+    from repro.core import AffinityScheme
+    from repro.service import default_session
 
-    experiment = Experiment(longs(), TinyCompute(4),
-                            AffinityScheme.INTERLEAVE)
-    assert experiment.to_request().key() == experiment.request().key()
+    cell = JobRequest(spec=longs(), workload=TinyCompute(4),
+                      scheme=AffinityScheme.INTERLEAVE)
+    session = default_session()
+    before = session.stats.submitted
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = experiment.run()  # session-routed
+        result = session.run(cell).require()
+    assert session.stats.submitted == before + 1
     assert result.wall_time > 0
+
+
+@pytest.mark.parametrize("wrapped_first", [False, True])
+@pytest.mark.parametrize("entry", ["submit", "run", "run_many", "outcomes",
+                                   "prefetch"])
+def test_every_entry_point_takes_a_bare_or_wrapped_cell(entry, wrapped_first,
+                                                         monkeypatch):
+    """A bare cell and a tagged, traced RunRequest around it key alike,
+    share one simulation, and each waiter gets only its own tag."""
+    executed = []
+    real_execute = JobRequest.execute
+
+    def counting_execute(self):
+        executed.append(self.key())
+        return real_execute(self)
+
+    monkeypatch.setattr(JobRequest, "execute", counting_execute)
+    cell = JobRequest(spec=longs(), workload=TinyCompute(4))
+    wrapped = RunRequest(cell, tag="mine", trace_id="feed",
+                         parent_span="beef")
+    assert wrapped.key() == cell.key()
+    requests = [wrapped, cell] if wrapped_first else [cell, wrapped]
+    tags = [r.tag if isinstance(r, RunRequest) else None for r in requests]
+    with Session(cache=ResultCache(disk=False), backend="threads",
+                 paused=True) as session:
+        if entry == "submit":
+            futures = [session.submit(r) for r in requests]
+            session.resume()
+            results = [future.result(timeout=120) for future in futures]
+        elif entry == "run":
+            results = [session.run(r) for r in requests]
+        elif entry == "run_many":
+            results = session.run_many(requests)
+        elif entry == "outcomes":
+            outcomes = session.outcomes(requests)
+            assert [status for status, _ in outcomes] == ["ok", "ok"]
+            assert outcomes[0][1] is outcomes[1][1]
+        else:
+            assert session.prefetch(requests) == []
+            results = session.run_many(requests)
+    assert executed == [cell.key()]
+    if entry == "outcomes":
+        return
+    assert [r.status for r in results] == ["ok", "ok"]
+    assert [r.key for r in results] == [cell.key()] * 2
+    assert [r.tag for r in results] == tags
+    assert results[0].job.to_dict() == results[1].job.to_dict()
+    second = "cache" if entry in ("run", "prefetch") else "coalesced"
+    assert results[1].source == second
 
 
 def test_one_table_serves_every_entry_point(tmp_path):
@@ -302,7 +355,7 @@ def test_one_table_serves_every_entry_point(tmp_path):
             executed.extend(cell.key() for cell in batch)
             return super().submit_cells(batch, jobs, timeout, retries)
 
-    a, b, c, d, e = (RunRequest(system=longs(),
+    a, b, c, d, e = (JobRequest(spec=longs(),
                                 workload=TinyCompute(4, flops=f))
                      for f in (1e6, 2e6, 3e6, 4e6, 5e6))
     session = Session(cache=ResultCache(directory=tmp_path / "off",
@@ -315,8 +368,7 @@ def test_one_table_serves_every_entry_point(tmp_path):
             threading.Thread(target=lambda: got.__setitem__(
                 "many", session.run_many([b, c, d, d]))),
             threading.Thread(target=lambda: got.__setitem__(
-                "prefetch", session.prefetch([c.to_job(), d.to_job(),
-                                              e.to_job()]))),
+                "prefetch", session.prefetch([c, d, e]))),
         ]
         for thread in threads:
             thread.start()
@@ -366,7 +418,7 @@ def test_host_failures_are_delivered_then_forgotten(tmp_path, kind):
                                                    "message": "busy"}))]
             return super().submit_cells(batch, jobs, timeout, retries)
 
-    request = RunRequest(system=longs(), workload=TinyCompute(4))
+    request = JobRequest(spec=longs(), workload=TinyCompute(4))
     with Session(cache=ResultCache(directory=tmp_path / "off",
                                    enabled=False),
                  backend=Flaky(), jobs=1) as session:
@@ -392,7 +444,7 @@ def test_cell_failures_are_kept(tmp_path):
                                                "message": "exhausted"}))
                     for _ in batch]
 
-    request = RunRequest(system=longs(), workload=TinyCompute(4))
+    request = JobRequest(spec=longs(), workload=TinyCompute(4))
     with Session(cache=ResultCache(directory=tmp_path / "off",
                                    enabled=False),
                  backend=Failing(), jobs=1) as session:
@@ -409,7 +461,7 @@ def test_admission_hits_count_in_stats_not_job_metrics(tmp_path):
 
     previous = metrics.active_registry()
     registry = metrics.enable()
-    request = RunRequest(system=longs(), workload=TinyCompute(4))
+    request = JobRequest(spec=longs(), workload=TinyCompute(4))
     try:
         with _session(tmp_path) as session:
             session.submit(request).result(timeout=60)
@@ -427,7 +479,7 @@ def test_admission_hits_count_in_stats_not_job_metrics(tmp_path):
 
 def test_gauges_snapshot(tmp_path):
     with _session(tmp_path, paused=True) as session:
-        futures = [session.submit(RunRequest(system=longs(),
+        futures = [session.submit(JobRequest(spec=longs(),
                                              workload=TinyCompute(4)))
                    for _ in range(3)]
         session.resume()
@@ -474,9 +526,8 @@ def test_error_wire_round_trip():
 
 def test_run_result_wire_round_trip(tmp_path):
     with _session(tmp_path) as session:
-        result = session.run(RunRequest(system=longs(),
-                                        workload=TinyCompute(4),
-                                        tag="t1"))
+        result = session.run(RunRequest(
+            JobRequest(spec=longs(), workload=TinyCompute(4)), tag="t1"))
     back = RunResult.from_wire(result.to_wire())
     assert back.ok and back.tag == "t1"
     assert back.job.to_dict() == result.job.to_dict()
@@ -485,8 +536,8 @@ def test_run_result_wire_round_trip(tmp_path):
 def test_cell_from_wire_resolves_names():
     request = cell_from_wire({"system": "longs", "workload": "stream",
                               "ntasks": 4, "scheme": "interleave"})
-    assert request.system.name == "Longs"
-    assert request.workload.ntasks == 4
+    assert request.cell.spec.name == "Longs"
+    assert request.cell.workload.ntasks == 4
     with pytest.raises(UnknownNameError):
         cell_from_wire({"workload": "no-such-workload"})
     with pytest.raises(ProtocolError):
@@ -634,14 +685,11 @@ def test_submit_client_never_retries_non_retryable_errors():
 
 def test_two_sessions_keep_their_own_tier_and_faults(tmp_path):
     """Concurrent sessions with different settings never share them."""
-    from repro.core.parallel import JobRequest
     from repro.faults import CacheDegrade, FaultPlan
     from repro.service.registry import resolve_workload
 
     plan = FaultPlan(faults=(CacheDegrade(capacity_factor=0.5),))
-    request = RunRequest(system=tiger(),
-                         workload=resolve_workload("stream", 2))
-    cell = request.to_job()
+    cell = JobRequest(spec=tiger(), workload=resolve_workload("stream", 2))
     expected = {
         "fast": JobRequest(spec=cell.spec, workload=cell.workload,
                            tier="fast"),
@@ -657,7 +705,7 @@ def test_two_sessions_keep_their_own_tier_and_faults(tmp_path):
         assert session.cell(cell).key() == expected[name].key()
     assert len({cell.key()} | {c.key() for c in expected.values()}) == 3
 
-    futures = {name: session.submit(request)
+    futures = {name: session.submit(cell)
                for name, session in sessions.items()}
     for session in sessions.values():
         session.resume()
@@ -707,6 +755,6 @@ def test_batch_window_only_when_flights_run_in_parallel(tmp_path,
     slept = []
     monkeypatch.setattr(session_module.time, "sleep", slept.append)
     with _session(tmp_path, batch_window=0.25, **kwargs) as session:
-        request = RunRequest(system=longs(), workload=TinyCompute(4))
+        request = JobRequest(spec=longs(), workload=TinyCompute(4))
         assert session.submit(request).result(timeout=30).ok
     assert (0.25 in slept) is waits

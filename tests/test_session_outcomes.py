@@ -23,14 +23,12 @@ from repro.backends import ThreadBackend
 from repro.core import parallel
 from repro.core.affinity import AffinityScheme
 from repro.core.cache import ResultCache
-from repro.core.experiment import Experiment
 from repro.core.parallel import JobRequest
 from repro.errors import InfeasibleSchemeError
 from repro.machine import dmz, longs, tiger
-from repro.service import RunRequest, Session
+from repro.service import Session
 from repro.service.protocol import handle_request
 from repro.service.registry import resolve_workload, wire_cell_for
-from repro.service.session import set_default_session
 from repro.workloads import NasCG, StreamTriad
 
 #: the quick tier of property settings: tier-1 stays fast
@@ -50,10 +48,10 @@ def test_degraded_job_that_raises_is_delivered_as_failed(monkeypatch):
     monkeypatch.setattr("repro.surrogate.evaluate_request", boom)
     with Session(cache=_memory_cache(), jobs=1, max_pending=1, paused=True,
                  shed_threshold=1e-9, name="shed-raise") as session:
-        queued = session.submit(RunRequest(system=tiger(),
+        queued = session.submit(JobRequest(spec=tiger(),
                                            workload=StreamTriad(2),
                                            tier="exact"))
-        shed = session.submit(RunRequest(system=tiger(),
+        shed = session.submit(JobRequest(spec=tiger(),
                                          workload=NasCG(2), tier="auto"))
         result = shed.result(timeout=10)
         assert result.status == "failed"
@@ -69,24 +67,21 @@ def test_degraded_job_that_raises_is_delivered_as_failed(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_infeasible_reason_is_the_same_on_every_path(backend):
-    experiment = Experiment(system=tiger(),
-                            workload=resolve_workload("stream", 4),
-                            scheme=AffinityScheme.TWO_MPI_LOCAL)
+    cell = JobRequest(spec=tiger(), workload=resolve_workload("stream", 4),
+                      scheme=AffinityScheme.TWO_MPI_LOCAL)
     with pytest.raises(InfeasibleSchemeError) as uncached:
-        experiment.run_uncached()
+        cell.execute()
     reason = str(uncached.value)
 
     session, server = (Session(cache=_memory_cache(), jobs=2,
                                backend=backend, name=f"{name}-{backend}")
                        for name in ("infeasible", "served"))
-    old = set_default_session(session)
     try:
         with pytest.raises(InfeasibleSchemeError) as cached:
-            experiment.run()
+            session.run(cell).require()
         served = handle_request(server, {
-            "op": "submit", "cell": wire_cell_for(experiment.request())})
+            "op": "submit", "cell": wire_cell_for(cell)})
     finally:
-        set_default_session(old)
         session.close()
         server.close()
     assert str(cached.value) == reason
@@ -111,8 +106,8 @@ def test_two_sessions_flights_overlap(monkeypatch):
     def flight(ntasks):
         with Session(cache=_memory_cache(), backend="threads",
                      name=f"overlap-{ntasks}") as session:
-            results[ntasks] = session.run(RunRequest(
-                system=longs(), workload=StreamTriad(ntasks), tier="fast"))
+            results[ntasks] = session.run(JobRequest(
+                spec=longs(), workload=StreamTriad(ntasks), tier="fast"))
 
     threads = [threading.Thread(target=flight, args=(n,)) for n in (2, 4)]
     for thread in threads:
@@ -132,9 +127,9 @@ _CELLS = [(system, name, ntasks, scheme)
                          AffinityScheme.TWO_MPI_LOCAL)]
 
 
-def _request(index: int) -> RunRequest:
+def _request(index: int) -> JobRequest:
     system, name, ntasks, scheme = _CELLS[index]
-    return RunRequest(system=system(), workload=resolve_workload(name, ntasks),
+    return JobRequest(spec=system(), workload=resolve_workload(name, ntasks),
                       scheme=scheme)
 
 

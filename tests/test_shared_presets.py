@@ -36,7 +36,7 @@ def test_every_lookup_returns_the_one_preset(name):
     assert by_name(name.upper()) is spec
     assert resolve_system(name) is spec
     assert cell_from_wire({"system": name, "workload": "stream",
-                           "ntasks": 2}).system is spec
+                           "ntasks": 2}).cell.spec is spec
 
 
 def test_all_systems_shares_the_presets():
