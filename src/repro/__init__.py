@@ -20,6 +20,10 @@ The package provides:
   the cell value and its executor, metrics, reports;
 * :mod:`repro.bench` — one generator per paper table and figure.
 
+Every package exports its names lazily (:mod:`repro._lazy`): ``import
+repro`` loads no subpackage module, and a name's module loads on its
+first access, so a cached ``repro-bench`` run never loads the engine.
+
 Quickstart::
 
     from repro.machine import longs
@@ -31,25 +35,14 @@ Quickstart::
     print(result.wall_time)
 """
 
-from . import core, machine, mpi, numa, osmodel, sim
-from .core import AffinityScheme, JobResult, run_workload
-from .machine import by_name, dmz, longs, tiger
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "core",
-    "machine",
-    "mpi",
-    "numa",
-    "osmodel",
-    "sim",
-    "AffinityScheme",
-    "JobResult",
-    "run_workload",
-    "tiger",
-    "dmz",
-    "longs",
-    "by_name",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("AffinityScheme", "JobResult", "run_workload"),
+    ".machine": ("by_name", "dmz", "longs", "tiger"),
+}, submodules=(
+    "core", "machine", "mpi", "numa", "osmodel", "sim",
+))
+__all__.append("__version__")

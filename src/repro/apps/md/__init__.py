@@ -1,47 +1,26 @@
 """Molecular-dynamics substrate: particle systems, force fields, PME,
 GB, and the AMBER-like / LAMMPS-like benchmark drivers."""
 
-from .amber import AMBER_BENCHMARKS, BENCHMARK_TABLE, AmberBenchmark, AmberSander
-from .driver import MiniBenchmarkResult, run_mini_benchmark
-from .forcefields import bond_forces, eam_forces, lj_forces, velocity_verlet
-from .gb import born_radii, gb_energy
-from .lammps import LAMMPS_BENCHMARKS, LammpsBench, decomposition_faces, ghost_atoms
-from .minimize import steepest_descent
-from .pme import pme_grid_size, reciprocal_energy, spread_charges
-from .system import (
-    ParticleSystem,
-    brute_force_pairs,
-    chain_system,
-    minimum_image,
-    neighbor_pairs,
-    random_system,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ParticleSystem",
-    "random_system",
-    "chain_system",
-    "neighbor_pairs",
-    "brute_force_pairs",
-    "minimum_image",
-    "lj_forces",
-    "bond_forces",
-    "eam_forces",
-    "velocity_verlet",
-    "pme_grid_size",
-    "spread_charges",
-    "reciprocal_energy",
-    "born_radii",
-    "gb_energy",
-    "AmberBenchmark",
-    "AmberSander",
-    "AMBER_BENCHMARKS",
-    "BENCHMARK_TABLE",
-    "LammpsBench",
-    "LAMMPS_BENCHMARKS",
-    "decomposition_faces",
-    "ghost_atoms",
-    "steepest_descent",
-    "MiniBenchmarkResult",
-    "run_mini_benchmark",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".amber": (
+        "AMBER_BENCHMARKS", "BENCHMARK_TABLE", "AmberBenchmark",
+        "AmberSander",
+    ),
+    ".driver": ("MiniBenchmarkResult", "run_mini_benchmark"),
+    ".forcefields": (
+        "bond_forces", "eam_forces", "lj_forces", "velocity_verlet",
+    ),
+    ".gb": ("born_radii", "gb_energy"),
+    ".lammps": (
+        "LAMMPS_BENCHMARKS", "LammpsBench", "decomposition_faces",
+        "ghost_atoms",
+    ),
+    ".minimize": ("steepest_descent",),
+    ".pme": ("pme_grid_size", "reciprocal_energy", "spread_charges"),
+    ".system": (
+        "ParticleSystem", "brute_force_pairs", "chain_system",
+        "minimum_image", "neighbor_pairs", "random_system",
+    ),
+})

@@ -1,23 +1,12 @@
 """Parallel Ocean Program (POP) substrate: x1 grid, functional
 baroclinic/barotropic mini-solvers, and the characterization workload."""
 
-from .baroclinic import baroclinic_step, total_tracer
-from .barotropic import Laplacian2D, solve_barotropic, stencil_apply
-from .grid import X1_GRID, PopGrid, block_shape, factor_grid
-from .model import Pop
-from .shallow_water import ShallowWaterModel, ShallowWaterState
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "PopGrid",
-    "X1_GRID",
-    "factor_grid",
-    "block_shape",
-    "baroclinic_step",
-    "total_tracer",
-    "Laplacian2D",
-    "solve_barotropic",
-    "stencil_apply",
-    "Pop",
-    "ShallowWaterModel",
-    "ShallowWaterState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".baroclinic": ("baroclinic_step", "total_tracer"),
+    ".barotropic": ("Laplacian2D", "solve_barotropic", "stencil_apply"),
+    ".grid": ("X1_GRID", "PopGrid", "block_shape", "factor_grid"),
+    ".model": ("Pop",),
+    ".shallow_water": ("ShallowWaterModel", "ShallowWaterState"),
+})

@@ -5,8 +5,10 @@ return structured results that render to the same rows/series the paper
 reports; the ``repro-bench`` CLI (:mod:`repro.bench.cli`) prints them.
 """
 
-from . import ablations, extensions, figures, paper_data, tables
-from .common import RUNTIME_CONFIGS, bound_spread_affinity, run
+from .._lazy import lazy_exports
 
-__all__ = ["figures", "tables", "ablations", "extensions", "paper_data",
-           "RUNTIME_CONFIGS", "bound_spread_affinity", "run"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".common": ("RUNTIME_CONFIGS", "bound_spread_affinity", "run"),
+}, submodules=(
+    "ablations", "extensions", "figures", "paper_data", "tables",
+))

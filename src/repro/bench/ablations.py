@@ -18,6 +18,7 @@ from typing import Iterable, List, Optional
 
 from ..core import AffinityScheme, JobRequest, TableResult
 from ..machine import GB, longs
+from ..machine.topology import build_socket_graph
 from ..machine.whatif import hypothetical
 from ..mpi import LAM
 from ..workloads import HpccPtrans, HpccRandomAccess, NasCG, NasFT, StreamTriad, triad_bytes_moved
@@ -86,15 +87,13 @@ def ablation_topology() -> TableResult:
     the kernels under ``--interleave=all`` (7/8 of every rank's traffic
     crosses the fabric).
     """
-    from ..machine import Machine
-
     table = TableResult(
         title="ablation: 8-socket interconnect topology (interleaved pages)",
         headers=["topology", "max hops", "NAS FT 16 tasks (s)",
                  "NAS CG 16 tasks (s)"],
     )
     for topology, (cell, _cg), (ft, cg) in read(_topology_rows()):
-        hops = Machine(cell.spec).net.max_hops()
+        hops = build_socket_graph(cell.spec).diameter
         table.add_row(topology, hops, ft.wall_time, cg.wall_time)
     table.notes.append("a crossbar removes multi-hop remote penalties; the "
                        "ladder is the paper's Figure 1")

@@ -296,11 +296,10 @@ def main(argv=None) -> int:
         os.makedirs(args.csv, exist_ok=True)
     jobs = args.jobs or parallel.default_jobs()
 
-    from ..sim.trace import reset_dropped, total_dropped
-
     # each CLI invocation is one run: start the drop tally from zero so
     # ledger records never inherit a previous in-process run's drops
-    reset_dropped()
+    if "repro.sim.trace" in sys.modules:
+        sys.modules["repro.sim.trace"].reset_dropped()
 
     recorder = None
     cache0 = pool0 = dropped0 = None
@@ -308,7 +307,7 @@ def main(argv=None) -> int:
         recorder = run_ledger.RunRecorder(tool="bench", argv=argv).start()
         cache0 = dict(result_cache.default_cache().stats.as_dict())
         pool0 = parallel.pool_stats().as_dict()
-        dropped0 = total_dropped()
+        dropped0 = _trace_dropped()
 
     results = {}
     timings = []
@@ -445,7 +444,7 @@ def main(argv=None) -> int:
             cache=cache_stats,
             pool=pool,
             fidelity=_fidelity_scores(results),
-            trace_dropped=total_dropped() - dropped0,
+            trace_dropped=_trace_dropped() - dropped0,
         )
         if fault_plan is not None:
             record["faults"] = fault_plan.to_dict()
@@ -455,6 +454,12 @@ def main(argv=None) -> int:
         print(f"[run {record['run_id']} recorded to {path}]",
               file=sys.stderr)
     return 1 if failures else 0
+
+
+def _trace_dropped() -> int:
+    """Trace records this process dropped; none until the engine loads."""
+    trace = sys.modules.get("repro.sim.trace")
+    return 0 if trace is None else trace.total_dropped()
 
 
 def prof_main(argv=None) -> int:

@@ -11,21 +11,15 @@ the traffic-replay load generator (``repro-bench replay``) that proves
 the latency/throughput/coalescing story against recorded traffic.
 """
 
-from .router import CircuitBreaker, Router, ShardState, \
-    rendezvous_order, shard_for_key
-from .replay import load_trace, percentile, run_replay, trace_from_ledger
-from .supervisor import ShardSpec, ShardSupervisor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "Router",
-    "ShardSpec",
-    "ShardState",
-    "ShardSupervisor",
-    "load_trace",
-    "percentile",
-    "rendezvous_order",
-    "run_replay",
-    "shard_for_key",
-    "trace_from_ledger",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".router": (
+        "CircuitBreaker", "Router", "ShardState", "rendezvous_order",
+        "shard_for_key",
+    ),
+    ".replay": (
+        "load_trace", "percentile", "run_replay", "trace_from_ledger",
+    ),
+    ".supervisor": ("ShardSpec", "ShardSupervisor"),
+})

@@ -47,6 +47,7 @@ __all__ = [
     "ResolvedAffinity",
     "resolve_scheme",
     "SCHEME_TABLE",
+    "ALL_SCHEMES",
     "membind_node_set",
 ]
 
@@ -64,6 +65,9 @@ class AffinityScheme(str, Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+
+#: paper column order for the numactl tables
+ALL_SCHEMES: List[AffinityScheme] = list(AffinityScheme)
 
 #: Table 5 of the paper, as data.
 SCHEME_TABLE: List[Dict[str, str]] = [

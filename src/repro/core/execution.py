@@ -19,15 +19,11 @@ workload's ``time_scale``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..faults.plan import FaultPlan
-from ..machine import Machine
 from ..machine.topology import MachineSpec
-from ..mpi import MpiImplementation, MpiWorld, OPENMPI
-from ..perfctr import CACHE_LINE, PerfSession
-from ..sim import Tracer
+from ..mpi.implementations import MpiImplementation, OPENMPI
 from .affinity import AffinityScheme, ResolvedAffinity, resolve_scheme
 from .ops import (
     Allgather,
@@ -45,6 +41,10 @@ from .ops import (
     SendRecv,
 )
 from .workload import Workload
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
+    from ..perfctr.counters import PerfSession
 
 __all__ = ["JobResult", "JobRunner", "run_workload"]
 
@@ -146,8 +146,16 @@ class JobRunner:
                  profile: bool = False,
                  perf: Optional[PerfSession] = None,
                  faults: Optional[FaultPlan] = None):
+        # the engine loads with the first runner, not with the cell
+        # value that a warm (cached) run decodes
+        from ..machine.machine import Machine
+        from ..mpi.simmpi import MpiWorld
+        from ..perfctr.counters import CACHE_LINE, PerfSession
+        from ..sim.trace import Tracer
+
         if affinity.spec.name != spec.name:
             raise ValueError("affinity was resolved for a different system")
+        self._cache_line = CACHE_LINE
         self.spec = spec
         self.affinity = affinity
         if perf is None and profile:
@@ -343,7 +351,8 @@ class JobRunner:
         if perf is not None:
             if op.flops > 0:
                 perf.count(perf_core, "flops", op.flops)
-            line_requests = op.dram_bytes / CACHE_LINE + op.random_accesses
+            line_requests = (op.dram_bytes / self._cache_line
+                             + op.random_accesses)
             if line_requests > 0:
                 hierarchy = self.machine.cache.hierarchy_counts(
                     op.working_set / threads, op.reuse, line_requests

@@ -5,28 +5,19 @@ A cell of the paper's measurement grid is a
 session methods (:meth:`Session.scheme_sweep`,
 :meth:`Session.compare_schemes`, :meth:`Session.scaling_study`), so
 they share the service's cache, coalescing, and telemetry.
-:class:`SchemeComparison` and :data:`ALL_SCHEMES` live here because
-those methods return and default to them.
+:class:`SchemeComparison` lives here because those methods return it;
+they default to :data:`ALL_SCHEMES`, which :mod:`~repro.core.affinity`
+defines with the schemes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from .affinity import AffinityScheme
+from .affinity import ALL_SCHEMES, AffinityScheme
 
 __all__ = ["SchemeComparison", "ALL_SCHEMES"]
-
-#: paper column order for the numactl tables
-ALL_SCHEMES: List[AffinityScheme] = [
-    AffinityScheme.DEFAULT,
-    AffinityScheme.ONE_MPI_LOCAL,
-    AffinityScheme.ONE_MPI_MEMBIND,
-    AffinityScheme.TWO_MPI_LOCAL,
-    AffinityScheme.TWO_MPI_MEMBIND,
-    AffinityScheme.INTERLEAVE,
-]
 
 
 @dataclass

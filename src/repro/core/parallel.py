@@ -49,11 +49,10 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from ..faults.plan import FaultPlan
 from ..machine.topology import MachineSpec
-from ..mpi import MpiImplementation, OPENMPI
+from ..mpi.implementations import MpiImplementation, OPENMPI
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracing import span
 from .affinity import (AffinityScheme, InfeasibleSchemeError,
@@ -61,6 +60,9 @@ from .affinity import (AffinityScheme, InfeasibleSchemeError,
 from .cache import ResultCache, Uncacheable, default_cache, job_key
 from .execution import JobResult, JobRunner
 from .workload import Workload
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "JobRequest",

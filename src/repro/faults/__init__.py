@@ -14,32 +14,13 @@ Two planes live under this package:
   ``repro-bench chaos``.
 """
 
-from .plan import (
-    CacheDegrade,
-    CoreSlowdown,
-    Fault,
-    FaultPlan,
-    FaultPlanError,
-    LinkDegrade,
-    LinkOutage,
-    MessageFaults,
-    NodeLoss,
-    TransportExhaustedError,
-    kind_of,
-)
-from .scheduler import FaultScheduler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheDegrade",
-    "CoreSlowdown",
-    "Fault",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultScheduler",
-    "LinkDegrade",
-    "LinkOutage",
-    "MessageFaults",
-    "NodeLoss",
-    "TransportExhaustedError",
-    "kind_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".plan": (
+        "CacheDegrade", "CoreSlowdown", "Fault", "FaultPlan",
+        "FaultPlanError", "LinkDegrade", "LinkOutage", "MessageFaults",
+        "NodeLoss", "TransportExhaustedError", "kind_of",
+    ),
+    ".scheduler": ("FaultScheduler",),
+})

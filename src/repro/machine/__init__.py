@@ -6,53 +6,22 @@ per-core caches, and a coherent HyperTransport socket graph with
 fair-share link bandwidth and coherence-probe overheads.
 """
 
-from .cache import CacheModel, traffic_factor
-from .interconnect import Interconnect
-from .machine import Machine
-from .memory import MemorySystem
-from .params import DEFAULT_PARAMS, GB, KB, MB, PerfParams
-from .render import describe, distance_table
-from .systems import SYSTEM_TABLE, all_systems, by_name, chiplet, dmz, \
-    longs, tiger
-from .whatif import hypothetical
-from .topology import (
-    Core,
-    CoreSpec,
-    MachineSpec,
-    Socket,
-    SocketSpec,
-    SocketGraph,
-    build_socket_graph,
-    ladder_positions,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Machine",
-    "MachineSpec",
-    "CoreSpec",
-    "SocketSpec",
-    "Core",
-    "Socket",
-    "CacheModel",
-    "traffic_factor",
-    "Interconnect",
-    "MemorySystem",
-    "PerfParams",
-    "DEFAULT_PARAMS",
-    "KB",
-    "MB",
-    "GB",
-    "SocketGraph",
-    "build_socket_graph",
-    "ladder_positions",
-    "tiger",
-    "dmz",
-    "longs",
-    "chiplet",
-    "by_name",
-    "all_systems",
-    "SYSTEM_TABLE",
-    "hypothetical",
-    "describe",
-    "distance_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CacheModel", "traffic_factor"),
+    ".interconnect": ("Interconnect",),
+    ".machine": ("Machine",),
+    ".memory": ("MemorySystem",),
+    ".params": ("DEFAULT_PARAMS", "GB", "KB", "MB", "PerfParams"),
+    ".render": ("describe", "distance_table"),
+    ".systems": (
+        "SYSTEM_TABLE", "all_systems", "by_name", "chiplet", "dmz", "longs",
+        "tiger",
+    ),
+    ".whatif": ("hypothetical",),
+    ".topology": (
+        "Core", "CoreSpec", "MachineSpec", "Socket", "SocketSpec",
+        "SocketGraph", "build_socket_graph", "ladder_positions",
+    ),
+})

@@ -54,6 +54,7 @@ class Interconnect:
                     f"{sorted(self._failed)} leave no route for traffic"
                 )
         self._paths = graph.paths
+        self._diameter = graph.diameter
         #: path_links memo, valid until the routes change again
         self._path_links: Dict[Tuple[int, int], List[BandwidthResource]] = {}
 
@@ -156,11 +157,5 @@ class Interconnect:
         return self.engine.all_of(flows)
 
     def max_hops(self) -> int:
-        """Diameter of the socket graph in hops."""
-        if self.spec.sockets == 1:
-            return 0
-        return max(
-            self.hops(s, d)
-            for s in range(self.spec.sockets)
-            for d in range(self.spec.sockets)
-        )
+        """Diameter of the routed socket graph in hops."""
+        return self._diameter

@@ -182,12 +182,13 @@ class SocketGraph:
     equal-length routes, the neighbour discovered first wins and
     neighbours are visited in ``adj`` order, so every route, and with
     it every simulated transfer, is fixed by the link order alone.
-    ``hops[src][dst]`` is the route's link count.  Sockets that cannot
-    reach each other have no entry.  ``tests/test_socket_graph_oracle.py``
-    checks routes, re-routes and link order against a graph library.
+    ``hops[src][dst]`` is the route's link count and ``diameter`` the
+    longest of them.  Sockets that cannot reach each other have no
+    entry.  ``tests/test_socket_graph_oracle.py`` checks routes,
+    re-routes and link order against a graph library.
     """
 
-    __slots__ = ("adj", "edges", "paths", "hops")
+    __slots__ = ("adj", "edges", "paths", "hops", "diameter")
 
     def __init__(self, adj: Dict[int, Tuple[int, ...]]):
         self.adj = adj
@@ -213,6 +214,8 @@ class SocketGraph:
             self.hops[src] = {dst: len(r) - 1 for dst, r in routes.items()}
             for dst, route in routes.items():
                 self.paths[(src, dst)] = route
+        self.diameter = max((max(row.values()) for row in self.hops.values()),
+                            default=0)
 
     def number_of_nodes(self) -> int:
         return len(self.adj)

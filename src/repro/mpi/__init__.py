@@ -7,40 +7,17 @@ locks), with all payload movement charged to the machine's memory
 controllers and HyperTransport links.
 """
 
-from .implementations import (
-    IMPLEMENTATIONS,
-    LAM,
-    MPICH2,
-    OPENMPI,
-    LockLayer,
-    MpiImplementation,
-    implementation_by_name,
-)
-from .data_collectives import (
-    allgather_data,
-    allreduce_data,
-    alltoall_data,
-    bcast_data,
-    reduce_data,
-)
-from .simmpi import Message, MpiStats, MpiWorld
-from .transport import ShmTransport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MpiWorld",
-    "Message",
-    "MpiStats",
-    "ShmTransport",
-    "MpiImplementation",
-    "LockLayer",
-    "MPICH2",
-    "LAM",
-    "OPENMPI",
-    "IMPLEMENTATIONS",
-    "implementation_by_name",
-    "allreduce_data",
-    "reduce_data",
-    "bcast_data",
-    "allgather_data",
-    "alltoall_data",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".implementations": (
+        "IMPLEMENTATIONS", "LAM", "MPICH2", "OPENMPI", "LockLayer",
+        "MpiImplementation", "implementation_by_name",
+    ),
+    ".data_collectives": (
+        "allgather_data", "allreduce_data", "alltoall_data", "bcast_data",
+        "reduce_data",
+    ),
+    ".simmpi": ("Message", "MpiStats", "MpiWorld"),
+    ".transport": ("ShmTransport",),
+})

@@ -6,31 +6,14 @@ page-granular validation, and a `numactl` front-end mirroring the CLI
 the paper drives its experiments with.
 """
 
-from .numactl import NumactlConfig, parse_numactl
-from .numastat import NodeStats, numastat, remote_fraction
-from .pages import PAGE_SIZE, PageTable, Region
-from .policy import (
-    FirstTouch,
-    Interleave,
-    LocalAlloc,
-    Membind,
-    MemoryPolicy,
-    Preferred,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MemoryPolicy",
-    "FirstTouch",
-    "LocalAlloc",
-    "Membind",
-    "Interleave",
-    "Preferred",
-    "PageTable",
-    "Region",
-    "PAGE_SIZE",
-    "NumactlConfig",
-    "parse_numactl",
-    "NodeStats",
-    "numastat",
-    "remote_fraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".numactl": ("NumactlConfig", "parse_numactl"),
+    ".numastat": ("NodeStats", "numastat", "remote_fraction"),
+    ".pages": ("PAGE_SIZE", "PageTable", "Region"),
+    ".policy": (
+        "FirstTouch", "Interleave", "LocalAlloc", "Membind", "MemoryPolicy",
+        "Preferred",
+    ),
+})

@@ -11,9 +11,10 @@ visible exactly the way operators of the paper's systems saw them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping
 
-from .pages import PageTable
+if TYPE_CHECKING:
+    from .pages import PageTable
 
 __all__ = ["NodeStats", "numastat", "remote_fraction"]
 

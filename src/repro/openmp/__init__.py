@@ -6,6 +6,8 @@ and :mod:`repro.workloads.hybrid` builds hybrid MPI+OpenMP variants of
 the NAS kernels.
 """
 
-from .threading import ThreadTeam, fork_join_cost
+from .._lazy import lazy_exports
 
-__all__ = ["ThreadTeam", "fork_join_cost"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".threading": ("ThreadTeam", "fork_join_cost"),
+})

@@ -1,25 +1,12 @@
 """Operating-system model: task placement, CPU masks, scheduler effects."""
 
-from .affinity_api import AffinityRegistry, CpuSet, parse_cpu_list
-from .placement import (
-    Placement,
-    one_per_socket,
-    packed,
-    preferred_socket_order,
-    spread,
-    two_per_socket,
-)
-from .scheduler import SchedulerModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CpuSet",
-    "AffinityRegistry",
-    "parse_cpu_list",
-    "Placement",
-    "preferred_socket_order",
-    "spread",
-    "packed",
-    "one_per_socket",
-    "two_per_socket",
-    "SchedulerModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".affinity_api": ("AffinityRegistry", "CpuSet", "parse_cpu_list"),
+    ".placement": (
+        "Placement", "one_per_socket", "packed", "preferred_socket_order",
+        "spread", "two_per_socket",
+    ),
+    ".scheduler": ("SchedulerModel",),
+})

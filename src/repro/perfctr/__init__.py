@@ -11,34 +11,16 @@ instrumented subsystems populate it; without a session every hook is a
 single ``None`` test.
 """
 
-from .counters import CACHE_LINE, EVENTS, CounterBank, PerfSession
-from .derived import (
-    achieved_bandwidth,
-    derive,
-    dram_bytes,
-    flop_rate,
-    l1_miss_ratio,
-    link_utilization,
-    remote_access_ratio,
-)
-from .format import format_bytes, format_count, format_rate, format_ratio
-from .markers import RegionAccumulator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_LINE",
-    "EVENTS",
-    "CounterBank",
-    "PerfSession",
-    "RegionAccumulator",
-    "achieved_bandwidth",
-    "derive",
-    "dram_bytes",
-    "flop_rate",
-    "l1_miss_ratio",
-    "link_utilization",
-    "remote_access_ratio",
-    "format_bytes",
-    "format_count",
-    "format_rate",
-    "format_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": ("CACHE_LINE", "EVENTS", "CounterBank", "PerfSession"),
+    ".derived": (
+        "achieved_bandwidth", "derive", "dram_bytes", "flop_rate",
+        "l1_miss_ratio", "link_utilization", "remote_access_ratio",
+    ),
+    ".format": (
+        "format_bytes", "format_count", "format_rate", "format_ratio",
+    ),
+    ".markers": ("RegionAccumulator",),
+})

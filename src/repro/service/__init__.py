@@ -15,22 +15,15 @@ clients and in-process callers share one cache, one coalescing map,
 and one telemetry stream.
 """
 
-from .api import RunRequest, RunResult
-from .registry import (SCHEME_ALIASES, WORKLOADS, resolve_scheme_name,
-                       resolve_system, resolve_workload)
-from .session import (Session, ServiceStats, default_session,
-                      set_default_session)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunRequest",
-    "RunResult",
-    "SCHEME_ALIASES",
-    "ServiceStats",
-    "Session",
-    "WORKLOADS",
-    "default_session",
-    "resolve_scheme_name",
-    "resolve_system",
-    "resolve_workload",
-    "set_default_session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("RunRequest", "RunResult"),
+    ".registry": (
+        "SCHEME_ALIASES", "WORKLOADS", "resolve_scheme_name",
+        "resolve_system", "resolve_workload",
+    ),
+    ".session": (
+        "Session", "ServiceStats", "default_session", "set_default_session",
+    ),
+})

@@ -7,26 +7,12 @@ memory-link contention, HyperTransport congestion, MPI message overlap —
 are expressed through these primitives.
 """
 
-from .engine import EmptySchedule, Engine
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout
-from .process import Process
-from .resources import BandwidthResource, Resource, Store
-from .trace import TraceRecord, Tracer, reset_dropped, total_dropped
+from .._lazy import lazy_exports
 
-__all__ = [
-    "reset_dropped",
-    "total_dropped",
-    "Engine",
-    "EmptySchedule",
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "Store",
-    "BandwidthResource",
-    "Tracer",
-    "TraceRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("EmptySchedule", "Engine"),
+    ".events": ("AllOf", "AnyOf", "Event", "Interrupt", "Timeout"),
+    ".process": ("Process",),
+    ".resources": ("BandwidthResource", "Resource", "Store"),
+    ".trace": ("TraceRecord", "Tracer", "reset_dropped", "total_dropped"),
+})

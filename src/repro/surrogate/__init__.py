@@ -22,18 +22,12 @@ callers never see it because the executor routes such cells to the
 exact tier before keying.
 """
 
-from ..errors import SurrogateUnsupportedError
-from .evaluator import (
-    SurrogateEvaluator,
-    evaluate_request,
-    evaluate_workload,
-    unsupported_reason,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SurrogateEvaluator",
-    "SurrogateUnsupportedError",
-    "evaluate_request",
-    "evaluate_workload",
-    "unsupported_reason",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "..errors": ("SurrogateUnsupportedError",),
+    ".evaluator": (
+        "SurrogateEvaluator", "evaluate_request", "evaluate_workload",
+        "unsupported_reason",
+    ),
+})

@@ -78,13 +78,26 @@ def calibration_tables() -> List[Tuple[str, List[Any]]]:
 
 
 def _sweep(requests, tier: str, jobs, cache) -> Tuple[List[Any], float]:
-    """Run every request in one tier; returns (results, wall seconds)."""
+    """Run every request in one tier; returns (results, wall seconds).
+
+    An infeasible cell reads ``None`` (a dash both tiers share); a
+    failed cell raises :class:`~repro.errors.JobFailedError`, since
+    dropping it would score its table on fewer cells than it pins.
+    """
     from ..core.parallel import run_requests
+    from ..errors import JobFailedError
 
     tiered = [replace(r, tier=tier) for r in requests]
     start = time.perf_counter()
     kwargs = {} if cache is None else {"cache": cache}
-    results = run_requests(tiered, jobs=jobs, **kwargs)
+    outcomes: List[Any] = []
+    results = run_requests(tiered, jobs=jobs, outcomes=outcomes, **kwargs)
+    failed = [payload for status, payload in outcomes if status == "failed"]
+    if failed:
+        raise JobFailedError(
+            f"{len(failed)} {tier} calibration cell(s) failed: "
+            + "; ".join(f"{f.label}: {f.message}" for f in failed),
+            kind=failed[0].kind, key=failed[0].key)
     return results, time.perf_counter() - start
 
 

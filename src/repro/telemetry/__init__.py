@@ -19,32 +19,15 @@ Four layers, all zero-overhead until a CLI opts in:
   (:mod:`~repro.telemetry.regress`).
 """
 
-from . import metrics, tracing
-from .ledger import (
-    RunRecorder,
-    append,
-    env_configured,
-    hit_rate,
-    ledger_dir,
-    ledger_path,
-    read_records,
-)
-from .log import configure_logging, get_logger
-from .tracing import active_recorder, set_recorder, span
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunRecorder",
-    "active_recorder",
-    "append",
-    "configure_logging",
-    "env_configured",
-    "get_logger",
-    "hit_rate",
-    "ledger_dir",
-    "ledger_path",
-    "metrics",
-    "read_records",
-    "set_recorder",
-    "span",
-    "tracing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".ledger": (
+        "RunRecorder", "append", "env_configured", "hit_rate", "ledger_dir",
+        "ledger_path", "read_records",
+    ),
+    ".log": ("configure_logging", "get_logger"),
+    ".tracing": ("active_recorder", "set_recorder", "span"),
+}, submodules=(
+    "metrics", "tracing",
+))

@@ -30,22 +30,13 @@ addresses are computed over the canonical JSON form of a value, never
 over its binary spelling.
 """
 
-from .codec import decode, decode_value, encode, encode_value
-from .frames import (FRAME_MAGIC, FRAME_VERSION, MAX_PAYLOAD_BYTES,
-                     CHUNK_BYTES, read_frame_message, write_frame_message,
-                     pack_frames, unpack_frames)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHUNK_BYTES",
-    "FRAME_MAGIC",
-    "FRAME_VERSION",
-    "MAX_PAYLOAD_BYTES",
-    "decode",
-    "decode_value",
-    "encode",
-    "encode_value",
-    "pack_frames",
-    "read_frame_message",
-    "unpack_frames",
-    "write_frame_message",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".codec": ("decode", "decode_value", "encode", "encode_value"),
+    ".frames": (
+        "FRAME_MAGIC", "FRAME_VERSION", "MAX_PAYLOAD_BYTES", "CHUNK_BYTES",
+        "read_frame_message", "write_frame_message", "pack_frames",
+        "unpack_frames",
+    ),
+})

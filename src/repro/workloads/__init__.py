@@ -5,75 +5,26 @@ lmbench STREAM scaling, BLAS level 1/3 scaling, the HPC Challenge suite
 class B.
 """
 
-from .blas_scaling import DaxpyBench, DgemmBench
-from .hpcc import (
-    MODES,
-    HpccDgemm,
-    HpccFft,
-    HpccHpl,
-    HpccPtrans,
-    HpccRandomAccess,
-    HpccStream,
-    PingPong,
-    RingExchange,
-)
-from .imb import (
-    IMB_MESSAGE_SIZES,
-    ImbAllreduce,
-    ImbBcast,
-    ImbExchange,
-    ImbPingPong,
-    ImbSendRecv,
-    exchange_bandwidth,
-    pingpong_oneway_time,
-)
-from .hybrid import HybridNasCG, HybridNasFT, HybridWorkload, hybrid_affinity
-from .lmbench import StreamTriad, triad_bytes_moved
-from .synthetic import SyntheticWorkload
-from .nas import (
-    CLASS_B_CG,
-    CLASS_B_EP,
-    CLASS_B_FT,
-    CLASS_B_MG,
-    NasCG,
-    NasEP,
-    NasFT,
-    NasMG,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "StreamTriad",
-    "triad_bytes_moved",
-    "DaxpyBench",
-    "DgemmBench",
-    "MODES",
-    "HpccDgemm",
-    "HpccFft",
-    "HpccStream",
-    "HpccRandomAccess",
-    "HpccPtrans",
-    "HpccHpl",
-    "PingPong",
-    "RingExchange",
-    "ImbPingPong",
-    "ImbExchange",
-    "ImbSendRecv",
-    "ImbAllreduce",
-    "ImbBcast",
-    "IMB_MESSAGE_SIZES",
-    "pingpong_oneway_time",
-    "exchange_bandwidth",
-    "NasCG",
-    "NasFT",
-    "NasEP",
-    "NasMG",
-    "CLASS_B_CG",
-    "CLASS_B_FT",
-    "CLASS_B_EP",
-    "CLASS_B_MG",
-    "HybridWorkload",
-    "HybridNasCG",
-    "HybridNasFT",
-    "hybrid_affinity",
-    "SyntheticWorkload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".blas_scaling": ("DaxpyBench", "DgemmBench"),
+    ".hpcc": (
+        "MODES", "HpccDgemm", "HpccFft", "HpccHpl", "HpccPtrans",
+        "HpccRandomAccess", "HpccStream", "PingPong", "RingExchange",
+    ),
+    ".imb": (
+        "IMB_MESSAGE_SIZES", "ImbAllreduce", "ImbBcast", "ImbExchange",
+        "ImbPingPong", "ImbSendRecv", "exchange_bandwidth",
+        "pingpong_oneway_time",
+    ),
+    ".hybrid": (
+        "HybridNasCG", "HybridNasFT", "HybridWorkload", "hybrid_affinity",
+    ),
+    ".lmbench": ("StreamTriad", "triad_bytes_moved"),
+    ".synthetic": ("SyntheticWorkload",),
+    ".nas": (
+        "CLASS_B_CG", "CLASS_B_EP", "CLASS_B_FT", "CLASS_B_MG", "NasCG",
+        "NasEP", "NasFT", "NasMG",
+    ),
+})

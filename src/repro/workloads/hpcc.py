@@ -18,7 +18,7 @@ from typing import Iterator, List
 from ..core.ops import (Allreduce, Alltoall, Barrier, Bcast, Compute, Op,
                         Recv, Send, SendRecv)
 from ..core.workload import Workload
-from ..kernels import blas, fft, hpl, ptrans, randomaccess, stream
+from ..kernels import blas, fft, hpl, stream
 
 __all__ = [
     "MODES",
@@ -149,6 +149,8 @@ class HpccRandomAccess(_HpccWorkload):
         self.name = f"hpcc-ra-{mode}[p={ntasks}]"
 
     def _kernel_ops(self, rank: int) -> Iterator[Op]:
+        from ..kernels import randomaccess
+
         if self.mode != "mpi":
             yield randomaccess.randomaccess_model(
                 self.updates, self.table_bytes, phase="ra")
@@ -180,6 +182,8 @@ class HpccPtrans(Workload):
         self.name = f"hpcc-ptrans[p={ntasks}]"
 
     def program(self, rank: int) -> Iterator[Op]:
+        from ..kernels import ptrans
+
         yield Barrier()
         row, col = divmod(rank, self.grid)
         partner = col * self.grid + row

@@ -6,7 +6,9 @@ Every table, figure, ablation and extension reads the rows of its
 the same :class:`JobRequest` instances, so a warm ``repro-bench all``
 keys each listed cell once.  Infeasible cells are settled by the
 executor before dispatch, so a warm run sends no backend anything and
-never imports one.
+never imports one.  Package ``__init__``s export lazily and the engine
+is imported where a cell runs, so neither a warm run nor ``list``
+loads the engine.
 """
 
 from __future__ import annotations
@@ -43,6 +45,25 @@ ENUMERATOR_DIGEST = \
 
 #: the cells the four enumerators list for ``all`` (with repeats)
 LISTED_CELLS = 628
+
+#: the engine and the other modules a warm ``all`` or ``list`` never
+#: calls into: package ``__init__``s export lazily and the engine is
+#: imported where a cell runs, so neither run may load any of these
+ENGINE_PACKAGES = [["repro", "sim"], ["repro", "perfctr"],
+                   ["repro", "faults"]]
+ENGINE_MODULES = frozenset({
+    "repro.apps.md.driver", "repro.apps.md.forcefields", "repro.apps.md.gb",
+    "repro.apps.md.minimize", "repro.apps.md.system",
+    "repro.apps.pop.baroclinic", "repro.apps.pop.barotropic",
+    "repro.apps.pop.shallow_water", "repro.core.analysis",
+    "repro.core.experiment", "repro.core.timeline", "repro.kernels.ptrans",
+    "repro.kernels.randomaccess", "repro.machine.cache",
+    "repro.machine.interconnect", "repro.machine.machine",
+    "repro.machine.memory", "repro.machine.render",
+    "repro.mpi.data_collectives", "repro.mpi.simmpi", "repro.mpi.transport",
+    "repro.numa.pages", "repro.osmodel.affinity_api",
+    "repro.workloads.synthetic",
+})
 
 
 def _all_sweeps():
@@ -100,25 +121,46 @@ def test_warm_all_keys_each_listed_cell_once_and_dispatches_nothing(
     assert pool["infeasible"] == 20
 
 
-def test_warm_all_imports_no_backend_and_no_evaluator(warm_cache):
-    directory, cold_stdout = warm_cache
+def _probe_cli(argv, cache_dir):
+    """Run ``repro-bench argv`` in a fresh interpreter; its exit code,
+    stdout and the ``repro`` modules it loaded."""
     probe = ("import io, json, sys\n"
              "from contextlib import redirect_stdout\n"
              "from repro.bench.cli import main\n"
              "with redirect_stdout(io.StringIO()) as out:\n"
-             "    code = main(['all', '--tier', 'fast'])\n"
+             f"    code = main({list(argv)!r})\n"
              "print(json.dumps({'code': code, 'stdout': out.getvalue(),\n"
-             "    'loaded': [name for name in ('repro.backends',\n"
-             "               'repro.surrogate.evaluator') if name in "
-             "sys.modules]}))\n")
+             "    'loaded': sorted(name for name in sys.modules\n"
+             "                     if name.startswith('repro'))}))\n")
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC),
-                 REPRO_BENCH_CACHE_DIR=str(directory)),
+                 REPRO_BENCH_CACHE_DIR=str(cache_dir)),
         stdout=subprocess.PIPE, check=True)
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def _engine(loaded):
+    return [name for name in loaded if name in ENGINE_MODULES
+            or name.split(".")[:2] in ENGINE_PACKAGES]
+
+
+def test_warm_all_imports_no_backend_and_no_evaluator(warm_cache):
+    """... nor any module of the engine set."""
+    directory, cold_stdout = warm_cache
+    report = _probe_cli(["all", "--tier", "fast"], directory)
     assert report["code"] == 0 and report["stdout"] == cold_stdout
-    assert report["loaded"] == []
+    loaded = report["loaded"]
+    assert [name for name in ("repro.backends", "repro.surrogate.evaluator")
+            if name in loaded] == []
+    assert _engine(loaded) == []
+
+
+def test_list_imports_no_engine(tmp_path):
+    report = _probe_cli(["list"], tmp_path)
+    assert report["code"] == 0 and "available targets" in report["stdout"]
+    print(f"repro-bench list loaded {len(report['loaded'])} repro modules")
+    assert _engine(report["loaded"]) == []
 
 
 def test_enumerators_list_the_cells_they_always_did():

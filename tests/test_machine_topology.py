@@ -125,6 +125,42 @@ def test_longs_diameter_is_four_hops():
     assert m.net.max_hops() == 4
 
 
+def _max_hops_by_pairs(machine):
+    """Diameter as ``Interconnect.max_hops`` computed it before
+    ``SocketGraph.diameter``: the longest route over every socket pair."""
+    sockets = machine.spec.sockets
+    if sockets == 1:
+        return 0
+    return max(machine.net.hops(s, d)
+               for s in range(sockets) for d in range(sockets))
+
+
+_SHAPES = ([("single", 1), ("pair", 2)]
+           + [("ladder", n) for n in range(2, 17, 2)]
+           + [(topology, n) for topology in ("ring", "crossbar")
+              for n in range(3, 17)])
+
+
+@pytest.mark.parametrize("topology,sockets", _SHAPES)
+def test_socket_graph_diameter_is_the_longest_route(topology, sockets):
+    from repro.machine import hypothetical
+
+    spec = hypothetical(f"{topology}-{sockets}", sockets=sockets,
+                        topology=topology)
+    machine = Machine(spec)
+    assert build_socket_graph(spec).diameter == _max_hops_by_pairs(machine)
+    assert machine.net.max_hops() == _max_hops_by_pairs(machine)
+
+
+def test_max_hops_follows_a_reroute():
+    machine = Machine(longs())
+    before = machine.net.max_hops()
+    machine.net.set_link_state(0, 1, failed=True)  # a top-rail link
+    assert machine.net.max_hops() == _max_hops_by_pairs(machine) > before
+    machine.net.set_link_state(0, 1)
+    assert machine.net.max_hops() == before
+
+
 def test_routing_hops_symmetric():
     m = Machine(longs())
     for s in range(8):

@@ -17,6 +17,7 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -516,6 +517,41 @@ def test_spearman_matches_scipy(pair):
     xs, ys = pair
     expected = stats.spearmanr(xs, ys).statistic
     assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
+
+
+def test_calibration_fails_on_a_failed_cell_and_skips_dashes(
+        tmp_path, monkeypatch):
+    """``compare`` scores a table without its infeasible dashes, but a
+    failed cell fails the comparison instead of silently reading as a
+    dash, and leaves nothing behind for ``take_failures``."""
+    from repro.core.cache import ResultCache
+    from repro.core.parallel import take_failures
+    from repro.errors import JobFailedError
+    from repro.machine import tiger
+    from repro.surrogate import calibration
+
+    plan = FaultPlan.from_json(os.path.join(
+        os.path.dirname(__file__), "..", "benchmarks", "faultplans",
+        "msg_exhaust.json"))
+    healthy = [_cell(ImbPingPong(1024), scheme, spec=tiger())
+               for scheme in (AffinityScheme.DEFAULT,
+                              AffinityScheme.ONE_MPI_LOCAL,
+                              AffinityScheme.TWO_MPI_LOCAL)]  # a dash
+    failing = _cell(ImbPingPong(1024), spec=dmz(), faults=plan)
+    cache = ResultCache(directory=tmp_path)
+    take_failures()
+
+    tables = [("tiger:pingpong", healthy)]
+    monkeypatch.setattr(calibration, "calibration_tables", lambda: tables)
+    report = calibration.compare(jobs=1, cache=cache)
+    assert report["tables"]["tiger:pingpong"]["cells"] == 2
+
+    tables.append(("dmz:pingpong", [failing]))
+    with pytest.raises(JobFailedError, match="calibration cell") as info:
+        calibration.compare(jobs=1, cache=cache)
+    assert info.value.kind == "fault_exhausted"
+    assert info.value.key == replace(failing, tier="exact").key()
+    assert take_failures() == []
 
 
 if __name__ == "__main__":
